@@ -4,11 +4,17 @@ A right-angled system has m(s,t) = 2 (commuting) or infinity for s != t.
 Words are canonicalised to the ShortLex-least reduced word of their
 commutation class, which solves the word problem: two words represent the
 same group element iff their normal forms are equal.
+
+The normal form is that of a graph product of cyclic groups (Green 1990;
+Hermiller & Meier, J. Algebra 171, 1995): here every factor is Z/2, while the
+chambers of right-angled buildings (rab.py) use the same kernel,
+`right_multiply`, with factors Z/q_s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import check_guard
@@ -27,14 +33,27 @@ class RACoxeterSystem:
 
     def __post_init__(self):
         names = self.generators
+        if not all(isinstance(s, str) for s in names):
+            raise ValueError(f"generator names must be strings: {list(names)!r}")
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
+        index = {s: i for i, s in enumerate(names)}
+        comm = [0] * len(names)
         for pair in self.commuting_pairs:
             if len(pair) != 2:
                 raise ValueError(f"commuting pair must have two distinct generators: {set(pair)}")
             for s in pair:
                 if s not in names:
                     raise ValueError(f"unknown generator in commuting pair: {s}")
+            i, j = (index[s] for s in pair)
+            comm[i] |= 1 << j
+            comm[j] |= 1 << i
+        # Derived data, not fields, so equality, hashing and to_json are unchanged.
+        # _comm[s] has bit t set iff s and t commute (never bit s itself); _order is
+        # the order of each generator; _letters maps names and indices to indices.
+        object.__setattr__(self, "_comm", tuple(comm))
+        object.__setattr__(self, "_order", (2,) * len(names))
+        object.__setattr__(self, "_letters", {**index, **{i: i for i in range(len(names))}})
 
     @classmethod
     def create(cls, generators: Sequence[str], commuting_pairs: Iterable[tuple[str, str]] = ()) -> "RACoxeterSystem":
@@ -50,6 +69,13 @@ class RACoxeterSystem:
         except ValueError:
             raise ValueError(f"unknown generator: {s}") from None
 
+    def letter_indices(self, word: Iterable[int | str]) -> list[int]:
+        """Generator indices of a word given by names, indices, or both."""
+        try:
+            return [self._letters[x] for x in word]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"unknown generator or index out of range: {exc}") from None
+
     def commutes(self, i: int, j: int) -> bool:
         if i == j:
             return False
@@ -63,7 +89,15 @@ class RACoxeterSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "RACoxeterSystem":
-        return cls.create(data["generators"], [tuple(p) for p in data.get("commuting_pairs", [])])
+        if not isinstance(data, dict) or "generators" not in data:
+            raise ValueError("coxeter config must be an object with a 'generators' list")
+        gens, pairs = data["generators"], data.get("commuting_pairs", [])
+        if not isinstance(gens, list):
+            raise ValueError(f"'generators' must be a list of names, got {gens!r}")
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and all(isinstance(s, str) for s in p) for p in pairs):
+            raise ValueError(f"'commuting_pairs' must be a list of [name, name] pairs, got {pairs!r}")
+        return cls.create(gens, [tuple(p) for p in pairs])
 
 
 @dataclass(frozen=True)
@@ -83,50 +117,68 @@ class CoxElement:
         return " ".join(self.names()) if self.word else "e"
 
 
-def _insert_reduced(system: RACoxeterSystem, nf: list[int], x: int) -> None:
-    """Append generator x to the reduced word nf, cancelling if x is visible.
+def right_multiply(comm: Sequence[int], q: Sequence[int], gens: list[int], exps: list[int],
+                   syllables: Iterable[tuple[int, int]]) -> None:
+    """Multiply a graph-product normal form by syllables s^e on the right, in place.
 
-    x is visible from the right end when some earlier occurrence of x is
-    separated from the end only by letters commuting with x; then the two
-    occurrences cancel.  Otherwise appending keeps the word reduced
-    (deletion condition for right-angled systems).
+    The normal form is the ShortLex-least reduced syllable word, held as
+    parallel lists of generators and exponents (1..q[s]-1); comm[s] has bit t
+    set iff s and t commute.  It stays a normal form after every syllable, so
+    each costs one scan of the tail of letters commuting with s:
+
+    - if the scan stops at an s, that syllable is right-visible and absorbs e;
+      it is deleted when the exponents cancel mod q[s], which keeps the word
+      ShortLex-least because everything after it commutes with it;
+    - otherwise s^e is inserted before the first tail letter larger than s
+      (or appended): s may stand anywhere in the tail, and this is the least
+      such word.
     """
-    for i in range(len(nf) - 1, -1, -1):
-        if nf[i] == x:
-            del nf[i]
-            return
-        if not system.commutes(nf[i], x):
-            break
-    nf.append(x)
+    for s, e in syllables:
+        qs = q[s]
+        e %= qs
+        if not e:
+            continue
+        cs = comm[s]
+        pos = i = len(gens)
+        while i and cs >> gens[i - 1] & 1:
+            i -= 1
+            if gens[i] > s:
+                pos = i
+        if i and gens[i - 1] == s:
+            e = (exps[i - 1] + e) % qs
+            if e:
+                exps[i - 1] = e
+            else:
+                del gens[i - 1], exps[i - 1]
+        else:
+            gens.insert(pos, s)
+            exps.insert(pos, e)
 
 
-def _lex_minimize(system: RACoxeterSystem, word: Sequence[int]) -> tuple[int, ...]:
-    """ShortLex-least word of the commutation class of a reduced word.
+def initial_position(comm: Sequence[int], gens: Sequence[int], types: int) -> int | None:
+    """First position whose generator is in the bitmask `types` and commutes with every earlier one.
 
-    Greedy: repeatedly extract the smallest letter that can be moved to the
-    front (all letters before it commute with it).  A reduced word never has
-    two equal extractable letters, so the choice is unique.
+    That letter can be moved to the front of the word: for a reduced word,
+    its generator is a left descent.
     """
-    rem = list(word)
-    out: list[int] = []
-    while rem:
-        best_pos = 0
-        for i in range(1, len(rem)):
-            if rem[i] < rem[best_pos] and all(system.commutes(rem[j], rem[i]) for j in range(i)):
-                best_pos = i
-        out.append(rem.pop(best_pos))
-    return tuple(out)
+    before = 0
+    for i, t in enumerate(gens):
+        if types >> t & 1 and not before & ~comm[t]:
+            return i
+        before |= 1 << t
+    return None
+
+
+def _times(system: RACoxeterSystem, nf: tuple[int, ...], letters: Iterable[int]) -> CoxElement:
+    """The normal form nf times a word of generator indices."""
+    gens = list(nf)
+    right_multiply(system._comm, system._order, gens, [1] * len(gens), zip(letters, repeat(1)))
+    return CoxElement(system, tuple(gens))
 
 
 def normal_form(system: RACoxeterSystem, word: Iterable[int | str]) -> CoxElement:
-    """Canonical form of an arbitrary word: reduce, then ShortLex-minimise."""
-    nf: list[int] = []
-    for letter in word:
-        idx = system.index_of(letter) if isinstance(letter, str) else letter
-        if not 0 <= idx < system.rank:
-            raise ValueError(f"generator index out of range: {idx}")
-        _insert_reduced(system, nf, idx)
-    return CoxElement(system, _lex_minimize(system, nf))
+    """Canonical form of an arbitrary word of generator names or indices."""
+    return _times(system, (), system.letter_indices(word))
 
 
 def identity(system: RACoxeterSystem) -> CoxElement:
@@ -136,12 +188,19 @@ def identity(system: RACoxeterSystem) -> CoxElement:
 def multiply(u: CoxElement, v: CoxElement) -> CoxElement:
     if u.system is not v.system and u.system != v.system:
         raise ValueError("elements from different systems")
-    return normal_form(u.system, u.word + v.word)
+    return _times(u.system, u.word, v.word)
+
+
+def multiply_generator(u: CoxElement, s: int) -> CoxElement:
+    """u s by one step of the kernel: O(l(u)), no re-normalisation."""
+    if not 0 <= s < u.system.rank:
+        raise ValueError(f"generator index out of range: {s}")
+    return _times(u.system, u.word, (s,))
 
 
 def invert(u: CoxElement) -> CoxElement:
     # Generators are involutions, so the inverse word is the reversal.
-    return normal_form(u.system, u.word[::-1])
+    return _times(u.system, (), u.word[::-1])
 
 
 def length(u: CoxElement) -> int:
@@ -149,18 +208,24 @@ def length(u: CoxElement) -> int:
 
 
 def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | None = None) -> list[CoxElement]:
-    """All elements of length <= max_length, each once, in ShortLex order."""
+    """All elements of length <= max_length, each once, in ShortLex order.
+
+    The guard is checked before each new element is kept, so an enumeration
+    that would exceed it stops at the first element over the cap.
+    """
+    if max_length < 0:
+        raise ValueError(f"max_length must be >= 0, got {max_length}")
     seen: dict[tuple[int, ...], CoxElement] = {(): identity(system)}
     frontier = [identity(system)]
     for _ in range(max_length):
         nxt = []
         for u in frontier:
             for s in range(system.rank):
-                w = multiply(u, CoxElement(system, (s,)))
-                if len(w.word) == len(u.word) + 1 and w.word not in seen:
+                w = multiply_generator(u, s)
+                if len(w.word) > len(u.word) and w.word not in seen:
+                    check_guard(len(seen) + 1, guard, "coxeter element enumeration")
                     seen[w.word] = w
                     nxt.append(w)
-        check_guard(len(seen), guard, "coxeter element enumeration")
         frontier = nxt
     return [seen[k] for k in sorted(seen, key=lambda w: (len(w), w))]
 
@@ -212,10 +277,12 @@ def profile_bounded_set(system: RACoxeterSystem, max_length: int, bound: int,
 
 
 def root_contains(s: str, w: CoxElement) -> bool:
-    """Whether w lies in the root alpha_s, i.e. on the identity side of the wall of s."""
+    """Whether w lies in the root alpha_s, i.e. on the identity side of the wall of s.
+
+    That is l(sw) > l(w): s is not a left descent of w.
+    """
     system = w.system
-    si = system.index_of(s)
-    return len(normal_form(system, (si,) + w.word).word) > len(w.word)
+    return initial_position(system._comm, w.word, 1 << system.index_of(s)) is None
 
 
 def cayley_distance(u: CoxElement, v: CoxElement, guard: int | None = None) -> int:
@@ -224,21 +291,20 @@ def cayley_distance(u: CoxElement, v: CoxElement, guard: int | None = None) -> i
     Independent of the length function; used as an oracle against l(u^-1 v).
     """
     system = u.system
-    target = v.word
-    frontier = {u.word}
+    frontier = {u.word: u}
     seen = {u.word}
     dist = 0
-    while target not in frontier:
-        nxt = set()
-        for word in frontier:
+    while v.word not in frontier:
+        nxt = {}
+        for w in frontier.values():
             for s in range(system.rank):
-                nw = normal_form(system, word + (s,)).word
-                if nw not in seen:
-                    seen.add(nw)
-                    nxt.add(nw)
+                x = multiply_generator(w, s)
+                if x.word not in seen:
+                    check_guard(len(seen) + 1, guard, "cayley BFS")
+                    seen.add(x.word)
+                    nxt[x.word] = x
         if not nxt:
             raise RuntimeError("BFS exhausted without reaching target")
-        check_guard(len(seen), guard, "cayley BFS")
         frontier = nxt
         dist += 1
     return dist
@@ -247,22 +313,22 @@ def cayley_distance(u: CoxElement, v: CoxElement, guard: int | None = None) -> i
 def dist_to_root(w: CoxElement, s: str, guard: int | None = None) -> int:
     """Gallery distance from chamber w to the root alpha_s (BFS layers)."""
     system = w.system
-    frontier = {w.word}
+    frontier = [w]
     seen = {w.word}
     dist = 0
     while True:
-        if any(root_contains(s, CoxElement(system, word)) for word in frontier):
+        if any(root_contains(s, u) for u in frontier):
             return dist
-        nxt = set()
-        for word in frontier:
+        nxt = []
+        for u in frontier:
             for g in range(system.rank):
-                nw = normal_form(system, word + (g,)).word
-                if nw not in seen:
-                    seen.add(nw)
-                    nxt.add(nw)
+                x = multiply_generator(u, g)
+                if x.word not in seen:
+                    check_guard(len(seen) + 1, guard, "root BFS")
+                    seen.add(x.word)
+                    nxt.append(x)
         if not nxt:
             raise RuntimeError("BFS exhausted without reaching the root")
-        check_guard(len(seen), guard, "root BFS")
         frontier = nxt
         dist += 1
 

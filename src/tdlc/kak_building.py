@@ -35,6 +35,7 @@ from .rab import (
     apartment_chamber,
     chamber_inverse,
     chamber_product,
+    chamber_times,
     dist_chamber_to_root,
     gallery_distance,
     identity_chamber,
@@ -118,7 +119,7 @@ def _align_to_apartment(bc: BuildingCartan, target: Chamber) -> BuildingAut:
     cur = target
     for s in w.word:
         x = list(chamber_product(chamber_inverse(prefix), cur).syllables)
-        pos = _initial_syllable_position(spec, x, {s})
+        pos = _initial_syllable_position(spec, x, 1 << s)
         if pos is None:
             raise AssertionError("gallery alignment lost the expected panel direction")
         c = x[pos][1]
@@ -129,7 +130,7 @@ def _align_to_apartment(bc: BuildingCartan, target: Chamber) -> BuildingAut:
             rot = PanelRotation(spec, prefix, s, tuple(sigma))
             parts.append(rot)
             cur = rot.image(cur)
-        prefix = chamber_product(prefix, Chamber(spec, ((s, y),)))
+        prefix = chamber_times(prefix, ((s, y),))
     k = CompositeAut(spec, tuple(reversed(parts))) if parts else IdentityAut(spec)
     if k.image(target) != apartment_chamber(spec, ap, w):
         raise AssertionError("alignment did not reach the standard apartment")

@@ -5,7 +5,9 @@ Z/q_s - {0}; the type word (colors forgotten) is the ShortLex reduced word of
 the underlying right-angled Coxeter system.  This is the standard model of
 the unique semi-regular right-angled building with parameters (q_s): panels
 are cosets of the cyclic factors, the Weyl distance is the type word of
-C^-1 D, and apartments arise from fixing one color per generator.
+C^-1 D, and apartments arise from fixing one color per generator.  Normal
+forms come from the graph-product kernel of coxeter_ra, the one that also
+normalises Coxeter words.
 
 Automorphisms are evaluated exactly on chambers (panel rotations, base-panel
 permutations and their composites); ball objects only certify and serialize.
@@ -19,8 +21,11 @@ from typing import Iterable, Sequence
 from .coxeter_ra import (
     CoxElement,
     RACoxeterSystem,
+    initial_position,
     invert as cox_invert,
     multiply as cox_multiply,
+    multiply_generator,
+    right_multiply,
     root_contains,
 )
 from .errors import CertificationError, check_guard
@@ -36,13 +41,21 @@ class BuildingSpec:
     parameters: dict[str, int] = field(hash=False)
 
     def __post_init__(self):
-        for s in self.system.generators:
+        names = self.system.generators
+        if not isinstance(self.parameters, dict):
+            raise ValueError(f"parameters must map generator names to panel sizes, got {self.parameters!r}")
+        unknown = sorted(repr(s) for s in self.parameters if s not in names)
+        if unknown:
+            raise ValueError(f"parameters for unknown generators: {', '.join(unknown)}")
+        for s in names:
             q = self.parameters.get(s)
-            if q is None or q < 2:
-                raise ValueError(f"panel size q_{s} must be >= 2")
+            if isinstance(q, bool) or not isinstance(q, int) or q < 2:
+                raise ValueError(f"panel size q_{s} must be an integer >= 2, got {q!r}")
+        # Panel sizes by generator index, for the normal-form kernel; not a field.
+        object.__setattr__(self, "_q", tuple(self.parameters[s] for s in names))
 
     def q(self, gen_index: int) -> int:
-        return self.parameters[self.system.generators[gen_index]]
+        return self._q[gen_index]
 
     def is_thick(self) -> bool:
         return all(q >= 3 for q in self.parameters.values())
@@ -52,47 +65,11 @@ class BuildingSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "BuildingSpec":
+        if not isinstance(data, dict) or "coxeter" not in data or "parameters" not in data:
+            raise ValueError("building spec must be an object with 'coxeter' and 'parameters'")
+        if not isinstance(data["parameters"], dict):
+            raise ValueError(f"'parameters' must map generator names to panel sizes, got {data['parameters']!r}")
         return cls(RACoxeterSystem.from_json(data["coxeter"]), dict(data["parameters"]))
-
-
-def _insert_syllable(spec: BuildingSpec, syls: list[Syllable], s: int, c: int) -> None:
-    """Multiply on the right by (s, c), merging with a visible same-type syllable.
-
-    A zero merge deletes the syllable; letters that sat between the merged
-    pair may then become mergeable themselves, so the tail is re-inserted.
-    """
-    c %= spec.q(s)
-    if c == 0:
-        return
-    system = spec.system
-    for i in range(len(syls) - 1, -1, -1):
-        t, c2 = syls[i]
-        if t == s:
-            merged = (c2 + c) % spec.q(s)
-            if merged:
-                syls[i] = (s, merged)
-            else:
-                tail = syls[i + 1:]
-                del syls[i:]
-                for t2, c3 in tail:
-                    _insert_syllable(spec, syls, t2, c3)
-            return
-        if not system.commutes(t, s):
-            break
-    syls.append((s, c))
-
-
-def _lex_minimize_syllables(spec: BuildingSpec, syls: Sequence[Syllable]) -> tuple[Syllable, ...]:
-    system = spec.system
-    rem = list(syls)
-    out: list[Syllable] = []
-    while rem:
-        best = 0
-        for i in range(1, len(rem)):
-            if rem[i][0] < rem[best][0] and all(system.commutes(rem[j][0], rem[i][0]) for j in range(i)):
-                best = i
-        out.append(rem.pop(best))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -115,12 +92,25 @@ class Chamber:
         return [[self.spec.system.generators[s], c] for s, c in self.syllables]
 
 
+def chamber_times(C: Chamber, syllables: Iterable[Syllable]) -> Chamber:
+    """C multiplied on the right by syllables (s, c), starting from C's normal form.
+
+    With one syllable this is one step of the kernel, O(len(C)).  The
+    syllables need not form a normal form; C is one, as every Chamber.
+    """
+    spec = C.spec
+    gens = [s for s, _ in C.syllables]
+    exps = [c for _, c in C.syllables]
+    right_multiply(spec.system._comm, spec._q, gens, exps, syllables)
+    return Chamber(spec, tuple(zip(gens, exps)))
+
+
 def make_chamber(spec: BuildingSpec, syllables: Iterable[tuple[int | str, int]]) -> Chamber:
-    syls: list[Syllable] = []
-    for s, c in syllables:
-        idx = spec.system.index_of(s) if isinstance(s, str) else s
-        _insert_syllable(spec, syls, idx, c)
-    return Chamber(spec, _lex_minimize_syllables(spec, syls))
+    syls = list(syllables)
+    gens = spec.system.letter_indices(s for s, _ in syls)
+    if not all(isinstance(c, int) and not isinstance(c, bool) for _, c in syls):
+        raise ValueError(f"chamber colors must be integers: {syls!r}")
+    return chamber_times(identity_chamber(spec), zip(gens, (c for _, c in syls)))
 
 
 def chamber_from_json(spec: BuildingSpec, data: list) -> Chamber:
@@ -134,12 +124,11 @@ def identity_chamber(spec: BuildingSpec) -> Chamber:
 def chamber_product(C: Chamber, D: Chamber) -> Chamber:
     if C.spec is not D.spec and C.spec != D.spec:
         raise ValueError("chambers from different building specs")
-    return make_chamber(C.spec, C.syllables + D.syllables)
+    return chamber_times(C, D.syllables)
 
 
 def chamber_inverse(C: Chamber) -> Chamber:
-    inv = [(s, -c) for s, c in reversed(C.syllables)]
-    return make_chamber(C.spec, inv)
+    return chamber_times(identity_chamber(C.spec), [(s, -c) for s, c in reversed(C.syllables)])
 
 
 def weyl_distance(C: Chamber, D: Chamber) -> CoxElement:
@@ -153,22 +142,20 @@ def gallery_distance(C: Chamber, D: Chamber) -> int:
 def panel(C: Chamber, s: int | str) -> frozenset[Chamber]:
     spec = C.spec
     idx = spec.system.index_of(s) if isinstance(s, str) else s
-    return frozenset(chamber_product(C, make_chamber(spec, [(idx, c)]))
-                     for c in range(spec.q(idx)))
+    return frozenset(chamber_times(C, ((idx, c),)) for c in range(spec.q(idx)))
 
 
-def _initial_syllable_position(spec: BuildingSpec, syls: Sequence[Syllable], types: set[int]) -> int | None:
-    system = spec.system
-    for i, (t, _) in enumerate(syls):
-        if t in types and all(system.commutes(syls[j][0], t) for j in range(i)):
-            return i
-    return None
+def _initial_syllable_position(spec: BuildingSpec, syls: Sequence[Syllable], types: int) -> int | None:
+    """First syllable whose type is in the bitmask `types` and that can move to the front."""
+    return initial_position(spec.system._comm, [t for t, _ in syls], types)
 
 
 def project(C: Chamber, J: Iterable[int | str], D: Chamber) -> Chamber:
     """Gate of D onto the J-residue of C: C times the maximal J-prefix of C^-1 D."""
     spec = C.spec
-    types = {spec.system.index_of(s) if isinstance(s, str) else s for s in J}
+    types = 0
+    for t in spec.system.letter_indices(J):
+        types |= 1 << t
     x = list(chamber_product(chamber_inverse(C), D).syllables)
     prefix: list[Syllable] = []
     while True:
@@ -215,8 +202,7 @@ class RootRef:
         """(chamber inside the root, chamber on the opposite side)."""
         u = self.base_translate
         inside = apartment_chamber(spec, self.apartment, u)
-        s_el = CoxElement(u.system, (self.stype,))
-        outside = apartment_chamber(spec, self.apartment, cox_multiply(u, s_el))
+        outside = apartment_chamber(spec, self.apartment, multiply_generator(u, self.stype))
         return inside, outside
 
     def contains(self, spec: BuildingSpec, C: Chamber) -> bool:
@@ -230,6 +216,8 @@ class ChamberBall:
     """All chambers at gallery distance <= radius from the identity chamber."""
 
     def __init__(self, spec: BuildingSpec, radius: int, guard: int | None = None):
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         self.spec = spec
         self.radius = radius
         chambers = [identity_chamber(spec)]
@@ -240,11 +228,12 @@ class ChamberBall:
             for C in frontier:
                 for s in range(spec.system.rank):
                     for c in range(1, spec.q(s)):
-                        D = chamber_product(C, make_chamber(spec, [(s, c)]))
-                        if len(D.syllables) == len(C.syllables) + 1 and D.syllables not in seen:
+                        D = chamber_times(C, ((s, c),))
+                        if len(D.syllables) > len(C.syllables) and D.syllables not in seen:
+                            # Guard before keeping: refusal stops at the first chamber over the cap.
+                            check_guard(len(seen) + 1, guard, "chamber ball enumeration")
                             seen.add(D.syllables)
                             nxt.append(D)
-            check_guard(len(seen), guard, "chamber ball enumeration")
             chambers.extend(nxt)
             frontier = nxt
         self.chambers: tuple[Chamber, ...] = tuple(
@@ -294,23 +283,21 @@ def dist_chamber_to_root(C: Chamber, r: RootRef, ball: ChamberBall) -> int:
     spec = ball.spec
     if r.contains(spec, C):
         return 0
-    frontier = {C.syllables}
+    frontier = [C]
     seen = {C.syllables}
     dist = 0
     while frontier:
-        nxt = set()
-        for key in frontier:
-            Ch = Chamber(spec, key)
+        nxt = []
+        for Ch in frontier:
             for s in range(spec.system.rank):
                 for c in range(1, spec.q(s)):
-                    D = chamber_product(Ch, make_chamber(spec, [(s, c)]))
+                    D = chamber_times(Ch, ((s, c),))
                     if D in ball and D.syllables not in seen:
                         seen.add(D.syllables)
-                        nxt.add(D.syllables)
+                        nxt.append(D)
         dist += 1
-        for key in nxt:
-            if r.contains(spec, Chamber(spec, key)):
-                return dist
+        if any(r.contains(spec, D) for D in nxt):
+            return dist
         frontier = nxt
     raise CertificationError("root chambers not represented in the ball")
 
@@ -376,16 +363,17 @@ class PanelRotation(BuildingAut):
         self.base = base
         self.stype = stype
         self.sigma = tuple(sigma)
+        self._base_inverse = chamber_inverse(base)
 
     def image(self, C: Chamber) -> Chamber:
-        spec = self.spec
-        x = list(chamber_product(chamber_inverse(self.base), C).syllables)
-        pos = _initial_syllable_position(spec, x, {self.stype})
+        x = list(chamber_product(self._base_inverse, C).syllables)
+        pos = _initial_syllable_position(self.spec, x, 1 << self.stype)
         if pos is None:
             return C
-        _, c = x.pop(pos)
-        head = make_chamber(spec, [(self.stype, self.sigma[c])])
-        return chamber_product(self.base, chamber_product(head, Chamber(spec, tuple(x))))
+        # base^-1 C = (s, c) x'; its image (s, sigma(c)) x' only recolours that
+        # syllable, and sigma(c) != 0, so the word stays a normal form.
+        x[pos] = (self.stype, self.sigma[x[pos][1]])
+        return chamber_times(self.base, x)
 
     def inverse(self) -> BuildingAut:
         inv = [0] * len(self.sigma)
@@ -410,15 +398,18 @@ class BasePanelPermutation(BuildingAut):
         self.rho = tuple(rho)
 
     def image(self, C: Chamber) -> Chamber:
-        spec = self.spec
+        s = self.stype
         x = list(C.syllables)
-        pos = _initial_syllable_position(spec, x, {self.stype})
-        c = 0
-        if pos is not None:
-            _, c = x.pop(pos)
+        pos = _initial_syllable_position(self.spec, x, 1 << s)
+        c = 0 if pos is None else x[pos][1]
         new_c = self.rho[c]
-        head = make_chamber(spec, [(self.stype, new_c)] if new_c else [])
-        return chamber_product(head, Chamber(spec, tuple(x)))
+        if c and new_c:
+            x[pos] = (s, new_c)   # recoloured in place: still a normal form
+            return Chamber(self.spec, tuple(x))
+        if c:
+            del x[pos]
+        head = Chamber(self.spec, ((s, new_c),) if new_c else ())
+        return chamber_times(head, x)
 
     def inverse(self) -> BuildingAut:
         inv = [0] * len(self.rho)

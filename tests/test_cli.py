@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,3 +149,61 @@ def test_determinism(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "all_match: True" in text
+
+
+def write_json(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("config", [
+    {"commuting_pairs": []},                                        # no generators
+    {"generators": "st", "commuting_pairs": []},                    # a string, not a list
+    {"generators": ["s", "t"], "commuting_pairs": [["s", "u"]]},    # unknown generator
+    ["s", "t"],
+])
+def test_coxeter_config_validation(tmp_path, capsys, config):
+    path = write_json(tmp_path, "bad.json", config)
+    assert run(["coxeter", "nf", "--config", path, "--word", "s"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", [
+    {"coxeter": {"commuting_pairs": []}, "parameters": {"s": 3, "t": 3}},
+    {"coxeter": {"generators": "st"}, "parameters": {"s": 3, "t": 3}},
+    {"coxeter": {"generators": ["s", "t"]}, "parameters": {"s": "3", "t": 3}},
+    {"coxeter": {"generators": ["s", "t"]}, "parameters": {"s": 3, "t": 3, "u": 5}},
+    {"coxeter": {"generators": ["s", "t"]}},
+])
+def test_building_spec_validation(tmp_path, capsys, spec):
+    path = write_json(tmp_path, "bad.json", spec)
+    assert run(["building", "ball", "--spec", path, "--L", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_sizes_exit_1(tmp_path, capsys):
+    assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["building", "kak", "--spec", dinf_q3_spec(tmp_path), "--L", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert run(["coxeter", "profile", "--config", dinf_config(tmp_path), "--max-length", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_guard_refusal_message(tmp_path, capsys):
+    assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "3", "--guard", "14"]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: chamber ball enumeration: 15 objects")
+
+
+def test_python_m_entry_point(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    config = dinf_config(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "tdlc.cli", "coxeter", "nf", "--config", config,
+                           "--word", "t s s t"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["normal_form"] == []
+    bad = subprocess.run([sys.executable, "-m", "tdlc.cli", "nonsense"], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert bad.returncode == 1

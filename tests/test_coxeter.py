@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
+from tdlc.errors import GuardExceeded
 
 
 def dinf():
@@ -237,3 +239,135 @@ def test_normal_form_matches_move_closure_small(n):
             else:
                 root_to_nf[root] = nf
         assert len(set(root_to_nf.values())) == len(root_to_nf)
+
+
+# ---------------------------------------------------------------------------
+# the normal-form kernel against an independent oracle
+
+def oracle_normal_form(system, word):
+    """Reduce, then ShortLex-minimise, testing commutation with RACoxeterSystem.commutes.
+
+    A two-pass algorithm kept as an oracle: it shares nothing with the
+    kernel's bitmasks or its one-pass insertion.
+    """
+    nf = []
+    for x in word:
+        for i in range(len(nf) - 1, -1, -1):
+            if nf[i] == x:
+                del nf[i]
+                break
+            if not system.commutes(nf[i], x):
+                nf.append(x)
+                break
+        else:
+            nf.append(x)
+    out = []
+    while nf:
+        best = 0
+        for i in range(1, len(nf)):
+            if nf[i] < nf[best] and all(system.commutes(nf[j], nf[i]) for j in range(i)):
+                best = i
+        out.append(nf.pop(best))
+    return tuple(out)
+
+
+def path4():
+    return cox.RACoxeterSystem.create(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+
+
+FOUR_GENERATOR_SYSTEMS = list(all_systems(4))
+systems4 = st.sampled_from(FOUR_GENERATOR_SYSTEMS)
+words4 = st.lists(st.integers(0, 3), max_size=30).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems4, words4)
+def test_kernel_matches_oracle(system, word):
+    assert cox.normal_form(system, word).word == oracle_normal_form(system, word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems4, words4)
+def test_normal_form_idempotent(system, word):
+    nf = cox.normal_form(system, word)
+    assert cox.normal_form(system, nf.word) == nf
+    assert cox.normal_form(system, nf.names()) == nf
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems4, words4, st.lists(st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 3)),
+                                  max_size=8))
+def test_normal_form_invariant_under_moves(system, word, moves):
+    """Inserting a cancelling pair ss or swapping adjacent commuting letters keeps the normal form."""
+    want = cox.normal_form(system, word)
+    for insert, pos, s in moves:
+        if insert:
+            pos %= len(word) + 1
+            word = word[:pos] + (s, s) + word[pos:]
+        elif len(word) >= 2:
+            pos %= len(word) - 1
+            a, b = word[pos], word[pos + 1]
+            if system.commutes(a, b):
+                word = word[:pos] + (b, a) + word[pos + 2:]
+        assert cox.normal_form(system, word) == want
+
+
+@pytest.mark.parametrize("system", list(all_systems(3)) + [path4()])
+def test_multiply_generator_matches_whole_word(system):
+    for u in cox.enumerate_elements(system, 6):
+        for s in range(system.rank):
+            got = cox.multiply_generator(u, s).word
+            assert got == cox.normal_form(system, u.word + (s,)).word
+            assert got == oracle_normal_form(system, u.word + (s,)), (u, s)
+
+
+def test_multiply_generator_rejects_bad_index():
+    with pytest.raises(ValueError):
+        cox.multiply_generator(cox.identity(dinf()), 2)
+    with pytest.raises(ValueError):
+        cox.multiply_generator(cox.identity(dinf()), -1)
+
+
+def test_normal_form_rejects_unknown_letters():
+    for bad in (["x"], [2], [-1], [["s"]]):
+        with pytest.raises(ValueError):
+            cox.normal_form(dinf(), bad)
+
+
+def test_enumerate_elements_guard_fires_before_layer_completes():
+    # free3 has 1, 4, 10, 22 elements up to lengths 0..3; a guard checked once
+    # per layer would fire only after all 22 were built.
+    with pytest.raises(GuardExceeded, match="13 objects exceeds guard 12"):
+        cox.enumerate_elements(free3(), 3, guard=12)
+    assert len(cox.enumerate_elements(free3(), 3, guard=22)) == 22
+    with pytest.raises(GuardExceeded):
+        cox.enumerate_elements(free3(), 3, guard=21)
+
+
+def test_enumerate_elements_rejects_negative_length():
+    with pytest.raises(ValueError, match="max_length"):
+        cox.enumerate_elements(dinf(), -3)
+    with pytest.raises(ValueError):
+        cox.profile_bounded_set(dinf(), -3, 3)
+
+
+def test_system_json_validation():
+    good = {"generators": ["s", "t"], "commuting_pairs": [["s", "t"]]}
+    assert cox.RACoxeterSystem.from_json(good) == klein()
+    for bad in ({"commuting_pairs": []},
+                {"generators": "st"},
+                {"generators": ["s", 1]},
+                {"generators": ["s", "t"], "commuting_pairs": [["s", "u"]]},
+                {"generators": ["s", "t"], "commuting_pairs": [["s", "s"]]},
+                {"generators": ["s", "t"], "commuting_pairs": ["st"]},
+                ["s", "t"]):
+        with pytest.raises(ValueError):
+            cox.RACoxeterSystem.from_json(bad)
+
+
+def test_derived_masks_do_not_change_equality():
+    a = cox.RACoxeterSystem.create(["s", "t", "u"], [("s", "t")])
+    b = cox.RACoxeterSystem.create(["s", "t", "u"], [("t", "s")])
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == {"generators": ["s", "t", "u"], "commuting_pairs": [["s", "t"]]}
+    assert a._comm == (0b010, 0b001, 0)

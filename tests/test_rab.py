@@ -1,10 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
 from tdlc import rab
-from tdlc.errors import CertificationError
+from tdlc.errors import CertificationError, GuardExceeded
 
 
 def dinf_spec(qs=3, qt=3):
@@ -277,3 +278,149 @@ def test_spec_json_round_trip():
     assert back.system == spec.system and back.parameters == spec.parameters
     C = ch(spec, ("s", 1), ("t", 2))
     assert rab.chamber_from_json(spec, C.to_json()) == C
+
+
+# ---------------------------------------------------------------------------
+# the chamber normal form against an independent oracle
+
+def oracle_chamber(spec, syllables):
+    """Syllable normal form by a two-pass algorithm on RACoxeterSystem.commutes.
+
+    Merge with a visible same-type syllable (re-inserting the tail after a
+    zero merge), then ShortLex-minimise the type word.  Kept as an oracle:
+    it shares nothing with the kernel's bitmasks or its one-pass insertion.
+    """
+    system = spec.system
+
+    def insert(syls, s, c):
+        c %= spec.q(s)
+        if c == 0:
+            return
+        for i in range(len(syls) - 1, -1, -1):
+            t, c2 = syls[i]
+            if t == s:
+                merged = (c2 + c) % spec.q(s)
+                if merged:
+                    syls[i] = (s, merged)
+                else:
+                    tail = syls[i + 1:]
+                    del syls[i:]
+                    for t2, c3 in tail:
+                        insert(syls, t2, c3)
+                return
+            if not system.commutes(t, s):
+                break
+        syls.append((s, c))
+
+    syls = []
+    for s, c in syllables:
+        insert(syls, s, c)
+    out = []
+    while syls:
+        best = 0
+        for i in range(1, len(syls)):
+            if syls[i][0] < syls[best][0] and all(system.commutes(syls[j][0], syls[i][0]) for j in range(i)):
+                best = i
+        out.append(syls.pop(best))
+    return tuple(out)
+
+
+def specs3(qs):
+    names = ["a", "b", "c"]
+    for system in (cox.RACoxeterSystem.create(names, [p for i, p in enumerate(itertools.combinations(names, 2))
+                                                      if mask >> i & 1]) for mask in range(8)):
+        yield rab.BuildingSpec(system, dict(zip(names, qs)))
+
+
+SPECS3 = [spec for qs in ((2, 2, 2), (3, 3, 3), (2, 3, 3)) for spec in specs3(qs)]
+syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SPECS3), syllable_words)
+def test_chamber_kernel_matches_oracle(spec, syllables):
+    C = rab.make_chamber(spec, syllables)
+    assert C.syllables == oracle_chamber(spec, syllables)
+    assert rab.make_chamber(spec, C.syllables) == C  # idempotent
+
+
+@pytest.mark.parametrize("spec", SPECS3)
+def test_chamber_times_matches_whole_word(spec):
+    for C in rab.ChamberBall(spec, 4).chambers:
+        for s in range(3):
+            for c in range(1, spec.q(s)):
+                got = rab.chamber_times(C, ((s, c),))
+                assert got.syllables == oracle_chamber(spec, C.syllables + ((s, c),)), (C, s, c)
+
+
+# SPECS3[9], [13], [21]: a-b commuting with q = 3; the path a-b-c with q = 3 and with q = (2, 3, 3).
+@pytest.mark.parametrize("spec", [dinf_spec(), klein_spec(), SPECS3[9], SPECS3[13], SPECS3[21]])
+def test_automorphism_images_match_oracle(spec):
+    """Panel rotations and base-panel permutations against their definitions, on oracle normal forms."""
+    ball = rab.ChamberBall(spec, 3)
+    rank = spec.system.rank
+
+    def initial(x, s):
+        for i, (t, _) in enumerate(x):
+            if t == s and all(spec.system.commutes(x[j][0], s) for j in range(i)):
+                return i
+        return None
+
+    for s in range(rank):
+        q = spec.q(s)
+        sigma = (0,) + tuple(range(q - 1, 0, -1))
+        rho = tuple(range(1, q)) + (0,)
+        flip = rab.BasePanelPermutation(spec, s, rho)
+        for base in ball.chambers[:6]:
+            rot = rab.PanelRotation(spec, base, s, sigma)
+            inv = [(t, -c) for t, c in reversed(base.syllables)]
+            for C in ball.chambers:
+                x = list(oracle_chamber(spec, inv + list(C.syllables)))
+                pos = initial(x, s)
+                if pos is None:
+                    want = C.syllables
+                else:
+                    c = x.pop(pos)[1]
+                    want = oracle_chamber(spec, list(base.syllables) + [(s, sigma[c])] + x)
+                assert rot.image(C).syllables == want
+        for C in ball.chambers:
+            x = list(C.syllables)
+            pos = initial(x, s)
+            c = 0 if pos is None else x.pop(pos)[1]
+            assert flip.image(C).syllables == oracle_chamber(spec, [(s, rho[c])] + x)
+
+
+def test_chamber_ball_guard_fires_before_layer_completes():
+    # D_inf with q = 3 has 1, 5, 13, 29 chambers up to radius 0..3; a guard
+    # checked once per layer would fire only after all 29 were built.
+    spec = dinf_spec()
+    with pytest.raises(GuardExceeded, match="15 objects exceeds guard 14"):
+        rab.ChamberBall(spec, 3, guard=14)
+    assert len(rab.ChamberBall(spec, 3, guard=29)) == 29
+    with pytest.raises(GuardExceeded):
+        rab.ChamberBall(spec, 3, guard=28)
+
+
+def test_chamber_ball_rejects_negative_radius():
+    with pytest.raises(ValueError, match="radius"):
+        rab.ChamberBall(dinf_spec(), -1)
+
+
+def test_chamber_json_validation():
+    spec = dinf_spec()
+    for bad in ([["s", "1"]], [["s", 1.5]], [["u", 1]], [["s", True]]):
+        with pytest.raises(ValueError):
+            rab.chamber_from_json(spec, bad)
+
+
+def test_spec_json_validation():
+    coxeter = {"generators": ["s", "t"], "commuting_pairs": []}
+    for bad in ({"coxeter": coxeter},
+                {"parameters": {"s": 3, "t": 3}},
+                {"coxeter": coxeter, "parameters": {"s": "3", "t": 3}},
+                {"coxeter": coxeter, "parameters": {"s": True, "t": 3}},
+                {"coxeter": coxeter, "parameters": {"s": 3, "t": 3, "u": 3}},
+                {"coxeter": coxeter, "parameters": [["s", 3], ["t", 3]]},
+                {"coxeter": {"generators": "st"}, "parameters": {"s": 3, "t": 3}}):
+        with pytest.raises(ValueError):
+            rab.BuildingSpec.from_json(bad)
