@@ -1,0 +1,44 @@
+"""Byte-exact CLI reports against the frozen files in tests/golden/.
+
+Each case runs one subcommand through tdlc.cli.run and compares the report
+with its golden file byte for byte, so a refactor that changes any report
+(ordering, a number, a trailing newline) fails here.  The building cases use
+the D_inf spec with q = 3 on both generators.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tdlc.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "tree_r6": ["tree", "--radius", "6"],
+    "ugroup_r2_pk1_plus1": ["ugroup", "--radius", "2", "--pk-k", "1", "--plus-k", "1"],
+    "ugroup_r3_pk2": ["ugroup", "--radius", "3", "--pk-k", "2"],
+    "kak_tree_r1_s2": ["kak-tree", "--radius", "1", "--max-sphere", "2"],
+    "contract_tree_r8_p4": ["contract-tree", "--radius", "8", "--powers", "4"],
+    "building_kak_L4": ["building", "kak", "--spec", "{spec}", "--L", "4"],
+    "building_contract_L6": ["building", "contract", "--spec", "{spec}", "--L", "6",
+                             "--ws-file", "{ws}"],
+}
+
+
+def report_bytes(argv, workdir: Path) -> bytes:
+    spec = workdir / "dinf_q3.json"
+    spec.write_text(json.dumps({"coxeter": {"generators": ["s", "t"], "commuting_pairs": []},
+                                "parameters": {"s": 3, "t": 3}}))
+    ws = workdir / "ws.json"
+    ws.write_text(json.dumps(["t s", "t s t s", "t s t s t s"]))
+    out = workdir / "report.json"
+    argv = [tok.format(spec=spec, ws=ws) for tok in argv]
+    assert run(argv + ["--out", str(out)]) == 0, argv
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name, tmp_path):
+    assert report_bytes(CASES[name], tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
