@@ -272,7 +272,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["json", "text"], default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--guard", type=int, default=None)
 
     p = sub.add_parser("tree", help="build a regular or label-regular tree ball")
@@ -313,6 +312,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--matrices", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0, help="seed of the random test matrices")
     common(p)
 
     p = sub.add_parser("coxeter", help="right-angled Coxeter computations")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CertificationError
-from .tree_core import HalfTreeRef, distance as tree_distance, half_tree_vertices
+from .tree_core import HalfTreeRef, distance, half_tree_vertices, layers
 from .tree_aut import FiniteTreeAutomorphism, agreement_depth, compose, invert
 from .universal_groups import (
     ColorBall,
@@ -21,6 +21,7 @@ from .universal_groups import (
     Portrait,
     Word,
     identity_aut,
+    image_address,
     perm_identity,
     translation,
     word_append,
@@ -28,24 +29,16 @@ from .universal_groups import (
 )
 
 
-def _image_word(g: FiniteTreeAutomorphism, world: ColorBall, v: int) -> Word | None:
-    if g.exact is not None:
-        return g.exact.image_word(world.word_of[v])
-    img = g.mapping.get(v)
-    return None if img is None else world.word_of[img]
-
-
 def restriction_key(g: FiniteTreeAutomorphism, world: ColorBall, radius: int) -> tuple:
-    """Images (as addresses, possibly outside the ball) of B(base, radius)."""
-    words = [w for k in range(radius + 1) for w in world.word_sphere((), k)]
-    if g.exact is not None:
-        return tuple(g.exact.image_word(w) for w in words)
-    return tuple(world.word_of[g.mapping[world.id_of[w]]] if world.id_of[w] in g.mapping else None
-                 for w in words)
+    """Images (as addresses, possibly outside the ball; None if unknown) of B(base, radius)."""
+    if radius > world.radius:
+        raise CertificationError(f"B(base,{radius}) exceeds the world radius {world.radius}")
+    ball = world.ball
+    return tuple(image_address(g, world, v) for v in ball.vertices() if ball.depth[v] <= radius)
 
 
 def stabilizer_subball(gb: GroupBall, v: int) -> GroupBall:
-    kept = [g for g in gb if g.mapping.get(v) == v]
+    kept = [g for g in gb if g.images[v] == v]
     return GroupBall(gb.world, kept, closed=gb.closed, local_group=gb.local_group)
 
 
@@ -56,12 +49,6 @@ class OrbitPartition:
     orbits: tuple[tuple[int, ...], ...]           # sorted vertex ids, one tuple per orbit
     transversal: dict[int, FiniteTreeAutomorphism]  # point -> k in K with k(rep) = point
 
-    def orbit_of(self, point: int) -> tuple[int, ...]:
-        for orbit in self.orbits:
-            if point in orbit:
-                return orbit
-        raise KeyError(point)
-
 
 def sphere_orbits(gb: GroupBall, v: int, n: int) -> OrbitPartition:
     """Partition of (orbit of v under gb) intersect S(v,n) under the stabilizer of v."""
@@ -69,9 +56,9 @@ def sphere_orbits(gb: GroupBall, v: int, n: int) -> OrbitPartition:
     ball = gb.ball
     if ball.depth[v] + n > ball.radius:
         raise CertificationError(f"sphere S({v},{n}) exceeds the certified radius")
-    sphere_pts = {u for u in ball.vertices() if tree_distance(ball, v, u) == n}
-    reachable = {g.mapping[v] for g in gb if v in g.mapping} & sphere_pts
-    stab = [g for g in gb if g.mapping.get(v) == v]
+    sphere_pts = set(layers(ball, v, n)[n])
+    reachable = {g.images[v] for g in gb} & sphere_pts
+    stab = [g for g in gb if g.images[v] == v]
     ident = identity_aut(world).restrict()
 
     orbits: list[tuple[int, ...]] = []
@@ -85,10 +72,10 @@ def sphere_orbits(gb: GroupBall, v: int, n: int) -> OrbitPartition:
         while frontier:
             p = frontier.pop()
             for k in stab:
-                q = k.mapping.get(p)
+                q = k.images[p]
                 # K-images may reach sphere points no listed element moves v
                 # to directly; they belong to the orbit of v all the same.
-                if q is not None and q in sphere_pts and q not in orbit:
+                if q in sphere_pts and q not in orbit:
                     orbit.add(q)
                     transversal[q] = compose(k, transversal[p])
                     frontier.append(q)
@@ -147,7 +134,7 @@ def enumerate_representatives(gb: GroupBall, v: int, max_sphere: int) -> CartanD
             if gb.local_group is not None and v == gb.ball.base:
                 mover = translation(world, world.word_of[w]).restrict()
             else:
-                mover = next((g for g in gb if g.mapping.get(v) == w), None)
+                mover = next((g for g in gb if g.images[v] == w), None)
                 if mover is None:
                     raise CertificationError(
                         f"group ball has no element moving {v} to orbit representative {w}")
@@ -165,21 +152,19 @@ class Factorization:
 def factorize(g: FiniteTreeAutomorphism, dec: CartanDecomposition) -> Factorization:
     """Write g = k a k' with k, k' fixing v, verified pointwise on the ball."""
     v = dec.vertex
-    img = g.mapping.get(v)
-    if img is None:
+    img = g.images[v]
+    if img < 0:
         raise CertificationError(f"g moves vertex {v} outside the certified ball")
     rec = dec.representative_for(img)
     part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
     k_t = invert(part.transversal[img])          # k_t(g(v)) = rep vertex
     k_prime = compose(invert(rec.element), compose(k_t, g))
-    if k_prime.mapping.get(v) != v:
+    if k_prime.images[v] != v:
         raise CertificationError("residual factor does not fix the base vertex")
     k = invert(k_t)
     product = compose(k, compose(rec.element, k_prime))
-    for u in dec.group.ball.vertices():
-        pu, gu = product.mapping.get(u), g.mapping.get(u)
-        if pu is not None and gu is not None and pu != gu:
-            raise AssertionError("factorization product disagrees with g on the ball")
+    if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
+        raise AssertionError("factorization product disagrees with g on the ball")
     return Factorization(k, rec, k_prime)
 
 
@@ -257,18 +242,19 @@ def transport_representatives(coset_reps: Sequence[FiniteTreeAutomorphism],
     v = dec.vertex
     kp_by_move: dict[tuple[int, int], list[FiniteTreeAutomorphism]] = {}
     for h in k_prime:
-        for u, iu in h.mapping.items():
-            kp_by_move.setdefault((u, iu), []).append(h)
+        for u, iu in enumerate(h.images):
+            if iu >= 0:
+                kp_by_move.setdefault((u, iu), []).append(h)
     for g in dec.group:
-        target = g.mapping.get(v)
+        target = g.images[v]
         covered = False
         for a2 in new_reps.values():
-            av = a2.mapping.get(v)
-            if av is None:
+            av = a2.images[v]
+            if av < 0:
                 continue
             for kp in kp_by_move.get((av, target), []):
                 rest = compose(invert(a2), compose(invert(kp), g))
-                if rest.mapping.get(v) == v and restriction_key(rest, world, radius) in kp_keys:
+                if rest.images[v] == v and restriction_key(rest, world, radius) in kp_keys:
                     covered = True
                     break
             if covered:
@@ -290,10 +276,10 @@ def greedy_subrepresentatives(dec: CartanDecomposition, k_big: GroupBall,
             # same double coset iff some k1 in K' maps prev's target to rec's target
             # and the residual lands back in K'.
             for k1 in k_big:
-                if k1.mapping.get(prev.vertex) != rec.vertex:
+                if k1.images[prev.vertex] != rec.vertex:
                     continue
                 rest = compose(invert(compose(k1, prev.element)), rec.element)
-                if rest.mapping.get(dec.vertex) == dec.vertex and \
+                if rest.images[dec.vertex] == dec.vertex and \
                         restriction_key(rest, world, radius) in big_keys:
                     duplicate = True
                     break
@@ -311,20 +297,10 @@ def is_bounded(seq: Sequence[FiniteTreeAutomorphism], v: int, bound: int) -> boo
     """Finite-depth proxy: every displacement d(v, g_i(v)) stays below `bound`.
 
     Boundedness of the underlying sequence cannot be certified at finite
-    depth; this is the displacement proxy at the caller's radius.
+    depth; this is the displacement proxy at the caller's radius.  An image
+    outside the ball counts as unbounded: the ball cannot certify it.
     """
-    for g in seq:
-        if g.exact is not None:
-            w = g.exact.world.word_of[v]
-            d = word_distance(w, g.exact.image_word(w))
-        else:
-            img = g.mapping.get(v)
-            if img is None:
-                return False  # image already outside the ball
-            d = tree_distance(g.ball, v, img)
-        if d >= bound:
-            return False
-    return True
+    return all(g.images[v] >= 0 and distance(g.ball, v, g.images[v]) < bound for g in seq)
 
 
 def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomorphism | None:
@@ -371,7 +347,7 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
     for g in gb:
         if g.key() == ident_key:
             continue
-        if all(g.mapping.get(x) == x for x in fixed_side):
+        if all(g.images[x] == x for x in fixed_side):
             return g
     return None
 
@@ -415,15 +391,16 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     word_v = world.word_of[v]
     moved = []
     for g in seq:
-        if g.exact is None:
-            raise CertificationError("contraction search needs exact evaluators")
-        img = g.exact.image_word(word_v)
+        img = image_address(g, world, v)
+        img2 = None if img is None else g.exact.image_word(img)
+        if img2 is None:
+            raise CertificationError("contraction search needs the images of v and g(v) beyond the ball")
         d = word_distance(word_v, img)
         if d == 0:
             continue
         first = next(word_append(word_v, c) for c in range(1, world.degree + 1)
                      if word_distance(word_append(word_v, c), img) == d - 1)
-        moved.append((g, d, first))
+        moved.append((g, d, first, img2))
     if not moved:
         return NoWitness("no element moves the base vertex")
 
@@ -435,8 +412,7 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     w_vertex = world.id_of[first_word]
 
     translations, others = [], []
-    for g, d, _ in family:
-        img2 = g.exact.image_word(g.exact.image_word(word_v))
+    for g, d, _, img2 in family:
         (translations if word_distance(word_v, img2) == 2 * d else others).append((g, d))
     if len(translations) >= len(others):
         family2, side = translations, v          # witness fixes the half at v

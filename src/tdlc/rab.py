@@ -328,7 +328,7 @@ class BuildingAut:
             j = ball.index.get(img.syllables)
             if j is not None:
                 mapping[i] = j
-        return FiniteBuildingAutomorphism(ball, mapping, exact=self)
+        return FiniteBuildingAutomorphism(ball, mapping, self)
 
     def fixes(self, C: Chamber) -> bool:
         return self.image(C) == C
@@ -434,11 +434,15 @@ class CompositeAut(BuildingAut):
 
 @dataclass(frozen=True)
 class FiniteBuildingAutomorphism:
-    """Ball view of a type-preserving automorphism (partial, injective)."""
+    """Ball view of an exact type-preserving automorphism, made by BuildingAut.restrict.
+
+    mapping holds the chambers whose image stays in the ball; exact
+    evaluates the automorphism everywhere.
+    """
 
     ball: ChamberBall = field(compare=False, hash=False)
     mapping: dict[int, int] = field(hash=False)
-    exact: BuildingAut | None = field(default=None, compare=False, hash=False)
+    exact: BuildingAut = field(compare=False, hash=False)
 
     def __post_init__(self):
         images = set(self.mapping.values())
@@ -531,12 +535,5 @@ def check_root_fixes_ball(ball: ChamberBall, r: RootRef, n: int) -> bool | str:
     _, opposite = r.wall_chambers(spec)
     gens = wing_fixator(ball, opposite, r.stype)
     base = ball.base()
-    for g in gens:
-        for C in ball.chambers:
-            if gallery_distance(base, C) <= n:
-                img = g(C)
-                if img is not None and img != C:
-                    return False
-                if img is None and g.exact is not None and not g.exact.fixes(C):
-                    return False
-    return True
+    inner = [C for C in ball.chambers if gallery_distance(base, C) <= n]
+    return all(g.exact.fixes(C) for g in gens for C in inner)

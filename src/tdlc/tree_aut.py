@@ -1,12 +1,22 @@
 """Finite-depth tree automorphisms (portraits) on a TreeBall.
 
-A portrait stores the restriction of a tree automorphism to a ball: an
-injective, adjacency-preserving map whose domain is the set of ball vertices
-whose image again lies in the ball.  Vertices moved outside the ball are
-simply absent from the mapping, so movers (translations, inversions) are
-representable.  A portrait may carry an exact evaluator (see
-universal_groups) in which case composition and inversion are exact instead
-of domain-shrinking.
+A portrait stores the restriction of a tree automorphism to a ball as an
+image tuple over ball ids: images[v] is the id of g(v), or -1 when g(v)
+leaves the ball or is not determined.  Movers (translations, inversions) are
+therefore representable.  Composition and inversion index into these
+tuples.  Every portrait carries an evaluator `exact`, consulted only for
+entries whose images leave the ball:
+
+- an exact evaluator (Portrait / Composite / Inverse in universal_groups)
+  knows the address of every image, on the infinite tree;
+- PARTIAL, the evaluator of a map known only on the ball (read from JSON,
+  built on a plain TreeBall, or the identity of identity_automorphism),
+  knows nothing beyond it, so composition intersects domains and agreement
+  stops where the domain does.
+
+An evaluator answers `address(v)` (the address of g(v), None when unknown),
+`locate(v)` (the ball id of g(v), -1 when outside or unknown), `compose`
+and `inverse`.
 
 Every claim made from a portrait is capped by the radius that certifies it.
 """
@@ -14,51 +24,82 @@ Every claim made from a portrait is capped by the radius that certifies it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Sequence
 
-from .tree_core import TreeBall, distance
+from .tree_core import TreeBall, distance, layers
+
+
+class PartialMap:
+    """Evaluator of a map known only on its ball portrait: nothing beyond it is known."""
+
+    def address(self, v: int) -> None:
+        return None
+
+    def locate(self, v: int) -> int:
+        return -1
+
+    def image_word(self, word) -> None:
+        return None
+
+    def compose(self, other) -> "PartialMap":
+        return self
+
+    def inverse(self) -> "PartialMap":
+        return self
+
+
+PARTIAL = PartialMap()
 
 
 @dataclass(frozen=True)
 class FiniteTreeAutomorphism:
-    """Partial injective adjacency-preserving self-map of a ball."""
+    """Injective adjacency-preserving self-map of a ball, as an image tuple.
+
+    `images` may also be given as a {v: g(v)} dict, the form of partial maps
+    read from JSON; it is stored as the tuple.
+    """
 
     ball: TreeBall
-    mapping: dict[int, int] = field(hash=False)
-    exact: Optional[object] = field(default=None, compare=False, hash=False)
+    images: tuple[int, ...]
+    exact: object = field(default=PARTIAL, compare=False)
 
     def __post_init__(self):
         n = self.ball.vertex_count
-        images = set()
-        for u, w in self.mapping.items():
-            if not (0 <= u < n and 0 <= w < n):
+        images = self.images
+        if isinstance(images, dict):
+            if not all(type(u) is type(w) is int and 0 <= u < n and 0 <= w < n
+                       for u, w in images.items()):
                 raise ValueError("mapping leaves the ball")
-            if w in images:
-                raise ValueError("mapping is not injective")
-            images.add(w)
-        for u, v in self.ball.edges():
-            iu, iv = self.mapping.get(u), self.mapping.get(v)
-            if iu is not None and iv is not None and not self.ball.has_edge(iu, iv):
-                raise ValueError(f"edge ({u},{v}) maps to a non-edge ({iu},{iv})")
-        if self.ball.label_of is not None:
-            for u, w in self.mapping.items():
-                if self.ball.label_of[u] != self.ball.label_of[w]:
-                    raise ValueError("mapping does not preserve labels")
+            images = tuple(images.get(v, -1) for v in range(n))
+            object.__setattr__(self, "images", images)
+        if len(images) != n or not all(-1 <= w < n for w in images):
+            raise ValueError("mapping leaves the ball")
+        inside = [w for w in images if w >= 0]
+        if len(set(inside)) != len(inside):
+            raise ValueError("mapping is not injective")
+        parent = self.ball.parent
+        for v, p in enumerate(parent):
+            iv, ip = images[v], images[p] if p >= 0 else -1
+            if iv >= 0 and ip >= 0 and parent[iv] != ip and parent[ip] != iv:
+                raise ValueError(f"edge ({p},{v}) maps to a non-edge ({ip},{iv})")
+        labels = self.ball.label_of
+        if labels is not None and any(w >= 0 and labels[v] != labels[w] for v, w in enumerate(images)):
+            raise ValueError("mapping does not preserve labels")
 
-    def __call__(self, v: int) -> int | None:
-        return self.mapping.get(v)
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.mapping)
+    @property
+    def mapping(self) -> MappingProxyType:
+        """Read-only {v: g(v)} over the vertices whose image is in the ball."""
+        return MappingProxyType({v: w for v, w in enumerate(self.images) if w >= 0})
 
     def is_total(self) -> bool:
-        return len(self.mapping) == self.ball.vertex_count
+        return -1 not in self.images
 
-    def key(self) -> tuple:
-        return tuple(sorted(self.mapping.items()))
+    def key(self) -> tuple[int, ...]:
+        return self.images
 
     def to_json(self, include_ball: bool = True) -> dict:
-        out = {"perm": sorted([u, w] for u, w in self.mapping.items())}
+        out = {"perm": [[u, w] for u, w in enumerate(self.images) if w >= 0]}
         if include_ball:
             out["ball"] = self.ball.to_json()
         return out
@@ -67,32 +108,33 @@ class FiniteTreeAutomorphism:
     def from_json(cls, data: dict, ball: TreeBall | None = None) -> "FiniteTreeAutomorphism":
         if ball is None:
             ball = TreeBall.from_json(data["ball"])
-        return cls(ball, {u: w for u, w in data["perm"]})
+        mapping = {u: w for u, w in data["perm"]}
+        if len(mapping) != len(data["perm"]):
+            raise ValueError("perm lists a source vertex twice")
+        return cls(ball, mapping)
 
 
 def identity_automorphism(ball: TreeBall) -> FiniteTreeAutomorphism:
-    return FiniteTreeAutomorphism(ball, {v: v for v in ball.vertices()})
+    return FiniteTreeAutomorphism(ball, tuple(ball.vertices()))
 
 
 def compose(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism) -> FiniteTreeAutomorphism:
-    """g after h.  Exact when both carry evaluators, else domains intersect."""
+    """g after h.  Only entries that h sends out of the ball ask the evaluator."""
     if g.ball != h.ball:
         raise ValueError("portraits live on different balls")
-    if g.exact is not None and h.exact is not None:
-        composed = g.exact.compose(h.exact)
-        return composed.restrict(g.ball)
-    mapping = {}
-    for u, mid in h.mapping.items():
-        img = g.mapping.get(mid)
-        if img is not None:
-            mapping[u] = img
-    return FiniteTreeAutomorphism(g.ball, mapping)
+    exact = g.exact.compose(h.exact)
+    gi = g.images
+    images = tuple(gi[m] if m >= 0 else exact.locate(u) for u, m in enumerate(h.images))
+    return FiniteTreeAutomorphism(g.ball, images, exact)
 
 
 def invert(g: FiniteTreeAutomorphism) -> FiniteTreeAutomorphism:
-    if g.exact is not None:
-        return g.exact.inverse().restrict(g.ball)
-    return FiniteTreeAutomorphism(g.ball, {w: u for u, w in g.mapping.items()})
+    """Ball vertices whose preimage leaves the ball get -1: that preimage is outside."""
+    images = [-1] * g.ball.vertex_count
+    for u, w in enumerate(g.images):
+        if w >= 0:
+            images[w] = u
+    return FiniteTreeAutomorphism(g.ball, tuple(images), g.exact.inverse())
 
 
 @dataclass(frozen=True)
@@ -116,7 +158,7 @@ UNDETERMINED = "undetermined"
 
 
 def _displacements(g: FiniteTreeAutomorphism) -> dict[int, int]:
-    return {u: distance(g.ball, u, w) for u, w in g.mapping.items()}
+    return {u: distance(g.ball, u, w) for u, w in enumerate(g.images) if w >= 0}
 
 
 def classify(g: FiniteTreeAutomorphism) -> IsometryClass:
@@ -141,7 +183,7 @@ def classify(g: FiniteTreeAutomorphism) -> IsometryClass:
         return IsometryClass("elliptic", fixed_vertex=fixed)
 
     for u, v in ball.edges():
-        if g.mapping.get(u) == v and g.mapping.get(v) == u:
+        if g.images[u] == v and g.images[v] == u:
             return IsometryClass("inversion", edge=(min(u, v), max(u, v)))
 
     boundary_min = min((d for u, d in disp.items() if not ball.is_interior(u)), default=m)
@@ -149,9 +191,9 @@ def classify(g: FiniteTreeAutomorphism) -> IsometryClass:
         return IsometryClass(UNDETERMINED, reason="displacement minimized only at the boundary")
 
     for u in sorted(u for u, d in interior.items() if d == m):
-        gu = g.mapping[u]
-        g2u = g.mapping.get(gu)
-        if g2u is not None and distance(ball, u, g2u) == 2 * m:
+        gu = g.images[u]
+        g2u = g.images[gu]
+        if g2u >= 0 and distance(ball, u, g2u) == 2 * m:
             axis = [x for x, d in disp.items() if d == m]
 
             def signed_position(x: int) -> int:
@@ -166,14 +208,11 @@ def classify(g: FiniteTreeAutomorphism) -> IsometryClass:
 
 
 def certified_radius(g: FiniteTreeAutomorphism, v: int) -> int:
-    """Largest k with B(v,k) inside the ball and inside g's domain."""
+    """Largest k with B(v,k) inside the ball and every image on it determined."""
     ball = g.ball
     cap = ball.radius - ball.depth[v]
-    if g.exact is not None or g.is_total():
-        return cap
-    for k in range(cap + 1):
-        shell = [u for u in ball.vertices() if distance(ball, v, u) == k]
-        if any(u not in g.mapping for u in shell):
+    for k, shell in enumerate(layers(ball, v, cap)):
+        if any(g.images[u] < 0 and g.exact.address(u) is None for u in shell):
             return k - 1
     return cap
 
@@ -182,31 +221,22 @@ def agreement_depth(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism, v: int
     """Largest k such that g and h certifiably agree on B(v,k); -1 if they split at v.
 
     Capped at min(certified_radius(g, v), certified_radius(h, v)); the cap is
-    available separately via agreement_cap.  With exact evaluators on both
-    sides the comparison runs on the infinite tree (images may leave the
-    ball), still reported against the same cap.
+    available separately via agreement_cap.  Where both images leave the
+    ball the evaluators compare them on the infinite tree; an unknown image
+    ends the agreement.
     """
     if g.ball != h.ball:
         raise ValueError("portraits live on different balls")
-    cap = min(certified_radius(g, v), certified_radius(h, v))
-    if g.exact is not None and h.exact is not None:
-        return g.exact.agreement_depth_at(h.exact, v, cap)
-    return _agreement_scan(g, h, v, cap)
-
-
-def _agreement_scan(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism, v: int, cap: int) -> int:
-    ball = g.ball
-    by_depth: dict[int, list[int]] = {}
-    for u in ball.vertices():
-        d = distance(ball, v, u)
-        if d <= cap:
-            by_depth.setdefault(d, []).append(u)
     depth = -1
-    for k in range(cap + 1):
-        for u in by_depth.get(k, ()):
-            gu, hu = g.mapping.get(u), h.mapping.get(u)
-            if gu is None or hu is None or gu != hu:
+    for k, shell in enumerate(layers(g.ball, v, agreement_cap(g, h, v))):
+        for u in shell:
+            gu, hu = g.images[u], h.images[u]
+            if gu != hu:
                 return depth
+            if gu < 0:
+                beyond = g.exact.address(u)
+                if beyond is None or beyond != h.exact.address(u):
+                    return depth
         depth = k
     return depth
 

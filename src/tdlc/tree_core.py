@@ -90,12 +90,6 @@ class TreeBall:
     def is_interior(self, v: int) -> bool:
         return self.depth[v] < self.radius
 
-    def path_to_base(self, v: int) -> list[int]:
-        out = [v]
-        while self.parent[out[-1]] >= 0:
-            out.append(self.parent[out[-1]])
-        return out
-
     def to_json(self) -> dict:
         return {
             "base": self.base,
@@ -109,23 +103,32 @@ class TreeBall:
 
     @classmethod
     def from_json(cls, data: dict) -> "TreeBall":
+        """Rebuild a ball, checking that the records form one rooted tree of depth <= radius.
+
+        Ids are creation order, so a vertex's parent must carry a smaller id;
+        that also rules out cycles and gives every vertex its true depth.
+        """
         verts = sorted(data["vertices"], key=lambda rec: rec["id"])
         if [rec["id"] for rec in verts] != list(range(len(verts))):
             raise ValueError("vertex ids must be 0..n-1")
         parent = tuple(rec["parent"] for rec in verts)
-        labels = tuple(rec.get("label") for rec in verts)
-        label_of = None if all(lab is None for lab in labels) else tuple(labels)
-        kids: list[list[int]] = [[] for _ in verts]
-        for rec in verts:
-            if rec["parent"] >= 0:
-                kids[rec["parent"]].append(rec["id"])  # id order == creation order
-        base = next(rec["id"] for rec in verts if rec["parent"] < 0)
+        if data.get("base", 0) != 0 or [v for v, p in enumerate(parent) if p == -1] != [0]:
+            raise ValueError("vertex 0 must be the one root (parent -1)")
+        radius = data["radius"]
+        if not (type(radius) is int and radius >= 0):
+            raise ValueError(f"radius must be a nonnegative integer, got {radius!r}")
         depth = [0] * len(verts)
-        for rec in verts:  # ids are BFS order, so parents precede children
-            if rec["parent"] >= 0:
-                depth[rec["id"]] = depth[rec["parent"]] + 1
-        return cls(base, data["radius"], parent, tuple(tuple(k) for k in kids),
-                   tuple(depth), label_of)
+        kids: list[list[int]] = [[] for _ in verts]
+        for v, p in enumerate(parent[1:], 1):
+            if not (type(p) is int and 0 <= p < v):
+                raise ValueError(f"parent {p!r} of vertex {v} is not an earlier vertex id")
+            depth[v] = depth[p] + 1
+            if depth[v] > radius:
+                raise ValueError(f"vertex {v} lies deeper than the radius {radius}")
+            kids[p].append(v)  # id order == creation order
+        labels = tuple(rec.get("label") for rec in verts)
+        label_of = None if all(lab is None for lab in labels) else labels
+        return cls(0, radius, parent, tuple(tuple(k) for k in kids), tuple(depth), label_of)
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,26 @@ class SphereResult:
         return len(self.vertices)
 
 
+def layers(ball: TreeBall, v: int, n: int) -> list[list[int]]:
+    """Spheres S(v,0), ..., S(v,n) inside the ball, walked outward from v by neighbors.
+
+    The list ends early once a sphere lies wholly outside the ball.
+    """
+    out = [[v]]
+    frontier = [(v, -1)]
+    for _ in range(n):
+        frontier = [(y, x) for x, came_from in frontier for y in ball.neighbors(x) if y != came_from]
+        if not frontier:
+            break
+        out.append([y for y, _ in frontier])
+    return out
+
+
 def sphere(ball: TreeBall, v: int, n: int) -> SphereResult:
     if n < 0:
         raise ValueError("radius must be nonnegative")
-    verts = frozenset(u for u in ball.vertices() if distance(ball, v, u) == n)
+    spheres = layers(ball, v, n)
+    verts = frozenset(spheres[n] if n < len(spheres) else ())
     complete = n <= ball.radius - ball.depth[v]
     return SphereResult(verts, complete)
 

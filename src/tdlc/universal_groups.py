@@ -17,10 +17,10 @@ at any depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CertificationError, check_guard
-from .tree_core import TreeBall, build_regular_ball, distance, half_tree_vertices, HalfTreeRef
+from .tree_core import TreeBall, build_regular_ball, half_tree_vertices, HalfTreeRef, layers
 from .tree_aut import FiniteTreeAutomorphism, compose, invert
 
 Word = tuple[int, ...]
@@ -121,9 +121,6 @@ class ColorBall:
     def radius(self) -> int:
         return self.ball.radius
 
-    def contains_word(self, w: Word) -> bool:
-        return w in self.id_of
-
     def edge_color(self, u: int, v: int) -> int:
         if self.ball.parent[v] == u:
             return self.word_of[v][-1]
@@ -147,30 +144,21 @@ class ColorBall:
             sphere = nxt
         return sphere
 
-
-@dataclass(frozen=True)
-class LegalColoring:
-    """The per-vertex bijective edge coloring of a ColorBall, in spec form."""
-
-    world: ColorBall = field(compare=False)
-
-    def color(self, v: int, neighbor: int) -> int:
-        return self.world.edge_color(v, neighbor)
-
     def to_json(self) -> dict:
-        edges = sorted(
-            [min(u, v), max(u, v), self.world.edge_color(u, v)]
-            for u, v in self.world.ball.edges()
-        )
-        return {"ball": self.world.ball.to_json(),
-                "degree": self.world.degree, "colors": edges}
+        """The legal coloring in spec form: the ball plus (u, v, color) per edge."""
+        edges = sorted([min(u, v), max(u, v), self.edge_color(u, v)] for u, v in self.ball.edges())
+        return {"ball": self.ball.to_json(), "degree": self.degree, "colors": edges}
 
 
 # ---------------------------------------------------------------------------
 # exact automorphism evaluators
 
 class ExactAut:
-    """Shared behaviour for exact evaluators over a common ColorBall world."""
+    """Shared behaviour for exact evaluators over a common ColorBall world.
+
+    These are the evaluators of tree_aut portraits: address and locate read
+    the image of a ball vertex on the infinite tree.
+    """
 
     world: ColorBall
 
@@ -188,37 +176,22 @@ class ExactAut:
     def inverse(self) -> "ExactAut":
         return Inverse(self.world, self)
 
+    def address(self, v: int) -> Word | None:
+        """Address of the image of ball vertex v, possibly outside the ball."""
+        return self.image_word(self.world.word_of[v])
+
+    def locate(self, v: int) -> int:
+        """Ball id of the image of ball vertex v; -1 when it leaves the ball."""
+        return self.world.id_of.get(self.address(v), -1)
+
     def restrict(self, ball: TreeBall | None = None) -> FiniteTreeAutomorphism:
-        """Ball portrait of this automorphism (images outside the ball dropped)."""
+        """Ball portrait of this automorphism (images outside the ball become -1)."""
         world = self.world
         if ball is not None and ball != world.ball:
             raise ValueError("restriction ball must be the evaluator's world ball")
-        mapping = {}
-        for v in world.ball.vertices():
-            img = self.image_word(world.word_of[v])
-            iv = world.id_of.get(img)
-            if iv is not None:
-                mapping[v] = iv
-        return FiniteTreeAutomorphism(world.ball, mapping, exact=self)
-
-    def agreement_depth_at(self, other: "ExactAut", vertex_id: int, cap: int) -> int:
-        center = self.world.word_of[vertex_id]
-        depth = -1
-        for k in range(cap + 1):
-            for w in self.world.word_sphere(center, k):
-                if self.image_word(w) != other.image_word(w):
-                    return depth
-            depth = k
-        return depth
-
-    def fixes_vertex(self, vertex_id: int) -> bool:
-        w = self.world.word_of[vertex_id]
-        return self.image_word(w) == w
-
-    def is_identity_on(self, radius: int) -> bool:
-        return all(self.image_word(w) == w
-                   for k in range(radius + 1)
-                   for w in self.world.word_sphere((), k))
+        id_of, image_word = world.id_of, self.image_word
+        images = tuple(id_of.get(image_word(w), -1) for w in world.word_of)
+        return FiniteTreeAutomorphism(world.ball, images, self)
 
 
 class Portrait(ExactAut):
@@ -295,10 +268,6 @@ class Portrait(ExactAut):
             sigma = self.local_action(prefix)
         return img
 
-    @property
-    def support(self) -> dict[Word, Perm]:
-        return dict(self._acts)
-
     def canonical_key(self) -> tuple:
         return (self.base_word, tuple(sorted(self._acts.items())))
 
@@ -319,7 +288,11 @@ def identity_aut(world: ColorBall) -> Portrait:
 
 
 class Composite(ExactAut):
-    """parts[0] o parts[1] o ... o parts[-1], evaluated right to left."""
+    """parts[0] o parts[1] o ... o parts[-1], evaluated right to left.
+
+    A part that cannot say where a word goes (tree_aut.PARTIAL, the evaluator
+    of a partial map) makes the image unknown: image_word returns None.
+    """
 
     def __init__(self, world: ColorBall, parts: tuple[ExactAut, ...]):
         self.world = world
@@ -332,6 +305,8 @@ class Composite(ExactAut):
             cached = u
             for part in reversed(self.parts):
                 cached = part.image_word(cached)
+                if cached is None:
+                    return None
             self._img_cache[u] = cached
         return cached
 
@@ -425,13 +400,6 @@ class LocalGroup:
             frontier = nxt
         return frozenset(out)
 
-    def is_transitive(self) -> bool:
-        group = self.closure()
-        return {g[0] for g in group} == set(range(1, self.degree + 1))
-
-    def point_stabilizer(self, point: int) -> frozenset[Perm]:
-        return frozenset(g for g in self.closure() if g[point - 1] == point)
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
 
@@ -504,39 +472,44 @@ def is_generated_by_point_stabilizers(F: LocalGroup, guard: int | None = None) -
 # ---------------------------------------------------------------------------
 # local actions and U1 membership on balls
 
-def local_action(g: FiniteTreeAutomorphism, v: int, coloring: LegalColoring) -> Perm:
-    """The color permutation induced by g at v, read through the coloring."""
-    if g.exact is not None:
-        return g.exact.local_action(coloring.world.word_of[v])
+def image_address(g: FiniteTreeAutomorphism, world: ColorBall, v: int) -> Word | None:
+    """Address of g(v): from the portrait inside the ball, from the evaluator beyond it."""
+    img = g.images[v]
+    return world.word_of[img] if img >= 0 else g.exact.address(v)
+
+
+def _determined_local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall) -> Perm | None:
+    """The local action at an interior v when g's images of v and its neighbors are known."""
     ball = g.ball
-    if not ball.is_interior(v) or v not in g.mapping:
-        raise CertificationError(f"local action at vertex {v} is not determined by the ball")
-    world = coloring.world
-    image = g.mapping[v]
+    img = image_address(g, world, v)
+    if img is None or not ball.is_interior(v):
+        return None
     out = [0] * world.degree
     for nbr in ball.neighbors(v):
-        img_nbr = g.mapping.get(nbr)
+        img_nbr = image_address(g, world, nbr)
         if img_nbr is None:
-            raise CertificationError(f"local action at vertex {v} is not determined by the ball")
-        out[world.edge_color(v, nbr) - 1] = world.edge_color(image, img_nbr)
+            return None
+        # the color of an edge is the last letter of its farther endpoint
+        out[world.edge_color(v, nbr) - 1] = img_nbr[-1] if len(img_nbr) > len(img) else img[-1]
     if not is_perm(tuple(out), world.degree):
         raise ValueError(f"map at vertex {v} does not induce a color permutation")
     return tuple(out)
 
 
-def membership_u1(g: FiniteTreeAutomorphism, F: LocalGroup, coloring: LegalColoring) -> bool:
+def local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall) -> Perm:
+    """The color permutation induced by g at the interior vertex v."""
+    sigma = _determined_local_action(g, v, world)
+    if sigma is None:
+        raise CertificationError(f"local action at vertex {v} is not determined by the ball")
+    return sigma
+
+
+def membership_u1(g: FiniteTreeAutomorphism, F: LocalGroup, world: ColorBall) -> bool:
     """Whether every certified local action of g lies in the group generated by F."""
     group = F.closure()
-    world = coloring.world
     for v in g.ball.vertices():
-        if g.exact is None:
-            determined = g.ball.is_interior(v) and v in g.mapping \
-                and all(n in g.mapping for n in g.ball.neighbors(v))
-            if not determined:
-                continue
-        elif not g.ball.is_interior(v):
-            continue
-        if local_action(g, v, coloring) not in group:
+        sigma = _determined_local_action(g, v, world)
+        if sigma is not None and sigma not in group:
             return False
     return True
 
@@ -571,9 +544,6 @@ class GroupBall:
     def __iter__(self):
         return iter(self.elements)
 
-    def coloring(self) -> LegalColoring:
-        return LegalColoring(self.world)
-
     def key_set(self) -> frozenset:
         if self._keys is None:
             self._keys = frozenset(el.key() for el in self.elements)
@@ -583,43 +553,42 @@ class GroupBall:
         return g.key() in self.key_set()
 
 
-def enumerate_u1_stabilizer_ball(F: LocalGroup, world: ColorBall,
-                                 guard: int | None = None) -> GroupBall:
-    """All base-fixing portraits on the world ball with local actions in <F>.
+def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
+                       guard: int | None) -> list[dict[Word, Perm]]:
+    """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
 
-    Assignments run over interior vertices; at a non-base vertex the local
-    action must send the parent color to the color already chosen for the
-    image of the parent edge, which is the prescribed-point count in the
-    product formula |<F>| * prod |{tau : tau(c_in) = prescribed}|.
+    Assignments run over the vertices of depth < radius; at a non-base vertex
+    the local action must send the parent color to the color already chosen
+    for the image of the parent edge, which is the prescribed-point count in
+    the product formula |<F>| * prod |{tau : tau(c_in) = prescribed}|.
     """
     group = sorted(F.closure())
     ball = world.ball
-    interior = [v for v in ball.vertices() if ball.is_interior(v)]
-    elements: list[FiniteTreeAutomorphism] = []
+    inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
+    tables: list[dict[Word, Perm]] = []
 
     def extend(idx: int, acts: dict[Word, Perm]):
-        if idx == len(interior):
-            portrait = Portrait(world, (), dict(acts))
-            elements.append(portrait.restrict())
-            check_guard(len(elements), guard, "U1 stabilizer ball enumeration")
+        if idx == len(inner):
+            check_guard(len(tables) + 1, guard, "U1 stabilizer ball enumeration")
+            tables.append(dict(acts))
             return
-        v = interior[idx]
-        w = world.word_of[v]
-        if v == ball.base:
-            for sigma in group:
+        w = inner[idx]
+        incoming = acts[w[:-1]][w[-1] - 1] if w else None
+        for sigma in group:
+            if incoming is None or sigma[w[-1] - 1] == incoming:
                 acts[w] = sigma
                 extend(idx + 1, acts)
-            del acts[w]
-        else:
-            parent_sigma = acts[w[:-1]]
-            incoming = parent_sigma[w[-1] - 1]
-            for sigma in group:
-                if sigma[w[-1] - 1] == incoming:
-                    acts[w] = sigma
-                    extend(idx + 1, acts)
-                    del acts[w]
+                del acts[w]
 
     extend(0, {})
+    return tables
+
+
+def enumerate_u1_stabilizer_ball(F: LocalGroup, world: ColorBall,
+                                 guard: int | None = None) -> GroupBall:
+    """All base-fixing portraits on the world ball with local actions in <F>."""
+    elements = [Portrait(world, (), acts).restrict()
+                for acts in _stabilizer_tables(F, world, world.radius, guard)]
     return GroupBall(world, elements, closed=True, local_group=F)
 
 
@@ -638,14 +607,13 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     if move_radius + support_radius > world.radius:
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
-    stab = enumerate_u1_stabilizer_ball(F, ColorBall(world.degree, support_radius), guard=guard)
+    tables = _stabilizer_tables(F, world, support_radius, guard)
     bases = [w for k in range(move_radius + 1) for w in world.word_sphere((), k)]
     elements = []
     for w in bases:
-        for g in stab:
-            acts = g.exact.support if isinstance(g.exact, Portrait) else {}
-            elements.append(Portrait(world, w, dict(acts)).restrict())
-            check_guard(len(elements), guard, "U1 ball enumeration")
+        for acts in tables:
+            check_guard(len(elements) + 1, guard, "U1 ball enumeration")
+            elements.append(Portrait(world, w, acts).restrict())
     return GroupBall(world, elements, closed=False, local_group=F)
 
 
@@ -659,9 +627,8 @@ def edge_fixator(gb: GroupBall, edge: tuple[int, int], k: int) -> GroupBall:
         raise ValueError(f"not an edge: {edge}")
     if ball.depth[u] + k - 1 > ball.radius or ball.depth[v] + k - 1 > ball.radius:
         raise CertificationError(f"ball too small to hold the {k - 1}-balls around edge {edge}")
-    fixed = [x for x in ball.vertices()
-             if distance(ball, x, u) <= k - 1 or distance(ball, x, v) <= k - 1]
-    kept = [g for g in gb if all(g.mapping.get(x) == x for x in fixed)]
+    fixed = {x for end in edge for shell in layers(ball, end, k - 1) for x in shell}
+    kept = [g for g in gb if all(g.images[x] == x for x in fixed)]
     return GroupBall(gb.world, kept, closed=gb.closed, local_group=gb.local_group)
 
 
@@ -707,11 +674,10 @@ def k_closure_membership(g: FiniteTreeAutomorphism, gb: GroupBall, k: int) -> bo
     for v in ball.vertices():
         if ball.depth[v] + k > ball.radius:
             continue
-        neighborhood = [u for u in ball.vertices() if distance(ball, u, v) <= k]
-        if any(u not in g.mapping for u in neighborhood):
+        neighborhood = [u for shell in layers(ball, v, k) for u in shell]
+        if any(g.images[u] < 0 for u in neighborhood):
             raise CertificationError(f"g is not determined on B({v},{k})")
-        target = {u: g.mapping[u] for u in neighborhood}
-        if not any(all(g0.mapping.get(u) == img for u, img in target.items()) for g0 in gb):
+        if not any(all(g0.images[u] == g.images[u] for u in neighborhood) for g0 in gb):
             return False
     return True
 
@@ -726,11 +692,6 @@ class PkResult:
     factor_keys: tuple = ()
 
 
-def half_tree_words(gb: GroupBall, edge: tuple[int, int], side: int) -> frozenset[Word]:
-    ids = half_tree_vertices(gb.ball, HalfTreeRef(edge, side))
-    return frozenset(gb.world.word_of[v] for v in ids)
-
-
 def check_property_pk(gb: GroupBall, edge: tuple[int, int], k: int) -> PkResult:
     """Factor every fixator element through the two half-trees and check membership.
 
@@ -739,24 +700,15 @@ def check_property_pk(gb: GroupBall, edge: tuple[int, int], k: int) -> PkResult:
     for every g.
     """
     u, v = edge
+    world, ball = gb.world, gb.ball
     fixator = edge_fixator(gb, edge, k)
-    w_side = half_tree_vertices(gb.ball, HalfTreeRef(edge, v))
-    w_words = {gb.world.word_of[x] for x in w_side}
+    w_side = half_tree_vertices(ball, HalfTreeRef(edge, v))
+    w_inner = [x for x in sorted(w_side) if ball.is_interior(x)]
     factor_keys = []
     for g in fixator:
-        if g.exact is not None and isinstance(g.exact, Portrait):
-            acts = {wd: p for wd, p in g.exact.support.items() if wd in w_words}
-            base = g.exact.image_word(()) if () in w_words else ()
-            g1 = Portrait(gb.world, base, acts).restrict()
-        else:
-            mapping = {}
-            for x in gb.ball.vertices():
-                if x in w_side:
-                    if x in g.mapping:
-                        mapping[x] = g.mapping[x]
-                else:
-                    mapping[x] = x
-            g1 = FiniteTreeAutomorphism(gb.ball, mapping)
+        acts = {world.word_of[x]: local_action(g, x, world) for x in w_inner}
+        base = image_address(g, world, ball.base) if ball.base in w_side else ()
+        g1 = Portrait(world, base, acts).restrict()
         rest = compose(g, invert(g1))
         if not (gb.contains_key(g1) and gb.contains_key(rest)):
             return PkResult(False, edge, k, len(fixator), offender=g)
@@ -801,14 +753,15 @@ class LocalGroupK:
 
 
 def k_local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall, k: int) -> tuple:
-    """The address map of g on B(v,k), re-rooted at v and its image."""
-    if g.exact is None:
-        raise CertificationError("k-local actions need an exact evaluator")
+    """The address map of g on B(v,k), re-rooted at v and its image; B(v,k) must lie in the ball."""
     base = world.word_of[v]
-    img_base = g.exact.image_word(base)
+    img_base = image_address(g, world, v)
     pairs = []
     for x in LocalGroupK.address_space(world.degree, k):
-        img = g.exact.image_word(word_mul(base, x))
+        u = world.id_of.get(word_mul(base, x))
+        img = None if u is None else image_address(g, world, u)
+        if img is None or img_base is None:
+            raise CertificationError(f"the {k}-local action at vertex {v} is not determined by the ball")
         pairs.append((x, word_mul(word_inv(img_base), img)))
     return tuple(sorted(pairs))
 

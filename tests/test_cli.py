@@ -207,3 +207,10 @@ def test_python_m_entry_point(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "tdlc.cli", "nonsense"], capture_output=True,
                          text=True, env=env, timeout=60)
     assert bad.returncode == 1
+
+
+def test_seed_is_a_padic_option_only(tmp_path, capsys):
+    assert run(["tree", "--radius", "2", "--seed", "1"]) == 1
+    rep = run_json(["padic", "verify", "--p", "2", "--n-max", "3", "--matrices", "2", "--seed", "7"],
+                   tmp_path)
+    assert rep["seed"] == 7

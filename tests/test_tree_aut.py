@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
@@ -175,3 +176,82 @@ def test_portrait_json_round_trip():
     back = ta.FiniteTreeAutomorphism.from_json(data)
     assert back.mapping == g.mapping
     assert back.ball == g.ball
+
+
+def test_portrait_json_rejects_a_repeated_source():
+    world = t3_world()
+    with pytest.raises(ValueError, match="twice"):
+        ta.FiniteTreeAutomorphism.from_json({"perm": [[0, 0], [0, 1]]}, world.ball)
+
+
+# ---------------------------------------------------------------------------
+# the portrait protocol against the exact evaluators and a dict oracle
+
+WORLD4 = ug.ColorBall(3, 4)
+INNER4 = [WORLD4.word_of[v] for v in WORLD4.ball.vertices() if WORLD4.ball.is_interior(v)]
+SYM3 = sorted(ug.LocalGroup.symmetric(3).closure())
+
+
+@st.composite
+def stabilizer_elements(draw):
+    """A base-fixing U1(Sym(3)) portrait of depth 4: one local action per interior vertex."""
+    acts = {}
+    for w in INNER4:
+        options = [s for s in SYM3 if not w or s[w[-1] - 1] == acts[w[:-1]][w[-1] - 1]]
+        acts[w] = draw(st.sampled_from(options))
+    return ug.Portrait(WORLD4, (), acts)
+
+
+translations = st.lists(st.integers(1, 3), max_size=5).map(
+    lambda colors: ug.translation(WORLD4, ug.word_mul((), tuple(colors))))
+exact_auts = st.one_of(stabilizer_elements(), translations,
+                       st.tuples(translations, stabilizer_elements()).map(lambda p: p[0].compose(p[1])))
+
+
+def dict_compose(g: dict, h: dict) -> dict:
+    """g after h on partial maps: the domain-intersecting composition, written out on dicts."""
+    mapping = {}
+    for u, mid in h.items():
+        img = g.get(mid)
+        if img is not None:
+            mapping[u] = img
+    return mapping
+
+
+@st.composite
+def partial_maps(draw):
+    """A ball portrait of an exact element with its evaluator dropped and part of its domain cut."""
+    g = draw(exact_auts).restrict()
+    kept = {u: w for u, w in g.mapping.items() if draw(st.integers(0, 3))}
+    return ta.FiniteTreeAutomorphism(WORLD4.ball, kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_auts, exact_auts)
+def test_compose_matches_exact_restriction(g, h):
+    assert ta.compose(g.restrict(), h.restrict()).key() == g.compose(h).restrict().key()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_auts)
+def test_invert_matches_exact_restriction(g):
+    p = g.restrict()
+    assert ta.invert(p).key() == g.inverse().restrict().key()
+    # exact: g g^-1 is the identity on the whole ball, g's domain included
+    assert ta.compose(p, ta.invert(p)).key() == tuple(WORLD4.ball.vertices())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exact_auts.map(lambda g: g.restrict()), partial_maps()))
+def test_compose_with_inverse_is_identity_on_the_domain(g):
+    # on a partial map g^-1 g fixes g's domain and g g^-1 fixes its image
+    assert all(ta.compose(ta.invert(g), g).images[v] == v for v in g.mapping)
+    assert all(ta.compose(g, ta.invert(g)).images[w] == w for w in g.mapping.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(exact_auts.map(lambda g: g.restrict()), partial_maps()), partial_maps())
+def test_partial_compose_matches_dict_oracle(g, h):
+    assert dict(ta.compose(g, h).mapping) == dict_compose(dict(g.mapping), dict(h.mapping))
+    assert dict(ta.compose(h, g).mapping) == dict_compose(dict(h.mapping), dict(g.mapping))
+    assert dict(ta.invert(h).mapping) == {w: u for u, w in h.mapping.items()}

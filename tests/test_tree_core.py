@@ -140,3 +140,31 @@ def test_json_round_trip():
         assert back == ball
     lv = alternating_labels()
     assert tc.LabelVector.from_json(lv.to_json()).adjacency_rule == lv.adjacency_rule
+
+
+def ball_record(parents, radius):
+    return {"base": 0, "radius": radius,
+            "vertices": [{"id": v, "parent": p, "label": None} for v, p in enumerate(parents)]}
+
+
+@pytest.mark.parametrize("parents,radius", [
+    ([-1, 2, 1], 2),        # a 2-cycle 1 -> 2 -> 1, detached from the root
+    ([-1, 2, 0], 2),        # a child listed before its parent
+    ([-1, 0, 1, 2], 2),     # a vertex deeper than the radius
+    ([-1, -1], 1),          # two roots
+    ([-1, 5], 1),           # a parent id out of range
+    ([-1], -1),             # a negative radius
+])
+def test_json_rejects_malformed_balls(parents, radius):
+    with pytest.raises(ValueError):
+        tc.TreeBall.from_json(ball_record(parents, radius))
+
+
+def test_layers_match_distance_spheres():
+    ball = tc.build_regular_ball(3, 4)
+    for v in (0, 1, 5, 30):
+        spheres = tc.layers(ball, v, 8)
+        for n, shell in enumerate(spheres):
+            assert sorted(shell) == [u for u in ball.vertices() if tc.distance(ball, v, u) == n]
+        assert sum(map(len, spheres)) == ball.vertex_count
+        assert len(tc.sphere(ball, v, 20)) == 0

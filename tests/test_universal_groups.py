@@ -32,10 +32,10 @@ def test_color_ball_addressing():
 
 def test_coloring_is_legal():
     world = ug.ColorBall(3, 2)
-    coloring = ug.LegalColoring(world)
+    coloring = world
     for v in world.ball.vertices():
         nbrs = world.ball.neighbors(v)
-        colors = [coloring.color(v, u) for u in nbrs]
+        colors = [coloring.edge_color(v, u) for u in nbrs]
         assert len(set(colors)) == len(colors)
         if world.ball.is_interior(v):
             assert set(colors) == {1, 2, 3}
@@ -79,7 +79,7 @@ def test_portrait_local_actions_are_intrinsic():
 
 def test_local_action_examples():
     world = ug.ColorBall(3, 2)
-    coloring = ug.LegalColoring(world)
+    coloring = world
     ident = ug.identity_aut(world).restrict()
     assert ug.local_action(ident, 0, coloring) == (1, 2, 3)
     rot = ug.Portrait(world, (), {(): (2, 3, 1)}).restrict()
@@ -90,7 +90,7 @@ def test_local_action_examples():
 
 def test_local_action_boundary_error():
     world = ug.ColorBall(3, 2)
-    coloring = ug.LegalColoring(world)
+    coloring = world
     shiftless = ta.FiniteTreeAutomorphism(world.ball, {v: v for v in world.ball.vertices()})
     boundary = next(v for v in world.ball.vertices() if not world.ball.is_interior(v))
     with pytest.raises(CertificationError):
@@ -99,7 +99,7 @@ def test_local_action_boundary_error():
 
 def test_membership_u1():
     world = ug.ColorBall(3, 2)
-    coloring = ug.LegalColoring(world)
+    coloring = world
     ident = ug.identity_aut(world).restrict()
     assert ug.membership_u1(ident, FLIP, coloring)
     swap = ug.Portrait(world, (), {(): (2, 1, 3)}).restrict()
@@ -110,7 +110,7 @@ def test_membership_u1():
 
 def test_membership_u1_closed_under_composition():
     world = ug.ColorBall(3, 2)
-    coloring = ug.LegalColoring(world)
+    coloring = world
     gb = ug.enumerate_u1_stabilizer_ball(ug.LocalGroup.create(3, [(2, 1, 3), (2, 3, 1)]), world)
     elems = list(gb)[::5]
     for g in elems[:8]:
@@ -321,8 +321,8 @@ def test_local_group_json_round_trip():
     data = S3.to_json()
     back = ug.LocalGroup.from_json(data)
     assert back == S3
-    coloring = ug.LegalColoring(ug.ColorBall(3, 2))
-    blob = coloring.to_json()
+    world = ug.ColorBall(3, 2)
+    blob = world.to_json()
     assert blob["degree"] == 3
-    assert len(blob["colors"]) == len(coloring.world.ball.edges())
-    assert blob["ball"] == coloring.world.ball.to_json()
+    assert len(blob["colors"]) == len(world.ball.edges())
+    assert blob["ball"] == world.ball.to_json()
