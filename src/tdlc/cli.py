@@ -138,7 +138,7 @@ def _cmd_kak_tree(args) -> dict:
     F = _local_group(args, args.degree)
     gb = ug.enumerate_u1_ball(F, world, args.max_sphere, args.radius, guard=args.guard)
     dec = kt.enumerate_representatives(gb, 0, args.max_sphere)
-    cert = kt.certify_partition(dec, args.max_sphere)
+    cert = kt.certify_partition(dec, args.max_sphere, guard=args.guard)
     return {
         "degree": args.degree,
         "certified_radius": args.max_sphere + args.radius,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CertificationError
+from .errors import CertificationError, check_guard
 from .tree_core import HalfTreeRef, distance, half_tree_vertices, layers
 from .tree_aut import FiniteTreeAutomorphism, agreement_depth, compose, invert
 from .universal_groups import (
@@ -176,12 +176,15 @@ class DisjointnessCertificate:
     coset_sizes: dict[int, int]
 
 
-def certify_partition(dec: CartanDecomposition, radius: int) -> DisjointnessCertificate:
+def certify_partition(dec: CartanDecomposition, radius: int,
+                      guard: int | None = None) -> DisjointnessCertificate:
     """Exhaustively check that the double cosets K a K partition the group ball.
 
     Keys are restrictions to B(v, radius); every product k a k' is compared
-    against the enumerated elements.
+    against the enumerated elements.  The |K|^2 |A| products are checked
+    against the guard before the first one is made.
     """
+    check_guard(len(dec.stabilizer) ** 2 * len(dec.representatives), guard, "KAK partition products")
     world = dec.group.world
     keys_by_rep: dict[int, set] = {}
     for idx, rec in enumerate(dec.representatives):

@@ -358,9 +358,86 @@ class Inverse(ExactAut):
 # ---------------------------------------------------------------------------
 # local groups (finite permutation groups on colors)
 
+def _orbit_transversal(point: int, gens, degree: int) -> dict[int, Perm]:
+    """Each point y of the orbit of `point`, mapped to a u in <gens> with u(point) = y."""
+    trans = {point: perm_identity(degree)}
+    queue = [point]
+    for x in queue:
+        for g in gens:
+            y = g[x - 1]
+            if y not in trans:
+                trans[y] = perm_mul(g, trans[x])
+                queue.append(y)
+    return trans
+
+
+def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, Perm]]]:
+    """Base points and transversals of a stabilizer chain of <generators>.
+
+    Deterministic Schreier-Sims (C. Sims 1970; Seress, Permutation Group
+    Algorithms, CUP 2003, sec. 4.2): level i holds strong generators fixing
+    base[:i] and the transversal of their orbit on base[i].  Each generator is
+    sifted into the chain and kept only when it does not sift to the identity.
+    Then, level by level from the deepest one it joined up to level 0, every
+    Schreier generator u(g x)^-1 g u(x) of a level must sift to the identity
+    through the levels below it; one that does not is kept the same way, and
+    the check resumes at the deepest level that one joined.
+    """
+    ident = perm_identity(degree)
+    base: list[int] = []
+    strong: list[list[Perm]] = []
+    trans: list[dict[int, Perm]] = []
+
+    def sift(p: Perm, start: int) -> tuple[Perm, int]:
+        for level in range(start, len(base)):
+            u = trans[level].get(p[base[level] - 1])
+            if u is None:
+                return p, level
+            p = perm_mul(perm_inv(u), p)
+        return p, len(base)
+
+    def keep(h: Perm, top: int, level: int) -> None:
+        # h fixes base[:level], so it is a strong generator on levels top..level
+        if level == len(base):
+            base.append(next(x for x in range(1, degree + 1) if h[x - 1] != x))
+            strong.append([])
+            trans.append({})
+        for i in range(top, level + 1):
+            strong[i].append(h)
+            trans[i] = _orbit_transversal(base[i], strong[i], degree)
+
+    def failing_schreier_generator(i: int) -> tuple[Perm, int] | None:
+        for x, ux in trans[i].items():
+            for g in strong[i]:
+                s = perm_mul(perm_inv(trans[i][g[x - 1]]), perm_mul(g, ux))
+                h, level = sift(s, i + 1)
+                if h != ident:
+                    return h, level
+        return None
+
+    for g in generators:
+        h, level = sift(g, 0)
+        if h == ident:
+            continue
+        keep(h, 0, level)
+        i = level
+        while i >= 0:
+            failed = failing_schreier_generator(i)
+            if failed is None:
+                i -= 1
+            else:
+                keep(failed[0], i + 1, failed[1])
+                i = failed[1]
+    return base, trans
+
+
 @dataclass(frozen=True)
 class LocalGroup:
-    """A subgroup of Sym(d) given by generators, acting on colors 1..d."""
+    """A subgroup of Sym(d) given by generators, acting on colors 1..d.
+
+    A stabilizer chain (base points and transversals) is built once, so the
+    order and membership are known without listing the group.
+    """
 
     degree: int
     generators: tuple[Perm, ...]
@@ -369,6 +446,10 @@ class LocalGroup:
         for g in self.generators:
             if not is_perm(g, self.degree):
                 raise ValueError(f"not a permutation of 1..{self.degree}: {g}")
+        # Derived data, not fields, so equality, hashing and to_json are unchanged.
+        base, transversals = _schreier_sims(self.degree, self.generators)
+        object.__setattr__(self, "_base", tuple(base))
+        object.__setattr__(self, "_transversals", tuple(transversals))
 
     @classmethod
     def create(cls, degree: int, generators) -> "LocalGroup":
@@ -385,19 +466,28 @@ class LocalGroup:
     def trivial(cls, degree: int) -> "LocalGroup":
         return cls.create(degree, [])
 
+    def order(self) -> int:
+        out = 1
+        for trans in self._transversals:
+            out *= len(trans)
+        return out
+
+    def __contains__(self, p) -> bool:
+        """Membership by sifting p through the stabilizer chain."""
+        if not is_perm(p, self.degree):
+            return False
+        for b, trans in zip(self._base, self._transversals):
+            u = trans.get(p[b - 1])
+            if u is None:
+                return False
+            p = perm_mul(perm_inv(u), p)
+        return p == perm_identity(self.degree)
+
     def closure(self) -> frozenset[Perm]:
-        ident = perm_identity(self.degree)
-        out = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in self.generators:
-                    b = perm_mul(g, a)
-                    if b not in out:
-                        out.add(b)
-                        nxt.append(b)
-            frontier = nxt
+        """Every element, once: the products u_0 u_1 ... of one transversal element per level."""
+        out = [perm_identity(self.degree)]
+        for trans in reversed(self._transversals):
+            out = [perm_mul(u, p) for u in trans.values() for p in out]
         return frozenset(out)
 
     def to_json(self) -> dict:
@@ -413,41 +503,26 @@ def _normal_subgroups(group: frozenset[Perm], degree: int) -> list[frozenset[Per
     elements = sorted(group)
 
     def normal_closure(seed: set[Perm]) -> frozenset[Perm]:
-        gens = set(seed)
-        for h in list(gens):
-            for g in elements:
-                gens.add(perm_mul(perm_mul(g, h), perm_inv(g)))
-        # close under multiplication
-        out = {perm_identity(degree)}
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in gens:
-                    c = perm_mul(b, a)
-                    if c not in out:
-                        out.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(out)
+        conjugates = {perm_mul(perm_mul(g, h), perm_inv(g)) for h in seed for g in elements}
+        return LocalGroup.create(degree, sorted(conjugates)).closure()
 
     basic = {normal_closure({g}) for g in elements}
     found = set(basic)
-    frontier = list(basic)
-    while frontier:
-        n1 = frontier.pop()
+    pending = list(basic)
+    while pending:
+        n1 = pending.pop()
         for n2 in list(found):
             joined = normal_closure(set(n1) | set(n2))
             if joined not in found:
                 found.add(joined)
-                frontier.append(joined)
+                pending.append(joined)
     return sorted(found, key=lambda n: (len(n), sorted(n)))
 
 
 def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
     """Transitive, and every normal subgroup is transitive or free on points."""
+    check_guard(F.order(), guard, "local group closure")
     group = F.closure()
-    check_guard(len(group), guard, "local group closure")
     if {g[0] for g in group} != set(range(1, F.degree + 1)):
         return False
     ident = perm_identity(F.degree)
@@ -460,13 +535,12 @@ def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
 
 
 def is_generated_by_point_stabilizers(F: LocalGroup, guard: int | None = None) -> bool:
+    check_guard(F.order(), guard, "local group closure")
     group = F.closure()
-    check_guard(len(group), guard, "local group closure")
     gens: set[Perm] = set()
     for point in range(1, F.degree + 1):
         gens |= {g for g in group if g[point - 1] == point}
-    sub = LocalGroup.create(F.degree, sorted(gens)).closure() if gens else frozenset({perm_identity(F.degree)})
-    return sub == group
+    return LocalGroup.create(F.degree, sorted(gens)).order() == F.order()
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +580,9 @@ def local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall) -> Perm:
 
 def membership_u1(g: FiniteTreeAutomorphism, F: LocalGroup, world: ColorBall) -> bool:
     """Whether every certified local action of g lies in the group generated by F."""
-    group = F.closure()
     for v in g.ball.vertices():
         sigma = _determined_local_action(g, v, world)
-        if sigma is not None and sigma not in group:
+        if sigma is not None and sigma not in F:
             return False
     return True
 
@@ -553,34 +626,62 @@ class GroupBall:
         return g.key() in self.key_set()
 
 
+def stabilizer_ball_count(F: LocalGroup, world: ColorBall, radius: int) -> int:
+    """Exact number of base-fixing portraits of depth `radius` with local actions in <F>.
+
+    The base takes any of |<F>| local actions; at a non-base vertex w of depth
+    < radius the action must send the parent color w[-1] to a color already
+    fixed by the parent, which lies in the orbit of w[-1], so
+    |<F>| / |orbit of w[-1]| actions remain.
+    """
+    order = F.order()
+    stab = {c: order // len(_orbit_transversal(c, F.generators, F.degree))
+            for c in range(1, world.degree + 1)}
+    count = 1
+    for v in world.ball.vertices():
+        if world.ball.depth[v] < radius:
+            w = world.word_of[v]
+            count *= stab[w[-1]] if w else order
+    return count
+
+
 def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
-                       guard: int | None) -> list[dict[Word, Perm]]:
+                       guard: int | None, copies: int = 1) -> list[dict[Word, Perm]]:
     """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
 
-    Assignments run over the vertices of depth < radius; at a non-base vertex
-    the local action must send the parent color to the color already chosen
-    for the image of the parent edge, which is the prescribed-point count in
-    the product formula |<F>| * prod |{tau : tau(c_in) = prescribed}|.
+    Assignments run over the vertices of depth < radius in BFS order, by a
+    depth-first search with one iterator of candidate actions per vertex.
+    The guard is checked against the exact count before <F> is listed: for
+    the tables, then for `copies` portraits per table (the U1 ball).
     """
-    group = sorted(F.closure())
+    count = stabilizer_ball_count(F, world, radius)
+    check_guard(count, guard, "U1 stabilizer ball enumeration")
+    check_guard(copies * count, guard, "U1 ball enumeration")
     ball = world.ball
     inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
+    if not inner:
+        return [{}]
+    group = sorted(F.closure())
+    # sending[c, t]: the actions that send color c to color t, in group order
+    sending: dict[tuple[int, int], list[Perm]] = {}
     tables: list[dict[Word, Perm]] = []
-
-    def extend(idx: int, acts: dict[Word, Perm]):
-        if idx == len(inner):
-            check_guard(len(tables) + 1, guard, "U1 stabilizer ball enumeration")
+    acts: dict[Word, Perm] = {}
+    stack = [iter(group)]
+    while stack:
+        sigma = next(stack[-1], None)
+        if sigma is None:
+            stack.pop()
+            continue
+        idx = len(stack) - 1
+        acts[inner[idx]] = sigma
+        if idx + 1 == len(inner):
             tables.append(dict(acts))
-            return
-        w = inner[idx]
-        incoming = acts[w[:-1]][w[-1] - 1] if w else None
-        for sigma in group:
-            if incoming is None or sigma[w[-1] - 1] == incoming:
-                acts[w] = sigma
-                extend(idx + 1, acts)
-                del acts[w]
-
-    extend(0, {})
+            continue
+        w = inner[idx + 1]
+        key = (w[-1], acts[w[:-1]][w[-1] - 1])
+        if key not in sending:
+            sending[key] = [tau for tau in group if tau[key[0] - 1] == key[1]]
+        stack.append(iter(sending[key]))
     return tables
 
 
@@ -600,20 +701,16 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     <= move_radius (left translations have identity local actions, so every
     address is reachable whatever F is), local actions chosen like the
     stabilizer enumeration on depths < support_radius.  Count is
-    (#addresses) x (stabilizer count).  Membership claims downstream are
-    certified at ball depth; the canonical extension beyond the support is a
-    representative choice.
+    (#addresses) x (stabilizer count), checked against the guard first.
+    Membership claims downstream are certified at ball depth; the canonical
+    extension beyond the support is a representative choice.
     """
     if move_radius + support_radius > world.radius:
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
-    tables = _stabilizer_tables(F, world, support_radius, guard)
     bases = [w for k in range(move_radius + 1) for w in world.word_sphere((), k)]
-    elements = []
-    for w in bases:
-        for acts in tables:
-            check_guard(len(elements) + 1, guard, "U1 ball enumeration")
-            elements.append(Portrait(world, w, acts).restrict())
+    tables = _stabilizer_tables(F, world, support_radius, guard, copies=len(bases))
+    elements = [Portrait(world, w, acts).restrict() for w in bases for acts in tables]
     return GroupBall(world, elements, closed=False, local_group=F)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,43 @@ def test_negative_sizes_exit_1(tmp_path, capsys):
 def test_guard_refusal_message(tmp_path, capsys):
     assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "3", "--guard", "14"]) == 2
     assert capsys.readouterr().err.startswith("infeasible: chamber ball enumeration: 15 objects")
+
+
+def test_ugroup_refusal_reports_the_exact_total(capsys):
+    assert run(["ugroup", "--radius", "3", "--guard", "3000"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: U1 stabilizer ball enumeration: 3072 objects exceeds guard 3000\n"
+
+
+def test_ugroup_radius_10_refuses_without_recursion(capsys):
+    # 6 * 2^1533 tables
+    assert run(["ugroup", "--radius", "10", "--guard", "100"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: U1 stabilizer ball enumeration: over 10^462 objects exceeds guard 100\n"
+
+
+def test_ugroup_refusal_of_a_total_too_long_to_print(capsys):
+    # 6 * 2^24573 tables: more digits than str(int) allows
+    assert run(["ugroup", "--radius", "14", "--guard", "100"]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: U1 stabilizer ball enumeration: over 10^")
+
+
+def test_ugroup_radius_10_trivial_local_group(tmp_path):
+    rep = run_json(["ugroup", "--radius", "10", "--generators", "[]"], tmp_path)
+    assert rep["stabilizer_ball_size"] == 1
+
+
+def test_ugroup_degree_12_refused_before_listing(capsys):
+    start = time.perf_counter()
+    assert run(["ugroup", "--degree", "12", "--radius", "1"]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: U1 stabilizer ball enumeration: 479001600 objects")
+    assert time.perf_counter() - start < 10
+
+
+def test_kak_tree_partition_guard(capsys):
+    # group ball 4 x 6 = 24 fits the guard; |K|^2 |A| = 6^2 x 2 = 72 does not
+    assert run(["kak-tree", "--radius", "1", "--max-sphere", "1", "--guard", "50"]) == 2
+    assert capsys.readouterr().err == "infeasible: KAK partition products: 72 objects exceeds guard 50\n"
 
 
 def test_python_m_entry_point(tmp_path):

@@ -3,7 +3,9 @@
 Each case runs one subcommand through tdlc.cli.run and compares the report
 with its golden file byte for byte, so a refactor that changes any report
 (ordering, a number, a trailing newline) fails here.  The building cases use
-the D_inf spec with q = 3 on both generators.
+the D_inf spec with q = 3 on both generators; the coxeter case uses the free
+product of three copies of Z/2.  The ugroup cases with --generators cover
+local groups that are not transitive or not symmetric.
 """
 
 import json
@@ -24,6 +26,14 @@ CASES = {
     "building_kak_L4": ["building", "kak", "--spec", "{spec}", "--L", "4"],
     "building_contract_L6": ["building", "contract", "--spec", "{spec}", "--L", "6",
                              "--ws-file", "{ws}"],
+    "ugroup_r3_z2_pk1": ["ugroup", "--radius", "3", "--generators", "[[2,1,3]]", "--pk-k", "1"],
+    "ugroup_d4_r2_c4_pk1": ["ugroup", "--degree", "4", "--radius", "2",
+                            "--generators", "[[2,3,4,1]]", "--pk-k", "1"],
+    "ugroup_d4_r2_klein": ["ugroup", "--degree", "4", "--radius", "2",
+                           "--generators", "[[2,1,3,4],[1,2,4,3]]"],
+    "padic_p3_n10": ["padic", "verify", "--p", "3", "--n-max", "10"],
+    "coxeter_profile_free3_6": ["coxeter", "profile", "--config", "{free3}", "--max-length", "6"],
+    "building_ball_L4": ["building", "ball", "--spec", "{spec}", "--L", "4"],
 }
 
 
@@ -33,8 +43,10 @@ def report_bytes(argv, workdir: Path) -> bytes:
                                 "parameters": {"s": 3, "t": 3}}))
     ws = workdir / "ws.json"
     ws.write_text(json.dumps(["t s", "t s t s", "t s t s t s"]))
+    free3 = workdir / "free3.json"
+    free3.write_text(json.dumps({"generators": ["a", "b", "c"], "commuting_pairs": []}))
     out = workdir / "report.json"
-    argv = [tok.format(spec=spec, ws=ws) for tok in argv]
+    argv = [tok.format(spec=spec, ws=ws, free3=free3) for tok in argv]
     assert run(argv + ["--out", str(out)]) == 0, argv
     return out.read_bytes()
 

@@ -6,7 +6,7 @@ from tdlc import kak_tree as kt
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
-from tdlc.errors import CertificationError
+from tdlc.errors import CertificationError, GuardExceeded
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -111,6 +111,19 @@ def test_certify_partition():
     cert = kt.certify_partition(dec, 2)
     assert cert.disjoint and cert.covers
     assert sum(cert.coset_sizes.values()) == 480
+
+
+def test_certify_partition_guard_before_products(monkeypatch):
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    products = len(dec.stabilizer) ** 2 * len(dec.representatives)
+
+    def no_products(*args):
+        raise AssertionError("a product was made before the guard")
+
+    monkeypatch.setattr(kt, "compose", no_products)
+    with pytest.raises(GuardExceeded, match=f"KAK partition products: {products} objects exceeds guard 100"):
+        kt.certify_partition(dec, 2, guard=100)
 
 
 def sign_of(perm):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
@@ -119,49 +120,57 @@ def test_membership_u1_closed_under_composition():
             assert ug.membership_u1(ta.invert(g), S3, coloring)
 
 
+def bfs_closure(F):
+    """The closure of <F> by breadth-first multiplication, as LocalGroup.closure once was."""
+    ident = ug.perm_identity(F.degree)
+    out = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in F.generators:
+                b = ug.perm_mul(g, a)
+                if b not in out:
+                    out.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(out)
+
+
 def brute_force_stabilizer_count(world, F):
     """Independent oracle: enumerate all base-fixing graph bijections of the
     ball whose ball-readable local actions lie in <F>, by backtracking over
-    vertex images without the Portrait machinery."""
+    vertex images without the Portrait machinery.  The children of each
+    interior vertex get their images together, so that the whole local
+    action there is checked against the listed group."""
     ball = world.ball
-    group = F.closure()
+    group = bfs_closure(F)
+    interior = sorted((v for v in ball.vertices() if ball.is_interior(v)), key=lambda v: ball.depth[v])
     count = 0
-    order = sorted(ball.vertices(), key=lambda v: ball.depth[v])
 
     def assign(idx, images):
         nonlocal count
-        if idx == len(order):
+        if idx == len(interior):
             count += 1
             return
-        v = order[idx]
-        if v == ball.base:
-            assign(idx + 1, {v: v})
-            return
-        parent = ball.parent[v]
-        pimg = images[parent]
-        c = world.edge_color(parent, v)
-        if ball.is_interior(parent):
-            sigma_options = []
-            gp = ball.parent[parent]
-            if gp < 0:
-                sigma_options = [s for s in group]
-            else:
-                cin = world.edge_color(gp, parent)
-                want = world.edge_color(images[gp], pimg)
-                sigma_options = [s for s in group if s[cin - 1] == want]
-            targets = set()
-            for s in sigma_options:
-                t = world.neighbor_by_color(pimg, s[c - 1])
-                if t is not None:
-                    targets.add(t)
-            for t in sorted(targets):
-                if t in images.values():
-                    continue
-                images[v] = t
+        v = interior[idx]
+        img = images[v]
+        kids = ball.children[v]
+        free = [u for u in ball.neighbors(img) if ball.parent[v] < 0 or u != images[ball.parent[v]]]
+        for targets in itertools.permutations(free, len(kids)):
+            sigma = [0] * world.degree
+            for kid, t in zip(kids, targets):
+                sigma[world.edge_color(v, kid) - 1] = world.edge_color(img, t)
+            if ball.parent[v] >= 0:
+                p = ball.parent[v]
+                sigma[world.edge_color(v, p) - 1] = world.edge_color(img, images[p])
+            if tuple(sigma) in group:
+                images.update(zip(kids, targets))
                 assign(idx + 1, images)
-                del images[v]
+        for kid in kids:
+            images.pop(kid, None)
 
-    assign(0, {})
+    assign(0, {ball.base: ball.base})
     return count
 
 
@@ -197,6 +206,35 @@ def test_guard_triggers():
     world = ug.ColorBall(3, 2)
     with pytest.raises(GuardExceeded):
         ug.enumerate_u1_stabilizer_ball(S3, world, guard=10)
+
+
+def test_u1_ball_guard_counts_every_base_image():
+    # 6 tables at support 1 fit a guard of 20; 4 base images x 6 = 24 do not
+    with pytest.raises(GuardExceeded, match="U1 ball enumeration: 24 objects exceeds guard 20"):
+        ug.enumerate_u1_ball(S3, ug.ColorBall(3, 2), 1, 1, guard=20)
+    assert len(ug.enumerate_u1_ball(S3, ug.ColorBall(3, 2), 1, 1, guard=24)) == 24
+
+
+def test_degree_12_guards_refuse_without_listing(monkeypatch):
+    F = ug.LocalGroup.symmetric(12)
+    assert F.order() == 479001600
+
+    def no_closure(self):
+        raise AssertionError("the local group was listed")
+
+    monkeypatch.setattr(ug.LocalGroup, "closure", no_closure)
+    with pytest.raises(GuardExceeded, match="479001600 objects exceeds guard 100"):
+        ug.enumerate_u1_stabilizer_ball(F, ug.ColorBall(12, 1), guard=100)
+    with pytest.raises(GuardExceeded):
+        ug.enumerate_u1_ball(F, ug.ColorBall(12, 2), 1, 1, guard=100)
+    with pytest.raises(GuardExceeded):
+        ug.is_semiprimitive(F, guard=100)
+    with pytest.raises(GuardExceeded):
+        ug.is_generated_by_point_stabilizers(F, guard=100)
+    world = ug.ColorBall(12, 1)
+    swap = ug.Portrait(world, (), {(): ug.perm_transposition(12, 3, 7)}).restrict()
+    assert ug.membership_u1(swap, F, world)
+    assert not ug.membership_u1(swap, ug.LocalGroup.create(12, [tuple(range(2, 13)) + (1,)]), world)
 
 
 def test_edge_fixator_counts():
@@ -326,3 +364,71 @@ def test_local_group_json_round_trip():
     assert blob["degree"] == 3
     assert len(blob["colors"]) == len(world.ball.edges())
     assert blob["ball"] == world.ball.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the stabilizer chain against independent oracles
+
+@st.composite
+def local_groups(draw, degrees=st.integers(1, 7)):
+    d = draw(degrees)
+    gens = draw(st.lists(st.permutations(range(1, d + 1)).map(tuple), max_size=3))
+    return ug.LocalGroup.create(d, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_groups())
+def test_order_matches_sympy(F):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation([x - 1 for x in g]) for g in F.generators]
+    group = combinatorics.PermutationGroup(gens or [combinatorics.Permutation(list(range(F.degree)))])
+    assert F.order() == group.order()
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_groups(), st.randoms(use_true_random=False))
+def test_closure_and_sifting_match_bfs(F, rng):
+    oracle = bfs_closure(F)
+    closure = F.closure()
+    assert len(closure) == F.order()
+    assert closure == oracle
+    for p in rng.sample(sorted(oracle), min(5, len(oracle))):
+        assert p in F
+    points = list(range(1, F.degree + 1))
+    for _ in range(5):
+        rng.shuffle(points)
+        assert (tuple(points) in F) == (tuple(points) in oracle)
+    assert (0,) * F.degree not in F
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(st.integers(2, 4)))
+def test_predicted_stabilizer_count_matches_enumeration(F):
+    world = ug.ColorBall(F.degree, 2)
+    radius = 2 if ug.stabilizer_ball_count(F, world, 2) <= 1500 else 1
+    world = ug.ColorBall(F.degree, radius)
+    count = ug.stabilizer_ball_count(F, world, radius)
+    assert len(ug.enumerate_u1_stabilizer_ball(F, world)) == count
+    assert brute_force_stabilizer_count(world, F) == count
+
+
+@pytest.mark.parametrize("F, radius, count", [
+    (S3, 3, 3072),
+    (FLIP, 3, 16),
+    (ug.LocalGroup.create(4, [(2, 3, 4, 1)]), 2, 4),
+    (ug.LocalGroup.create(4, [(2, 1, 3, 4), (1, 2, 4, 3)]), 2, 64),
+    (ug.LocalGroup.create(5, [(2, 1, 3, 4, 5)]), 2, 16),
+    (ug.LocalGroup.trivial(3), 4, 1),
+])
+def test_predicted_stabilizer_counts(F, radius, count):
+    world = ug.ColorBall(F.degree, radius)
+    assert ug.stabilizer_ball_count(F, world, radius) == count
+    assert len(ug.enumerate_u1_stabilizer_ball(F, world)) == count
+
+
+def test_chain_is_not_part_of_equality():
+    a = ug.LocalGroup.create(3, [(1, 3, 2), (2, 3, 1)])
+    b = ug.LocalGroup.create(3, [(1, 3, 2), (2, 3, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert a != S3 and a.order() == S3.order()
+    assert a.to_json() == {"degree": 3, "generators": [[1, 3, 2], [2, 3, 1]]}
