@@ -10,9 +10,9 @@ its local action (a color permutation) at every vertex.  The Portrait class
 stores finitely many local actions explicitly and extends canonically: at an
 unstored vertex the local action is the identity when that is consistent,
 and otherwise the unique transposition forced by the parent edge.  Portraits
-with empty tables are exactly the left translations by reduced words.
-Composites and inverses are evaluated lazily, so group arithmetic is exact
-at any depth.
+with empty tables are exactly the left translations by reduced words.  The
+inverse of a portrait is again a portrait, in closed form; composites are
+evaluated lazily, so group arithmetic is exact at any depth.
 """
 
 from __future__ import annotations
@@ -165,16 +165,10 @@ class ExactAut:
     def image_word(self, u: Word) -> Word:
         raise NotImplementedError
 
-    def local_action(self, prefix: Word) -> Perm:
-        raise NotImplementedError
-
     def compose(self, other: "ExactAut") -> "ExactAut":
         parts = (self.parts if isinstance(self, Composite) else (self,)) + \
                 (other.parts if isinstance(other, Composite) else (other,))
         return Composite(self.world, parts)
-
-    def inverse(self) -> "ExactAut":
-        return Inverse(self.world, self)
 
     def address(self, v: int) -> Word | None:
         """Address of the image of ball vertex v, possibly outside the ball."""
@@ -259,14 +253,45 @@ class Portrait(ExactAut):
         self._sigma_cache = {}
 
     def image_word(self, u: Word) -> Word:
+        """g(u), one letter at a time; the stored table is consistent, so an
+        unstored vertex's canonical action is applied without being built: it
+        swaps the vertex's last letter with that letter's image."""
+        acts = self._acts
         img = self.base_word
-        sigma = self.local_action(())
-        prefix = ()
+        sigma = acts.get(())
+        prefix: Word = ()
+        last = incoming = 0
         for c in u:
-            img = word_append(img, sigma[c - 1])
-            prefix = prefix + (c,)
-            sigma = self.local_action(prefix)
+            if sigma is not None:
+                t = sigma[c - 1]
+            else:
+                t = last if c == incoming else c
+            img = word_append(img, t)
+            prefix += (c,)
+            sigma = acts.get(prefix)
+            last, incoming = c, t
         return img
+
+    def inverse(self) -> "Portrait":
+        """g^-1 in closed form: the base goes to g^-1(base), and g(w) gets sigma(w)^-1.
+
+        g^-1(base) is reached from the base by pulling g's image path back one
+        colour at a time.  Wherever g maps the parent edge of u onto the parent
+        edge of g(u), that is at every u off the geodesic from the base to
+        g^-1(base), g^-1 is canonical at g(u) exactly when g is canonical at u.
+        So only g's stored vertices and the prefixes of g^-1(base) need an
+        entry; the constructor strips whatever is canonical.
+        """
+        u: Word = ()
+        prefixes = [u]
+        img = self.base_word
+        while img:
+            u = word_append(u, perm_inv(self.local_action(u))[img[-1] - 1])
+            img = img[:-1]
+            prefixes.append(u)
+        acts = {self.image_word(w): perm_inv(self.local_action(w))
+                for w in (*self._acts, *prefixes)}
+        return Portrait(self.world, u, acts)
 
     def canonical_key(self) -> tuple:
         return (self.base_word, tuple(sorted(self._acts.items())))
@@ -310,49 +335,9 @@ class Composite(ExactAut):
             self._img_cache[u] = cached
         return cached
 
-    def local_action(self, prefix: Word) -> Perm:
-        sigma = perm_identity(self.world.degree)
-        cur = prefix
-        for part in reversed(self.parts):
-            sigma = perm_mul(part.local_action(cur), sigma)
-            cur = part.image_word(cur)
-        return sigma
-
     def inverse(self) -> "ExactAut":
         inv_parts = tuple(p.inverse() for p in reversed(self.parts))
         return Composite(self.world, inv_parts)
-
-
-class Inverse(ExactAut):
-    """Lazy inverse: images found by pulling the path back through the inner map."""
-
-    def __init__(self, world: ColorBall, inner: ExactAut):
-        self.world = world
-        self.inner = inner
-        self._img_cache: dict[Word, Word] = {}
-
-    def inverse(self) -> ExactAut:
-        return self.inner
-
-    def image_word(self, u: Word) -> Word:
-        cached = self._img_cache.get(u)
-        if cached is not None:
-            return cached
-        q: Word = ()
-        img = self.inner.image_word(())
-        while img != u:
-            if img == u[:len(img)]:
-                m = u[len(img)]       # descend toward u
-            else:
-                m = img[-1]           # ascend toward the common prefix
-            c = perm_inv(self.inner.local_action(q))[m - 1]
-            q = word_append(q, c)
-            img = word_append(img, m)
-        self._img_cache[u] = q
-        return q
-
-    def local_action(self, prefix: Word) -> Perm:
-        return perm_inv(self.inner.local_action(self.image_word(prefix)))
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +484,28 @@ class LocalGroup:
 
 
 def _normal_subgroups(group: frozenset[Perm], degree: int) -> list[frozenset[Perm]]:
-    """All normal subgroups, as joins of normal closures of single elements."""
-    elements = sorted(group)
+    """All normal subgroups, as joins of normal closures of single elements.
 
-    def normal_closure(seed: set[Perm]) -> frozenset[Perm]:
-        conjugates = {perm_mul(perm_mul(g, h), perm_inv(g)) for h in seed for g in elements}
-        return LocalGroup.create(degree, sorted(conjugates)).closure()
+    The normal closure of h is generated by its conjugacy class, so there is
+    one per class; a join of normal subgroups is already normal, so it is
+    generated by their union with no conjugation.
+    """
+    def generated(gens) -> frozenset[Perm]:
+        return LocalGroup.create(degree, sorted(gens)).closure()
 
-    basic = {normal_closure({g}) for g in elements}
+    unseen = set(group)
+    basic = set()
+    while unseen:
+        h = unseen.pop()
+        conj_class = {perm_mul(perm_mul(g, h), perm_inv(g)) for g in group}
+        unseen -= conj_class
+        basic.add(generated(conj_class))
     found = set(basic)
     pending = list(basic)
     while pending:
         n1 = pending.pop()
         for n2 in list(found):
-            joined = normal_closure(set(n1) | set(n2))
+            joined = generated(n1 | n2)
             if joined not in found:
                 found.add(joined)
                 pending.append(joined)

@@ -228,6 +228,13 @@ def test_ugroup_degree_12_refused_before_listing(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_ugroup_degree_6_semiprimitivity_is_quick(tmp_path):
+    start = time.perf_counter()
+    rep = run_json(["ugroup", "--degree", "6", "--radius", "1"], tmp_path)
+    assert rep["semiprimitive"] is True
+    assert time.perf_counter() - start < 10
+
+
 def test_kak_tree_partition_guard(capsys):
     # group ball 4 x 6 = 24 fits the guard; |K|^2 |A| = 6^2 x 2 = 72 does not
     assert run(["kak-tree", "--radius", "1", "--max-sphere", "1", "--guard", "50"]) == 2

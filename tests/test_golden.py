@@ -23,6 +23,8 @@ CASES = {
     "ugroup_r3_pk2": ["ugroup", "--radius", "3", "--pk-k", "2"],
     "kak_tree_r1_s2": ["kak-tree", "--radius", "1", "--max-sphere", "2"],
     "contract_tree_r8_p4": ["contract-tree", "--radius", "8", "--powers", "4"],
+    "contract_tree_d4_r6_p3_s42": ["contract-tree", "--degree", "4", "--radius", "6",
+                                   "--powers", "3", "--step", "4,2"],
     "building_kak_L4": ["building", "kak", "--spec", "{spec}", "--L", "4"],
     "building_contract_L6": ["building", "contract", "--spec", "{spec}", "--L", "6",
                              "--ws-file", "{ws}"],

@@ -66,6 +66,65 @@ def test_portrait_inverse_and_compose_are_exact():
             assert g.image_word(ginv.image_word(w)) == w
 
 
+def pullback_image(g, u):
+    """g^-1(u) by pulling the path from g(base) to u back one colour at a time.
+
+    Reference code: the image rule of the lazy inverse evaluator that the
+    closed-form Portrait.inverse replaced.
+    """
+    q = ()
+    img = g.image_word(())
+    while img != u:
+        if img == u[:len(img)]:
+            m = u[len(img)]       # descend toward u
+        else:
+            m = img[-1]           # ascend toward the common prefix
+        c = ug.perm_inv(g.local_action(q))[m - 1]
+        q = ug.word_append(q, c)
+        img = ug.word_append(img, m)
+    return q
+
+
+@st.composite
+def portraits(draw, radius=3):
+    """A Portrait on ColorBall(d, radius): a base word and a table filled in BFS
+    order, each action sending w[-1] to the colour the parent's action forces."""
+    d = draw(st.sampled_from([3, 4]))
+    world = ug.ColorBall(d, radius)
+    base = ()
+    for _ in range(draw(st.integers(0, 4))):
+        base = ug.word_append(base, draw(st.sampled_from([c for c in range(1, d + 1)
+                                                          if not base or c != base[-1]])))
+    acts = {}
+    for w in world.word_of:
+        if len(w) == radius or not draw(st.booleans()):
+            continue
+        if not w:
+            acts[w] = draw(st.permutations(range(1, d + 1)).map(tuple))
+            continue
+        incoming = ug.Portrait(world, base, acts).local_action(w[:-1])[w[-1] - 1]
+        others = [c for c in range(1, d + 1) if c != w[-1]]
+        targets = draw(st.permutations([c for c in range(1, d + 1) if c != incoming]))
+        sigma = [0] * d
+        sigma[w[-1] - 1] = incoming
+        for c, t in zip(others, targets):
+            sigma[c - 1] = t
+        acts[w] = tuple(sigma)
+    return ug.Portrait(world, base, acts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(portraits())
+def test_portrait_inverse_is_a_closed_form_portrait(g):
+    ginv = g.inverse()
+    assert isinstance(ginv, ug.Portrait)
+    assert ginv.inverse() == g
+    for k in range(6):
+        for w in g.world.word_sphere((), k):
+            assert ginv.image_word(w) == pullback_image(g, w)
+            assert g.image_word(ginv.image_word(w)) == w
+
+
 def test_portrait_local_actions_are_intrinsic():
     # The stored table equals the true local action sigma(g, v) read off the images.
     world = ug.ColorBall(3, 3)
@@ -432,3 +491,39 @@ def test_chain_is_not_part_of_equality():
     assert a == b and hash(a) == hash(b)
     assert a != S3 and a.order() == S3.order()
     assert a.to_json() == {"degree": 3, "generators": [[1, 3, 2], [2, 3, 1]]}
+
+
+def conjugating_normal_subgroups(group, degree):
+    """Reference code: _normal_subgroups as it was before it took one normal
+    closure per conjugacy class and joins without conjugation."""
+    elements = sorted(group)
+
+    def normal_closure(seed):
+        conjugates = {ug.perm_mul(ug.perm_mul(g, h), ug.perm_inv(g)) for h in seed for g in elements}
+        return ug.LocalGroup.create(degree, sorted(conjugates)).closure()
+
+    basic = {normal_closure({g}) for g in elements}
+    found = set(basic)
+    pending = list(basic)
+    while pending:
+        n1 = pending.pop()
+        for n2 in list(found):
+            joined = normal_closure(set(n1) | set(n2))
+            if joined not in found:
+                found.add(joined)
+                pending.append(joined)
+    return sorted(found, key=lambda n: (len(n), sorted(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_groups(st.integers(1, 5)))
+def test_normal_subgroups_match_conjugating_oracle(F):
+    group = F.closure()
+    assert ug._normal_subgroups(group, F.degree) == conjugating_normal_subgroups(group, F.degree)
+
+
+def test_normal_subgroups_of_small_symmetric_groups():
+    # Sym(4): 1, the Klein four-group, Alt(4), Sym(4); Sym(5): 1, Alt(5), Sym(5)
+    for d, orders in ((4, [1, 4, 12, 24]), (5, [1, 60, 120])):
+        normal = ug._normal_subgroups(ug.LocalGroup.symmetric(d).closure(), d)
+        assert [len(n) for n in normal] == orders
