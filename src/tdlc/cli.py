@@ -110,8 +110,9 @@ def _cmd_tree(args) -> dict:
 
 
 def _cmd_ugroup(args) -> dict:
-    world = ug.ColorBall(args.degree, args.radius)
     F = _local_group(args, args.degree)
+    check_guard(ug.stabilizer_ball_count(F, args.radius), args.guard, "U1 stabilizer ball enumeration")
+    world = ug.ColorBall(args.degree, args.radius)
     gb = ug.enumerate_u1_stabilizer_ball(F, world, guard=args.guard)
     report = {
         "degree": args.degree,

@@ -157,11 +157,10 @@ def factorize(g: FiniteTreeAutomorphism, dec: CartanDecomposition) -> Factorizat
         raise CertificationError(f"g moves vertex {v} outside the certified ball")
     rec = dec.representative_for(img)
     part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
-    k_t = invert(part.transversal[img])          # k_t(g(v)) = rep vertex
-    k_prime = compose(invert(rec.element), compose(k_t, g))
+    k = part.transversal[img]                    # k(rep vertex) = g(v)
+    k_prime = compose(invert(rec.element), compose(invert(k), g))
     if k_prime.images[v] != v:
         raise CertificationError("residual factor does not fix the base vertex")
-    k = invert(k_t)
     product = compose(k, compose(rec.element, k_prime))
     if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
         raise AssertionError("factorization product disagrees with g on the ball")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, check_guard
 from .tree_core import TreeBall, build_regular_ball, half_tree_vertices, HalfTreeRef, layers
-from .tree_aut import FiniteTreeAutomorphism, compose, invert
+from .tree_aut import FiniteTreeAutomorphism
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]  # perm[i] is the image of color i+1
@@ -422,6 +422,8 @@ class LocalGroup:
 
     A stabilizer chain (base points and transversals) is built once, so the
     order and membership are known without listing the group.
+    generate_plus_k uses the same chain for a group acting on the ids 1..n
+    of a ball's vertices.
     """
 
     degree: int
@@ -615,26 +617,25 @@ class GroupBall:
             self._keys = frozenset(el.key() for el in self.elements)
         return self._keys
 
-    def contains_key(self, g: FiniteTreeAutomorphism) -> bool:
-        return g.key() in self.key_set()
 
-
-def stabilizer_ball_count(F: LocalGroup, world: ColorBall, radius: int) -> int:
+def stabilizer_ball_count(F: LocalGroup, radius: int) -> int:
     """Exact number of base-fixing portraits of depth `radius` with local actions in <F>.
 
     The base takes any of |<F>| local actions; at a non-base vertex w of depth
     < radius the action must send the parent color w[-1] to a color already
     fixed by the parent, which lies in the orbit of w[-1], so
-    |<F>| / |orbit of w[-1]| actions remain.
+    |Stab(w[-1])| = |<F>| / |orbit of w[-1]| actions remain.  Each color c
+    ends (d-1)^(n-1) reduced words of length n, so the count is
+    |<F>| * prod_c |Stab(c)|^(sum_{n=1}^{radius-1} (d-1)^(n-1)), and 1 at
+    radius 0, with no ball built.
     """
-    order = F.order()
-    stab = {c: order // len(_orbit_transversal(c, F.generators, F.degree))
-            for c in range(1, world.degree + 1)}
-    count = 1
-    for v in world.ball.vertices():
-        if world.ball.depth[v] < radius:
-            w = world.word_of[v]
-            count *= stab[w[-1]] if w else order
+    if radius < 1:
+        return 1
+    order, d = F.order(), F.degree
+    per_color = sum((d - 1) ** (n - 1) for n in range(1, radius))
+    count = order
+    for c in range(1, d + 1):
+        count *= (order // len(_orbit_transversal(c, F.generators, d))) ** per_color
     return count
 
 
@@ -647,7 +648,7 @@ def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
     The guard is checked against the exact count before <F> is listed: for
     the tables, then for `copies` portraits per table (the U1 ball).
     """
-    count = stabilizer_ball_count(F, world, radius)
+    count = stabilizer_ball_count(F, radius)
     check_guard(count, guard, "U1 stabilizer ball enumeration")
     check_guard(copies * count, guard, "U1 ball enumeration")
     ball = world.ball
@@ -731,31 +732,23 @@ def certified_edges(gb: GroupBall, k: int) -> list[tuple[int, int]]:
 def generate_plus_k(gb: GroupBall, k: int, guard: int | None = None) -> GroupBall:
     """Ball-level closure of all certified edge fixators under composition.
 
-    Closure is taken on restriction keys: two products are identified when
-    they agree on the whole ball.  Elements needing larger support than the
+    The elements of a closed group ball are permutations of the ball's
+    vertices, so the closure is the group these fixator elements generate
+    as permutations: one Schreier-Sims chain on the ball ids, whose order is
+    checked against the guard before any element is listed.  Two products
+    are identified when they agree on the whole ball; the elements carry no
+    evaluator beyond it, because elements needing larger support than the
     ball are outside certification scope by construction.
     """
     if not gb.closed:
         raise ValueError("generate_plus_k needs a closed group ball")
-    gens: dict[tuple, FiniteTreeAutomorphism] = {}
-    for e in certified_edges(gb, k):
-        for g in edge_fixator(gb, e, k):
-            gens.setdefault(g.key(), g)
-    ident = identity_aut(gb.world).restrict()
-    out = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens.values():
-                b = compose(g, a)
-                kb = b.key()
-                if kb not in out:
-                    check_guard(len(out) + 1, guard, "plus-k closure")
-                    out[kb] = b
-                    nxt.append(b)
-        frontier = nxt
-    return GroupBall(gb.world, out.values(), closed=True, local_group=gb.local_group)
+    gens = {tuple(x + 1 for x in g.key())
+            for e in certified_edges(gb, k) for g in edge_fixator(gb, e, k)}
+    chain = LocalGroup.create(gb.ball.vertex_count, sorted(gens))
+    check_guard(chain.order(), guard, "plus-k closure")
+    keys = sorted(tuple(x - 1 for x in p) for p in chain.closure())
+    elements = [FiniteTreeAutomorphism(gb.ball, key) for key in keys]
+    return GroupBall(gb.world, elements, closed=True, local_group=gb.local_group)
 
 
 def k_closure_membership(g: FiniteTreeAutomorphism, gb: GroupBall, k: int) -> bool:
@@ -787,22 +780,27 @@ def check_property_pk(gb: GroupBall, edge: tuple[int, int], k: int) -> PkResult:
 
     For g in F_{k,e}, g1 acts like g on the half-tree at w and trivially
     elsewhere; the property holds iff g1 and g.g1^-1 both lie back in gb,
-    for every g.
+    for every g.  Since k >= 1, g fixes both ends of the edge, so it maps
+    each half-tree onto itself; hence g.g1^-1 is trivial on the half-tree
+    at w and acts like g elsewhere, and both keys are read off g's images.
+    An image on the w side that leaves the ball is known only through g's
+    evaluator; when that cannot say where it goes, g1 is not determined.
     """
-    u, v = edge
-    world, ball = gb.world, gb.ball
+    v = edge[1]
+    ball = gb.ball
     fixator = edge_fixator(gb, edge, k)
     w_side = half_tree_vertices(ball, HalfTreeRef(edge, v))
-    w_inner = [x for x in sorted(w_side) if ball.is_interior(x)]
+    keys = gb.key_set()
     factor_keys = []
     for g in fixator:
-        acts = {world.word_of[x]: local_action(g, x, world) for x in w_inner}
-        base = image_address(g, world, ball.base) if ball.base in w_side else ()
-        g1 = Portrait(world, base, acts).restrict()
-        rest = compose(g, invert(g1))
-        if not (gb.contains_key(g1) and gb.contains_key(rest)):
+        images = g.images
+        if any(images[x] < 0 and g.exact.address(x) is None for x in w_side):
+            raise CertificationError(f"the half-tree at vertex {v} has an image not determined by the ball")
+        g1 = tuple(gx if x in w_side else x for x, gx in enumerate(images))
+        rest = tuple(x if x in w_side else gx for x, gx in enumerate(images))
+        if not (g1 in keys and rest in keys):
             return PkResult(False, edge, k, len(fixator), offender=g)
-        factor_keys.append((g1.key(), rest.key()))
+        factor_keys.append((g1, rest))
     return PkResult(True, edge, k, len(fixator), factor_keys=tuple(factor_keys))
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tdlc import universal_groups as ug
 from tdlc.cli import run
 
 
@@ -232,6 +233,27 @@ def test_ugroup_degree_6_semiprimitivity_is_quick(tmp_path):
     start = time.perf_counter()
     rep = run_json(["ugroup", "--degree", "6", "--radius", "1"], tmp_path)
     assert rep["semiprimitive"] is True
+    assert time.perf_counter() - start < 10
+
+
+def test_ugroup_radius_16_refuses_before_building_the_ball(monkeypatch, capsys):
+    def no_ball(*args):
+        raise AssertionError("the colored ball was built")
+
+    monkeypatch.setattr(ug, "ColorBall", no_ball)
+    assert run(["ugroup", "--radius", "16", "--guard", "100"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: U1 stabilizer ball enumeration: over 10^29592 objects exceeds guard 100\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--radius", "3"], 3072),
+    (["--degree", "4", "--radius", "2"], 31104),
+])
+def test_ugroup_plus_k_is_quick(tmp_path, argv, size):
+    start = time.perf_counter()
+    rep = run_json(["ugroup", *argv, "--plus-k", "1"], tmp_path)
+    assert rep["plus_k"] == {"index_in_stabilizer_ball": 1, "k": 1, "size": size}
     assert time.perf_counter() - start < 10
 
 

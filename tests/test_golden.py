@@ -5,7 +5,9 @@ with its golden file byte for byte, so a refactor that changes any report
 (ordering, a number, a trailing newline) fails here.  The building cases use
 the D_inf spec with q = 3 on both generators; the coxeter case uses the free
 product of three copies of Z/2.  The ugroup cases with --generators cover
-local groups that are not transitive or not symmetric.
+local groups that are not transitive or not symmetric.  In
+ugroup_r3_plus3_pk2 and ugroup_d4_r2_c4_plus1 the plus-k closure is a proper
+subgroup of the stabilizer ball (index 48 and 4).
 """
 
 import json
@@ -33,6 +35,9 @@ CASES = {
                             "--generators", "[[2,3,4,1]]", "--pk-k", "1"],
     "ugroup_d4_r2_klein": ["ugroup", "--degree", "4", "--radius", "2",
                            "--generators", "[[2,1,3,4],[1,2,4,3]]"],
+    "ugroup_r3_plus3_pk2": ["ugroup", "--radius", "3", "--plus-k", "3", "--pk-k", "2"],
+    "ugroup_d4_r2_c4_plus1": ["ugroup", "--degree", "4", "--radius", "2",
+                              "--generators", "[[2,3,4,1]]", "--plus-k", "1"],
     "padic_p3_n10": ["padic", "verify", "--p", "3", "--n-max", "10"],
     "coxeter_profile_free3_6": ["coxeter", "profile", "--config", "{free3}", "--max-length", "6"],
     "building_ball_L4": ["building", "ball", "--spec", "{spec}", "--L", "4"],

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
-from tdlc.errors import CertificationError, GuardExceeded
+from tdlc.errors import CertificationError, GuardExceeded, check_guard
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -463,10 +463,9 @@ def test_closure_and_sifting_match_bfs(F, rng):
 @settings(max_examples=40, deadline=None)
 @given(local_groups(st.integers(2, 4)))
 def test_predicted_stabilizer_count_matches_enumeration(F):
-    world = ug.ColorBall(F.degree, 2)
-    radius = 2 if ug.stabilizer_ball_count(F, world, 2) <= 1500 else 1
+    radius = 2 if ug.stabilizer_ball_count(F, 2) <= 1500 else 1
     world = ug.ColorBall(F.degree, radius)
-    count = ug.stabilizer_ball_count(F, world, radius)
+    count = ug.stabilizer_ball_count(F, radius)
     assert len(ug.enumerate_u1_stabilizer_ball(F, world)) == count
     assert brute_force_stabilizer_count(world, F) == count
 
@@ -481,7 +480,7 @@ def test_predicted_stabilizer_count_matches_enumeration(F):
 ])
 def test_predicted_stabilizer_counts(F, radius, count):
     world = ug.ColorBall(F.degree, radius)
-    assert ug.stabilizer_ball_count(F, world, radius) == count
+    assert ug.stabilizer_ball_count(F, radius) == count
     assert len(ug.enumerate_u1_stabilizer_ball(F, world)) == count
 
 
@@ -527,3 +526,143 @@ def test_normal_subgroups_of_small_symmetric_groups():
     for d, orders in ((4, [1, 4, 12, 24]), (5, [1, 60, 120])):
         normal = ug._normal_subgroups(ug.LocalGroup.symmetric(d).closure(), d)
         assert [len(n) for n in normal] == orders
+
+
+def walked_stabilizer_ball_count(F, world, radius):
+    """Reference code: stabilizer_ball_count as it was before its closed form,
+    a walk over the inner vertices of a built ball."""
+    order = F.order()
+    stab = {c: order // len(ug._orbit_transversal(c, F.generators, F.degree))
+            for c in range(1, world.degree + 1)}
+    count = 1
+    for v in world.ball.vertices():
+        if world.ball.depth[v] < radius:
+            w = world.word_of[v]
+            count *= stab[w[-1]] if w else order
+    return count
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_groups(st.integers(2, 5)), st.integers(0, 4))
+def test_closed_form_stabilizer_count_matches_the_walk(F, radius):
+    world = ug.ColorBall(F.degree, radius)
+    assert ug.stabilizer_ball_count(F, radius) == walked_stabilizer_ball_count(F, world, radius)
+
+
+# ---------------------------------------------------------------------------
+# plus-k and P_k against the compose-based code they replaced
+
+def bfs_plus_k(gb, k, guard=None):
+    """Reference code: generate_plus_k as it was before it used a stabilizer
+    chain, a frontier search composing every element with every fixator
+    generator."""
+    if not gb.closed:
+        raise ValueError("generate_plus_k needs a closed group ball")
+    gens = {}
+    for e in ug.certified_edges(gb, k):
+        for g in ug.edge_fixator(gb, e, k):
+            gens.setdefault(g.key(), g)
+    ident = ug.identity_aut(gb.world).restrict()
+    out = {ident.key(): ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens.values():
+                b = ta.compose(g, a)
+                kb = b.key()
+                if kb not in out:
+                    check_guard(len(out) + 1, guard, "plus-k closure")
+                    out[kb] = b
+                    nxt.append(b)
+        frontier = nxt
+    return ug.GroupBall(gb.world, out.values(), closed=True, local_group=gb.local_group)
+
+
+def portrait_property_pk(gb, edge, k):
+    """Reference code: check_property_pk as it was before it read the factors
+    off the images, building g1 from local actions as a Portrait."""
+    u, v = edge
+    world, ball = gb.world, gb.ball
+    fixator = ug.edge_fixator(gb, edge, k)
+    w_side = tc.half_tree_vertices(ball, tc.HalfTreeRef(edge, v))
+    w_inner = [x for x in sorted(w_side) if ball.is_interior(x)]
+    factor_keys = []
+    for g in fixator:
+        acts = {world.word_of[x]: ug.local_action(g, x, world) for x in w_inner}
+        base = ug.image_address(g, world, ball.base) if ball.base in w_side else ()
+        g1 = ug.Portrait(world, base, acts).restrict()
+        rest = ta.compose(g, ta.invert(g1))
+        if not (g1.key() in gb.key_set() and rest.key() in gb.key_set()):
+            return ug.PkResult(False, edge, k, len(fixator), offender=g)
+        factor_keys.append((g1.key(), rest.key()))
+    return ug.PkResult(True, edge, k, len(fixator), factor_keys=tuple(factor_keys))
+
+
+def largest_radius(F, cap):
+    return max(r for r in (1, 2, 3) if ug.stabilizer_ball_count(F, r) <= cap)
+
+
+@settings(max_examples=25, deadline=None)
+@given(local_groups(st.integers(2, 4)))
+def test_plus_k_matches_the_compose_search(F):
+    # The search makes |plus-k| x |generators| compositions, so the balls stay
+    # smaller here than in the P_k property below.
+    radius = largest_radius(F, 400)
+    gb = ug.enumerate_u1_stabilizer_ball(F, ug.ColorBall(F.degree, radius))
+    for k in (1, 2):
+        plus = ug.generate_plus_k(gb, k)
+        assert plus.key_set() == bfs_plus_k(gb, k).key_set()
+        assert len(plus) == len(plus.key_set())
+
+
+@settings(max_examples=15, deadline=None)
+@given(local_groups(st.integers(2, 4)))
+def test_property_pk_matches_the_portrait_factors_on_stabilizer_balls(F):
+    radius = largest_radius(F, 3100)
+    gb = ug.enumerate_u1_stabilizer_ball(F, ug.ColorBall(F.degree, radius))
+    for k in (1, 2):
+        for e in ug.certified_edges(gb, k):
+            assert ug.check_property_pk(gb, e, k) == portrait_property_pk(gb, e, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(local_groups(st.integers(2, 4)), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]))
+def test_property_pk_matches_the_portrait_factors_on_mover_balls(F, sizes):
+    move, support = sizes
+    world = ug.ColorBall(F.degree, move + support)
+    addresses = len([w for r in range(move + 1) for w in world.word_sphere((), r)])
+    if addresses * ug.stabilizer_ball_count(F, support) > 3100:
+        move, support = 1, 1
+        world = ug.ColorBall(F.degree, 2)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    for k in (1, 2):
+        for e in ug.certified_edges(gb, k):
+            assert ug.check_property_pk(gb, e, k) == portrait_property_pk(gb, e, k)
+
+
+def test_plus_k_guard_refuses_on_the_chain_order_before_listing(monkeypatch):
+    gb = ug.enumerate_u1_stabilizer_ball(S3, ug.ColorBall(3, 2))
+    assert len(ug.generate_plus_k(gb, 1, guard=48)) == 48
+
+    def no_closure(self):
+        raise AssertionError("the plus-k closure was listed")
+
+    monkeypatch.setattr(ug.LocalGroup, "closure", no_closure)
+    # the message names the order of the closure, not the first element over the cap
+    with pytest.raises(GuardExceeded, match="^plus-k closure: 48 objects exceeds guard 40$"):
+        ug.generate_plus_k(gb, 1, guard=40)
+
+
+def test_property_pk_refuses_an_undetermined_half_tree_image():
+    # A partial map that fixes the edge (0, (1,)) but whose images of (1,2)
+    # and (1,3), on the (1,) side, are unknown.
+    world = ug.ColorBall(3, 2)
+    unknown = {world.id_of[(1, 2)], world.id_of[(1, 3)]}
+    g = ta.FiniteTreeAutomorphism(world.ball, {v: v for v in world.ball.vertices() if v not in unknown})
+    gb = ug.GroupBall(world, [g], closed=False)
+    with pytest.raises(CertificationError):
+        ug.check_property_pk(gb, (0, world.id_of[(1,)]), 1)
+    # on the other half-tree every image is known, so both codes answer
+    e = (world.id_of[(1,)], 0)
+    assert ug.check_property_pk(gb, e, 1) == portrait_property_pk(gb, e, 1)
