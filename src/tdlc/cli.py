@@ -84,6 +84,11 @@ def _building_spec(args) -> rab.BuildingSpec:
         return rab.BuildingSpec.from_json(json.load(fh))
 
 
+def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
+    """Refuse on the outer sphere of the ball before it is built."""
+    check_guard(degree * max(1, degree - 1) ** max(0, radius - 1), guard, "tree ball")
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -92,12 +97,10 @@ def _cmd_tree(args) -> dict:
         with open(args.label_config) as fh:
             lv = tc.LabelVector.from_json(json.load(fh))
         max_deg = max(lv.degree_of.values())
-        check_guard(max_deg * max(1, (max_deg - 1)) ** max(0, args.radius - 1),
-                    args.guard, "tree ball")
+        _check_tree_ball(max_deg, args.radius, args.guard)
         ball = tc.build_label_regular_ball(lv, args.root_label, args.radius)
     else:
-        d = args.degree
-        check_guard(d * max(1, d - 1) ** max(0, args.radius - 1), args.guard, "tree ball")
+        _check_tree_ball(args.degree, args.radius, args.guard)
         ball = tc.build_regular_ball(args.degree, args.radius)
     check_guard(ball.vertex_count, args.guard, "tree ball")
     spheres = [len(tc.sphere(ball, ball.base, n)) for n in range(args.radius + 1)]
@@ -111,7 +114,7 @@ def _cmd_tree(args) -> dict:
 
 def _cmd_ugroup(args) -> dict:
     F = _local_group(args, args.degree)
-    check_guard(ug.stabilizer_ball_count(F, args.radius), args.guard, "U1 stabilizer ball enumeration")
+    ug.check_u1_guard(F, args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.radius)
     gb = ug.enumerate_u1_stabilizer_ball(F, world, guard=args.guard)
     report = {
@@ -122,12 +125,14 @@ def _cmd_ugroup(args) -> dict:
         "semiprimitive": ug.is_semiprimitive(F, guard=args.guard),
         "generated_by_point_stabilizers": ug.is_generated_by_point_stabilizers(F, guard=args.guard),
     }
-    edge = (0, world.ball.children[0][0])
     if args.plus_k:
         plus = ug.generate_plus_k(gb, args.plus_k, guard=args.guard)
         report["plus_k"] = {"k": args.plus_k, "size": len(plus),
                             "index_in_stabilizer_ball": len(gb) // len(plus)}
     if args.pk_k:
+        if not world.ball.children[0]:
+            raise CertificationError("property P_k needs an edge, and the radius-0 ball has none")
+        edge = (0, world.ball.children[0][0])
         res = ug.check_property_pk(gb, edge, args.pk_k)
         report["property_pk"] = {"k": args.pk_k, "holds": res.holds,
                                  "fixator_size": res.checked, "edge": list(edge)}
@@ -135,8 +140,11 @@ def _cmd_ugroup(args) -> dict:
 
 
 def _cmd_kak_tree(args) -> dict:
-    world = ug.ColorBall(args.degree, args.max_sphere + args.radius)
     F = _local_group(args, args.degree)
+    d = args.degree
+    addresses = 1 + sum(d * (d - 1) ** (n - 1) for n in range(1, args.max_sphere + 1))
+    ug.check_u1_guard(F, args.radius, args.guard, copies=addresses)
+    world = ug.ColorBall(args.degree, args.max_sphere + args.radius)
     gb = ug.enumerate_u1_ball(F, world, args.max_sphere, args.radius, guard=args.guard)
     dec = kt.enumerate_representatives(gb, 0, args.max_sphere)
     cert = kt.certify_partition(dec, args.max_sphere, guard=args.guard)
@@ -156,8 +164,9 @@ def _cmd_kak_tree(args) -> dict:
 
 
 def _cmd_contract_tree(args) -> dict:
-    world = ug.ColorBall(args.degree, args.radius)
     F = _local_group(args, args.degree)
+    _check_tree_ball(args.degree, args.radius, args.guard)
+    world = ug.ColorBall(args.degree, args.radius)
     gb = ug.GroupBall(world, [], closed=False, local_group=F)
     step = tuple(int(x) for x in args.step.split(","))
     seq = [ug.translation(world, step * i).restrict() for i in range(1, args.powers + 1)]

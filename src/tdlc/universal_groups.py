@@ -2,17 +2,19 @@
 
 Vertices of the degree-d tree are addressed by reduced color words: tuples
 over {1..d} with no two consecutive letters equal, the empty word being the
-base vertex.  The edge {u, u.c} carries color c at both ends, which is a
-legal coloring (colors around every vertex are pairwise distinct).
+base vertex, listed by reduced_words in length-lexicographic order.  The
+edge {u, u.c} carries color c at both ends (_edge_color), which is a legal
+coloring (colors around every vertex are pairwise distinct).
 
 An automorphism is determined by the image of the base vertex together with
 its local action (a color permutation) at every vertex.  The Portrait class
 stores finitely many local actions explicitly and extends canonically: at an
 unstored vertex the local action is the identity when that is consistent,
-and otherwise the unique transposition forced by the parent edge.  Portraits
-with empty tables are exactly the left translations by reduced words.  The
-inverse of a portrait is again a portrait, in closed form; composites are
-evaluated lazily, so group arithmetic is exact at any depth.
+and otherwise the unique transposition forced by the parent edge, which
+image_word applies letter by letter.  Portraits with empty tables are
+exactly the left translations by reduced words.  The inverse of a portrait
+is again a portrait, in closed form; composites are evaluated lazily, so
+group arithmetic is exact at any depth.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError, check_guard
-from .tree_core import TreeBall, build_regular_ball, half_tree_vertices, HalfTreeRef, layers
+from .tree_core import build_regular_ball, half_tree_vertices, HalfTreeRef, layers
 from .tree_aut import FiniteTreeAutomorphism
 
 Word = tuple[int, ...]
@@ -51,6 +53,21 @@ def word_mul(u: Word, v: Word) -> Word:
 
 def word_inv(u: Word) -> Word:
     return u[::-1]
+
+
+def reduced_words(degree: int, length: int) -> list[Word]:
+    """Every reduced word of length <= `length`, in length-lexicographic (BFS) order."""
+    out: list[Word] = [()]
+    frontier: list[Word] = [()]
+    for _ in range(length):
+        frontier = [w + (c,) for w in frontier for c in range(1, degree + 1) if not w or w[-1] != c]
+        out.extend(frontier)
+    return out
+
+
+def _edge_color(u: Word, v: Word) -> int:
+    """Color of the edge between the adjacent addresses u and v: the last letter of the farther one."""
+    return v[-1] if len(v) > len(u) else u[-1]
 
 
 def word_distance(u: Word, v: Word) -> int:
@@ -94,27 +111,16 @@ def is_perm(t: tuple[int, ...], d: int) -> bool:
 class ColorBall:
     """A regular TreeBall together with the canonical legal coloring.
 
-    Root children get colors 1..d in child order; at any other vertex the
-    parent edge keeps its color and the children receive the remaining
-    colors in ascending order.  Vertex ids and color words are then in
-    bijection, BFS order matching length-lexicographic order.
+    Vertex v has the address word_of[v], the v-th reduced word in
+    length-lexicographic order, which is build_regular_ball's BFS order:
+    root children get colors 1..d in child order, and elsewhere the children
+    get the colors other than the parent edge's in ascending order.
     """
 
     def __init__(self, degree: int, radius: int):
         self.degree = degree
         self.ball = build_regular_ball(degree, radius)
-        word_of: list[Word] = [()] * self.ball.vertex_count
-        for v in self.ball.vertices():
-            parent = self.ball.parent[v]
-            if parent < 0:
-                word_of[v] = ()
-                continue
-            pw = word_of[parent]
-            taken = pw[-1] if pw else None
-            colors = [c for c in range(1, degree + 1) if c != taken]
-            slot = self.ball.children[parent].index(v)
-            word_of[v] = pw + (colors[slot],)
-        self.word_of: tuple[Word, ...] = tuple(word_of)
+        self.word_of: tuple[Word, ...] = tuple(reduced_words(degree, radius))
         self.id_of: dict[Word, int] = {w: v for v, w in enumerate(self.word_of)}
 
     @property
@@ -122,27 +128,16 @@ class ColorBall:
         return self.ball.radius
 
     def edge_color(self, u: int, v: int) -> int:
-        if self.ball.parent[v] == u:
-            return self.word_of[v][-1]
-        if self.ball.parent[u] == v:
-            return self.word_of[u][-1]
-        raise ValueError(f"not an edge: ({u},{v})")
+        if not self.ball.has_edge(u, v):
+            raise ValueError(f"not an edge: ({u},{v})")
+        return _edge_color(self.word_of[u], self.word_of[v])
 
     def neighbor_by_color(self, v: int, color: int) -> int | None:
         return self.id_of.get(word_append(self.word_of[v], color))
 
     def word_sphere(self, center: Word, radius: int) -> list[Word]:
-        """Addresses at tree distance exactly `radius` from center (may leave the ball)."""
-        sphere = [center]
-        for k in range(radius):
-            nxt = []
-            for w in sphere:
-                for c in range(1, self.degree + 1):
-                    nw = word_append(w, c)
-                    if word_distance(nw, center) == k + 1:
-                        nxt.append(nw)
-            sphere = nxt
-        return sphere
+        """Addresses at distance `radius` from center (may leave the ball): center times the base sphere."""
+        return [word_mul(center, w) for w in reduced_words(self.degree, radius) if len(w) == radius]
 
     def to_json(self) -> dict:
         """The legal coloring in spec form: the ball plus (u, v, color) per edge."""
@@ -178,22 +173,14 @@ class ExactAut:
         """Ball id of the image of ball vertex v; -1 when it leaves the ball."""
         return self.world.id_of.get(self.address(v), -1)
 
-    def restrict(self, ball: TreeBall | None = None) -> FiniteTreeAutomorphism:
-        """Ball portrait of this automorphism (images outside the ball become -1)."""
-        world = self.world
-        if ball is not None and ball != world.ball:
-            raise ValueError("restriction ball must be the evaluator's world ball")
-        id_of, image_word = world.id_of, self.image_word
-        images = tuple(id_of.get(image_word(w), -1) for w in world.word_of)
-        return FiniteTreeAutomorphism(world.ball, images, self)
-
 
 class Portrait(ExactAut):
     """Exact automorphism from a base image plus finitely many local actions.
 
     acts maps vertex addresses to full color permutations; missing vertices
     take the canonical extension (identity when consistent, else the forced
-    transposition).  An empty table is the left translation by base_word.
+    transposition), and only entries that differ from it are kept.  An empty
+    table is the left translation by base_word.
     """
 
     def __init__(self, world: ColorBall, base_word: Word = (), acts: dict[Word, Perm] | None = None):
@@ -202,55 +189,37 @@ class Portrait(ExactAut):
         d = world.degree
         if not is_reduced_word(self.base_word, d):
             raise ValueError(f"base image is not a reduced color word: {self.base_word}")
-        raw = dict(acts or {})
-        for w, p in raw.items():
+        # Shorter words first: the canonical action at w depends only on the
+        # entries at w's proper prefixes, which are settled by then.
+        self._acts: dict[Word, Perm] = {}
+        for w, sigma in sorted((acts or {}).items(), key=lambda item: len(item[0])):
             if not is_reduced_word(tuple(w), d):
                 raise ValueError(f"support vertex is not a reduced color word: {w}")
-            if not is_perm(p, d):
-                raise ValueError(f"not a permutation of 1..{d}: {p}")
-        self._acts = raw
-        self._sigma_cache: dict[Word, Perm] = {}
-        self._validate_and_strip()
-
-    def _canonical(self, prefix: Word, incoming: int) -> Perm:
-        last = prefix[-1]
-        if incoming == last:
-            return perm_identity(self.world.degree)
-        return perm_transposition(self.world.degree, last, incoming)
-
-    def local_action(self, prefix: Word) -> Perm:
-        cached = self._sigma_cache.get(prefix)
-        if cached is not None:
-            return cached
-        if not prefix:
-            sigma = self._acts.get((), perm_identity(self.world.degree))
-        else:
-            parent_sigma = self.local_action(prefix[:-1])
-            incoming = parent_sigma[prefix[-1] - 1]
-            sigma = self._acts.get(prefix)
-            if sigma is None:
-                sigma = self._canonical(prefix, incoming)
-            elif sigma[prefix[-1] - 1] != incoming:
+            if not is_perm(sigma, d):
+                raise ValueError(f"not a permutation of 1..{d}: {sigma}")
+            canonical = self.local_action(w)
+            if w and sigma[w[-1] - 1] != canonical[w[-1] - 1]:
                 raise ValueError(
-                    f"local action at {prefix} maps parent color {prefix[-1]} to "
-                    f"{sigma[prefix[-1] - 1]}, but the parent edge forces {incoming}")
-        self._sigma_cache[prefix] = sigma
+                    f"local action at {w} maps parent color {w[-1]} to "
+                    f"{sigma[w[-1] - 1]}, but the parent edge forces {canonical[w[-1] - 1]}")
+            if sigma != canonical:
+                self._acts[w] = sigma
+
+    def _action(self, w: Word, sent: int) -> Perm:
+        """The action at w when g sends w's parent edge to the color `sent`."""
+        sigma = self._acts.get(w)
+        if sigma is None:
+            d = self.world.degree
+            sigma = perm_transposition(d, w[-1], sent) if w else perm_identity(d)
         return sigma
 
-    def _validate_and_strip(self) -> None:
-        ident = perm_identity(self.world.degree)
-        stripped = {}
-        for w in sorted(self._acts, key=len):
-            sigma = self.local_action(w)  # raises on inconsistency
-            if not w:
-                if sigma != ident:
-                    stripped[w] = sigma
-            else:
-                incoming = self.local_action(w[:-1])[w[-1] - 1]
-                if sigma != self._canonical(w, incoming):
-                    stripped[w] = sigma
-        self._acts = stripped
-        self._sigma_cache = {}
+    def local_action(self, w: Word) -> Perm:
+        """The stored action at w, else the canonical one: the identity at the
+        base, and elsewhere the transposition of w[-1] with the color g sends
+        w's parent edge to (the identity when that is w[-1] itself)."""
+        if not w or w in self._acts:
+            return self._action(w, 0)
+        return self._action(w, _edge_color(self.image_word(w[:-1]), self.image_word(w)))
 
     def image_word(self, u: Word) -> Word:
         """g(u), one letter at a time; the stored table is consistent, so an
@@ -271,6 +240,22 @@ class Portrait(ExactAut):
             sigma = acts.get(prefix)
             last, incoming = c, t
         return img
+
+    def restrict(self) -> FiniteTreeAutomorphism:
+        """Ball portrait in one BFS pass over the world ball (images outside it
+        become -1): a child's image extends its parent's image by the color
+        the parent's local action sends the child's edge to."""
+        world = self.world
+        word_of, id_of, children = world.word_of, world.id_of, world.ball.children
+        images = [self.base_word] * len(word_of)
+        sent = [0] * len(word_of)
+        for v, kids in enumerate(children):
+            if kids:
+                sigma = self._action(word_of[v], sent[v])
+                for x in kids:
+                    t = sent[x] = sigma[word_of[x][-1] - 1]
+                    images[x] = word_append(images[v], t)
+        return FiniteTreeAutomorphism(world.ball, tuple(id_of.get(w, -1) for w in images), self)
 
     def inverse(self) -> "Portrait":
         """g^-1 in closed form: the base goes to g^-1(base), and g(w) gets sigma(w)^-1.
@@ -335,6 +320,13 @@ class Composite(ExactAut):
             self._img_cache[u] = cached
         return cached
 
+    def restrict(self) -> FiniteTreeAutomorphism:
+        """Ball portrait, every vertex evaluated from the base (-1 outside the ball or unknown)."""
+        world = self.world
+        id_of, image_word = world.id_of, self.image_word
+        images = tuple(id_of.get(image_word(w), -1) for w in world.word_of)
+        return FiniteTreeAutomorphism(world.ball, images, self)
+
     def inverse(self) -> "ExactAut":
         inv_parts = tuple(p.inverse() for p in reversed(self.parts))
         return Composite(self.world, inv_parts)
@@ -356,6 +348,17 @@ def _orbit_transversal(point: int, gens, degree: int) -> dict[int, Perm]:
     return trans
 
 
+def _sift(p: Perm, base, trans, start: int = 0) -> tuple[Perm, int]:
+    """Strip p through the chain levels from `start` on: the residue, and the
+    level whose transversal missed it (len(base) when it passed them all)."""
+    for level in range(start, len(base)):
+        u = trans[level].get(p[base[level] - 1])
+        if u is None:
+            return p, level
+        p = perm_mul(perm_inv(u), p)
+    return p, len(base)
+
+
 def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, Perm]]]:
     """Base points and transversals of a stabilizer chain of <generators>.
 
@@ -373,14 +376,6 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, P
     strong: list[list[Perm]] = []
     trans: list[dict[int, Perm]] = []
 
-    def sift(p: Perm, start: int) -> tuple[Perm, int]:
-        for level in range(start, len(base)):
-            u = trans[level].get(p[base[level] - 1])
-            if u is None:
-                return p, level
-            p = perm_mul(perm_inv(u), p)
-        return p, len(base)
-
     def keep(h: Perm, top: int, level: int) -> None:
         # h fixes base[:level], so it is a strong generator on levels top..level
         if level == len(base):
@@ -395,13 +390,13 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, P
         for x, ux in trans[i].items():
             for g in strong[i]:
                 s = perm_mul(perm_inv(trans[i][g[x - 1]]), perm_mul(g, ux))
-                h, level = sift(s, i + 1)
+                h, level = _sift(s, base, trans, i + 1)
                 if h != ident:
                     return h, level
         return None
 
     for g in generators:
-        h, level = sift(g, 0)
+        h, level = _sift(g, base, trans)
         if h == ident:
             continue
         keep(h, 0, level)
@@ -461,14 +456,8 @@ class LocalGroup:
 
     def __contains__(self, p) -> bool:
         """Membership by sifting p through the stabilizer chain."""
-        if not is_perm(p, self.degree):
-            return False
-        for b, trans in zip(self._base, self._transversals):
-            u = trans.get(p[b - 1])
-            if u is None:
-                return False
-            p = perm_mul(perm_inv(u), p)
-        return p == perm_identity(self.degree)
+        return is_perm(p, self.degree) and \
+            _sift(p, self._base, self._transversals)[0] == perm_identity(self.degree)
 
     def closure(self) -> frozenset[Perm]:
         """Every element, once: the products u_0 u_1 ... of one transversal element per level."""
@@ -558,8 +547,7 @@ def _determined_local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall
         img_nbr = image_address(g, world, nbr)
         if img_nbr is None:
             return None
-        # the color of an edge is the last letter of its farther endpoint
-        out[world.edge_color(v, nbr) - 1] = img_nbr[-1] if len(img_nbr) > len(img) else img[-1]
+        out[_edge_color(world.word_of[v], world.word_of[nbr]) - 1] = _edge_color(img, img_nbr)
     if not is_perm(tuple(out), world.degree):
         raise ValueError(f"map at vertex {v} does not induce a color permutation")
     return tuple(out)
@@ -639,18 +627,23 @@ def stabilizer_ball_count(F: LocalGroup, radius: int) -> int:
     return count
 
 
+def check_u1_guard(F: LocalGroup, radius: int, guard: int | None, copies: int = 1) -> None:
+    """Refuse on the exact count, with no ball built: the tables of depth
+    `radius`, then `copies` portraits per table (the U1 ball)."""
+    count = stabilizer_ball_count(F, radius)
+    check_guard(count, guard, "U1 stabilizer ball enumeration")
+    check_guard(copies * count, guard, "U1 ball enumeration")
+
+
 def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
                        guard: int | None, copies: int = 1) -> list[dict[Word, Perm]]:
     """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
 
     Assignments run over the vertices of depth < radius in BFS order, by a
     depth-first search with one iterator of candidate actions per vertex.
-    The guard is checked against the exact count before <F> is listed: for
-    the tables, then for `copies` portraits per table (the U1 ball).
+    check_u1_guard refuses on the exact count before <F> is listed.
     """
-    count = stabilizer_ball_count(F, radius)
-    check_guard(count, guard, "U1 stabilizer ball enumeration")
-    check_guard(copies * count, guard, "U1 ball enumeration")
+    check_u1_guard(F, radius, guard, copies)
     ball = world.ball
     inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
     if not inner:
@@ -702,7 +695,7 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     if move_radius + support_radius > world.radius:
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
-    bases = [w for k in range(move_radius + 1) for w in world.word_sphere((), k)]
+    bases = reduced_words(world.degree, move_radius)
     tables = _stabilizer_tables(F, world, support_radius, guard, copies=len(bases))
     elements = [Portrait(world, w, acts).restrict() for w in bases for acts in tables]
     return GroupBall(world, elements, closed=False, local_group=F)
@@ -819,18 +812,9 @@ class LocalGroupK:
     k: int
     elements: frozenset[tuple[tuple[Word, Word], ...]]
 
-    @staticmethod
-    def address_space(degree: int, k: int) -> list[Word]:
-        out: list[Word] = [()]
-        frontier: list[Word] = [()]
-        for _ in range(k):
-            frontier = [w + (c,) for w in frontier for c in range(1, degree + 1) if not w or w[-1] != c]
-            out.extend(frontier)
-        return out
-
     @classmethod
     def from_maps(cls, degree: int, k: int, maps) -> "LocalGroupK":
-        space = set(cls.address_space(degree, k))
+        space = set(reduced_words(degree, k))
         elems = set()
         for m in maps:
             md = dict(m)
@@ -845,7 +829,7 @@ def k_local_action(g: FiniteTreeAutomorphism, v: int, world: ColorBall, k: int) 
     base = world.word_of[v]
     img_base = image_address(g, world, v)
     pairs = []
-    for x in LocalGroupK.address_space(world.degree, k):
+    for x in reduced_words(world.degree, k):
         u = world.id_of.get(word_mul(base, x))
         img = None if u is None else image_address(g, world, u)
         if img is None or img_base is None:

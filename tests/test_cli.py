@@ -246,6 +246,30 @@ def test_ugroup_radius_16_refuses_before_building_the_ball(monkeypatch, capsys):
         "infeasible: U1 stabilizer ball enumeration: over 10^29592 objects exceeds guard 100\n"
 
 
+def test_ugroup_radius_0_has_no_pk_edge(tmp_path, capsys):
+    rep = run_json(["ugroup", "--radius", "0"], tmp_path)
+    assert rep["stabilizer_ball_size"] == 1
+    assert run(["ugroup", "--radius", "0", "--pk-k", "1"]) == 2
+    assert capsys.readouterr().err.startswith("infeasible:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kak-tree", "--radius", "1", "--max-sphere", "15"],
+     "U1 ball enumeration: 589812 objects exceeds guard 100"),
+    (["kak-tree", "--radius", "3", "--max-sphere", "1"],
+     "U1 stabilizer ball enumeration: 3072 objects exceeds guard 100"),
+    (["contract-tree", "--radius", "16", "--powers", "1"],
+     "tree ball: 98304 objects exceeds guard 100"),
+])
+def test_tree_pipelines_refuse_before_building_the_ball(monkeypatch, capsys, argv, message):
+    def no_ball(*args):
+        raise AssertionError("the colored ball was built")
+
+    monkeypatch.setattr(ug, "ColorBall", no_ball)
+    assert run(argv + ["--guard", "100"]) == 2
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
+
+
 @pytest.mark.parametrize("argv, size", [
     (["--radius", "3"], 3072),
     (["--degree", "4", "--radius", "2"], 31104),

@@ -7,7 +7,9 @@ the D_inf spec with q = 3 on both generators; the coxeter case uses the free
 product of three copies of Z/2.  The ugroup cases with --generators cover
 local groups that are not transitive or not symmetric.  In
 ugroup_r3_plus3_pk2 and ugroup_d4_r2_c4_plus1 the plus-k closure is a proper
-subgroup of the stabilizer ball (index 48 and 4).
+subgroup of the stabilizer ball (index 48 and 4).  The kak_tree_*_c3 and
+kak_tree_*_c4 cases use cyclic local groups, which hold no transposition;
+both report coverage false.
 """
 
 import json
@@ -24,6 +26,10 @@ CASES = {
     "ugroup_r2_pk1_plus1": ["ugroup", "--radius", "2", "--pk-k", "1", "--plus-k", "1"],
     "ugroup_r3_pk2": ["ugroup", "--radius", "3", "--pk-k", "2"],
     "kak_tree_r1_s2": ["kak-tree", "--radius", "1", "--max-sphere", "2"],
+    "kak_tree_d3_r1_s2_c3": ["kak-tree", "--degree", "3", "--radius", "1", "--max-sphere", "2",
+                             "--generators", "[[2,3,1]]"],
+    "kak_tree_d4_r1_s1_c4": ["kak-tree", "--degree", "4", "--radius", "1", "--max-sphere", "1",
+                             "--generators", "[[2,3,4,1]]"],
     "contract_tree_r8_p4": ["contract-tree", "--radius", "8", "--powers", "4"],
     "contract_tree_d4_r6_p3_s42": ["contract-tree", "--degree", "4", "--radius", "6",
                                    "--powers", "3", "--step", "4,2"],

@@ -42,6 +42,18 @@ def test_coloring_is_legal():
             assert set(colors) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+def test_color_ball_addresses_extend_their_parents(degree, radius):
+    world = ug.ColorBall(degree, radius)
+    word_of, parent = world.word_of, world.ball.parent
+    assert len(word_of) == world.ball.vertex_count
+    assert list(word_of) == sorted(word_of, key=lambda w: (len(w), w))
+    for v in range(1, len(word_of)):
+        assert word_of[v][:-1] == word_of[parent[v]]
+        assert ug.is_reduced_word(word_of[v], degree)
+
+
 def test_word_sphere_counts():
     world = ug.ColorBall(3, 4)
     assert [len(world.word_sphere((), k)) for k in range(4)] == [1, 3, 6, 12]
@@ -86,10 +98,10 @@ def pullback_image(g, u):
 
 
 @st.composite
-def portraits(draw, radius=3):
+def portraits(draw, radius=3, degrees=(3, 4)):
     """A Portrait on ColorBall(d, radius): a base word and a table filled in BFS
     order, each action sending w[-1] to the colour the parent's action forces."""
-    d = draw(st.sampled_from([3, 4]))
+    d = draw(st.sampled_from(degrees))
     world = ug.ColorBall(d, radius)
     base = ()
     for _ in range(draw(st.integers(0, 4))):
@@ -123,6 +135,36 @@ def test_portrait_inverse_is_a_closed_form_portrait(g):
         for w in g.world.word_sphere((), k):
             assert ginv.image_word(w) == pullback_image(g, w)
             assert g.image_word(ginv.image_word(w)) == w
+
+
+def per_vertex_restrict(g):
+    """Reference code: ExactAut.restrict as it was before Portrait.restrict
+    walked the ball once, evaluating every ball vertex from the base."""
+    world = g.world
+    images = tuple(world.id_of.get(g.image_word(w), -1) for w in world.word_of)
+    return ta.FiniteTreeAutomorphism(world.ball, images, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(portraits())
+def test_portrait_restrict_matches_the_per_vertex_restrict(g):
+    p = g.restrict()
+    assert p.key() == per_vertex_restrict(g).key()
+    assert p.exact is g
+
+
+def portrait_pairs():
+    """Two portraits on colored balls of the same degree."""
+    return st.sampled_from([3, 4]).flatmap(
+        lambda d: st.tuples(portraits(degrees=[d]), portraits(degrees=[d])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(portrait_pairs())
+def test_composite_restrict_is_the_composite_of_restrictions(pair):
+    g, h = pair
+    composite = ug.Composite(g.world, (g, h))
+    assert composite.restrict().key() == ta.compose(g.restrict(), h.restrict()).key()
 
 
 def test_portrait_local_actions_are_intrinsic():
