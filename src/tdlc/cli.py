@@ -86,7 +86,8 @@ def _building_spec(args) -> rab.BuildingSpec:
 
 def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
     """Refuse on the outer sphere of the ball before it is built."""
-    check_guard(degree * max(1, degree - 1) ** max(0, radius - 1), guard, "tree ball")
+    sphere = degree * max(1, degree - 1) ** (radius - 1) if radius > 0 else 1
+    check_guard(sphere, guard, "tree ball")
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,7 @@ def _cmd_tree(args) -> dict:
 def _cmd_ugroup(args) -> dict:
     F = _local_group(args, args.degree)
     ug.check_u1_guard(F, args.radius, args.guard)
+    _check_tree_ball(args.degree, args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.radius)
     gb = ug.enumerate_u1_stabilizer_ball(F, world, guard=args.guard)
     report = {
@@ -141,9 +143,8 @@ def _cmd_ugroup(args) -> dict:
 
 def _cmd_kak_tree(args) -> dict:
     F = _local_group(args, args.degree)
-    d = args.degree
-    addresses = 1 + sum(d * (d - 1) ** (n - 1) for n in range(1, args.max_sphere + 1))
-    ug.check_u1_guard(F, args.radius, args.guard, copies=addresses)
+    ug.check_u1_guard(F, args.radius, args.guard, args.max_sphere)
+    _check_tree_ball(args.degree, args.max_sphere + args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.max_sphere + args.radius)
     gb = ug.enumerate_u1_ball(F, world, args.max_sphere, args.radius, guard=args.guard)
     dec = kt.enumerate_representatives(gb, 0, args.max_sphere)

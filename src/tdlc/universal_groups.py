@@ -135,10 +135,6 @@ class ColorBall:
     def neighbor_by_color(self, v: int, color: int) -> int | None:
         return self.id_of.get(word_append(self.word_of[v], color))
 
-    def word_sphere(self, center: Word, radius: int) -> list[Word]:
-        """Addresses at distance `radius` from center (may leave the ball): center times the base sphere."""
-        return [word_mul(center, w) for w in reduced_words(self.degree, radius) if len(w) == radius]
-
     def to_json(self) -> dict:
         """The legal coloring in spec form: the ball plus (u, v, color) per edge."""
         edges = sorted([min(u, v), max(u, v), self.edge_color(u, v)] for u, v in self.ball.edges())
@@ -627,23 +623,26 @@ def stabilizer_ball_count(F: LocalGroup, radius: int) -> int:
     return count
 
 
-def check_u1_guard(F: LocalGroup, radius: int, guard: int | None, copies: int = 1) -> None:
+def check_u1_guard(F: LocalGroup, radius: int, guard: int | None, move_radius: int = 0) -> None:
     """Refuse on the exact count, with no ball built: the tables of depth
-    `radius`, then `copies` portraits per table (the U1 ball)."""
+    `radius`, then one portrait per table and base address of length <=
+    `move_radius` (the U1 ball of enumerate_u1_ball)."""
     count = stabilizer_ball_count(F, radius)
     check_guard(count, guard, "U1 stabilizer ball enumeration")
-    check_guard(copies * count, guard, "U1 ball enumeration")
+    d = F.degree
+    addresses = 1 + sum(d * (d - 1) ** (n - 1) for n in range(1, move_radius + 1))
+    check_guard(addresses * count, guard, "U1 ball enumeration")
 
 
 def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
-                       guard: int | None, copies: int = 1) -> list[dict[Word, Perm]]:
+                       guard: int | None, move_radius: int = 0) -> list[dict[Word, Perm]]:
     """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
 
     Assignments run over the vertices of depth < radius in BFS order, by a
     depth-first search with one iterator of candidate actions per vertex.
     check_u1_guard refuses on the exact count before <F> is listed.
     """
-    check_u1_guard(F, radius, guard, copies)
+    check_u1_guard(F, radius, guard, move_radius)
     ball = world.ball
     inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
     if not inner:
@@ -696,7 +695,7 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
     bases = reduced_words(world.degree, move_radius)
-    tables = _stabilizer_tables(F, world, support_radius, guard, copies=len(bases))
+    tables = _stabilizer_tables(F, world, support_radius, guard, move_radius)
     elements = [Portrait(world, w, acts).restrict() for w in bases for acts in tables]
     return GroupBall(world, elements, closed=False, local_group=F)
 

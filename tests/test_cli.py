@@ -37,6 +37,7 @@ def test_tree_command(tmp_path):
     rep = run_json(["tree", "--degree", "3", "--radius", "2"], tmp_path)
     assert rep["vertex_count"] == 10
     assert rep["sphere_sizes"] == [1, 3, 6]
+    assert run_json(["tree", "--radius", "0", "--guard", "1"], tmp_path)["vertex_count"] == 1
 
 
 def test_tree_label_regular_command(tmp_path):
@@ -249,6 +250,9 @@ def test_ugroup_radius_16_refuses_before_building_the_ball(monkeypatch, capsys):
 def test_ugroup_radius_0_has_no_pk_edge(tmp_path, capsys):
     rep = run_json(["ugroup", "--radius", "0"], tmp_path)
     assert rep["stabilizer_ball_size"] == 1
+    # the radius-0 ball is the base vertex alone, which fits a guard of 1
+    rep = run_json(["ugroup", "--radius", "0", "--generators", "[]", "--guard", "1"], tmp_path)
+    assert rep["stabilizer_ball_size"] == 1
     assert run(["ugroup", "--radius", "0", "--pk-k", "1"]) == 2
     assert capsys.readouterr().err.startswith("infeasible:")
 
@@ -260,6 +264,11 @@ def test_ugroup_radius_0_has_no_pk_edge(tmp_path, capsys):
      "U1 stabilizer ball enumeration: 3072 objects exceeds guard 100"),
     (["contract-tree", "--radius", "16", "--powers", "1"],
      "tree ball: 98304 objects exceeds guard 100"),
+    # a trivial local group: one table, so only the ball is large
+    (["ugroup", "--radius", "18", "--generators", "[]"],
+     "tree ball: 393216 objects exceeds guard 100"),
+    (["kak-tree", "--radius", "18", "--max-sphere", "1", "--generators", "[]"],
+     "tree ball: 786432 objects exceeds guard 100"),
 ])
 def test_tree_pipelines_refuse_before_building_the_ball(monkeypatch, capsys, argv, message):
     def no_ball(*args):

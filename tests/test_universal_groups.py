@@ -55,9 +55,13 @@ def test_color_ball_addresses_extend_their_parents(degree, radius):
 
 
 def test_word_sphere_counts():
-    world = ug.ColorBall(3, 4)
-    assert [len(world.word_sphere((), k)) for k in range(4)] == [1, 3, 6, 12]
-    assert [len(world.word_sphere((1, 2), k)) for k in range(4)] == [1, 3, 6, 12]
+    words = ug.reduced_words(3, 3)
+    assert [sum(len(w) == k for w in words) for k in range(4)] == [1, 3, 6, 12]
+    for center in [(), (1, 2)]:
+        for k in range(4):
+            sphere = {ug.word_mul(center, w) for w in words if len(w) == k}
+            assert len(sphere) == [1, 3, 6, 12][k]
+            assert all(ug.word_distance(u, center) == k for u in sphere)
 
 
 def test_translation_acts_by_left_multiplication():
@@ -72,10 +76,9 @@ def test_portrait_inverse_and_compose_are_exact():
     world = ug.ColorBall(3, 3)
     g = ug.Portrait(world, (1, 2), {(): (2, 3, 1), (3,): (2, 3, 1)})
     ginv = g.inverse()
-    for k in range(5):
-        for w in world.word_sphere((), k):
-            assert ginv.image_word(g.image_word(w)) == w
-            assert g.image_word(ginv.image_word(w)) == w
+    for w in ug.reduced_words(3, 4):
+        assert ginv.image_word(g.image_word(w)) == w
+        assert g.image_word(ginv.image_word(w)) == w
 
 
 def pullback_image(g, u):
@@ -131,10 +134,9 @@ def test_portrait_inverse_is_a_closed_form_portrait(g):
     ginv = g.inverse()
     assert isinstance(ginv, ug.Portrait)
     assert ginv.inverse() == g
-    for k in range(6):
-        for w in g.world.word_sphere((), k):
-            assert ginv.image_word(w) == pullback_image(g, w)
-            assert g.image_word(ginv.image_word(w)) == w
+    for w in ug.reduced_words(g.world.degree, 5):
+        assert ginv.image_word(w) == pullback_image(g, w)
+        assert g.image_word(ginv.image_word(w)) == w
 
 
 def per_vertex_restrict(g):
@@ -171,12 +173,11 @@ def test_portrait_local_actions_are_intrinsic():
     # The stored table equals the true local action sigma(g, v) read off the images.
     world = ug.ColorBall(3, 3)
     g = ug.Portrait(world, (2,), {(): (3, 2, 1), (1,): (3, 2, 1)})
-    for k in range(3):
-        for w in world.word_sphere((), k):
-            sigma = g.local_action(w)
-            img = g.image_word(w)
-            for c in range(1, 4):
-                assert g.image_word(ug.word_append(w, c)) == ug.word_append(img, sigma[c - 1])
+    for w in ug.reduced_words(3, 2):
+        sigma = g.local_action(w)
+        img = g.image_word(w)
+        for c in range(1, 4):
+            assert g.image_word(ug.word_append(w, c)) == ug.word_append(img, sigma[c - 1])
 
 
 def test_local_action_examples():
@@ -673,7 +674,7 @@ def test_property_pk_matches_the_portrait_factors_on_stabilizer_balls(F):
 def test_property_pk_matches_the_portrait_factors_on_mover_balls(F, sizes):
     move, support = sizes
     world = ug.ColorBall(F.degree, move + support)
-    addresses = len([w for r in range(move + 1) for w in world.word_sphere((), r)])
+    addresses = len(ug.reduced_words(F.degree, move))
     if addresses * ug.stabilizer_ball_count(F, support) > 3100:
         move, support = 1, 1
         world = ug.ColorBall(F.degree, 2)
