@@ -68,7 +68,10 @@ def _emit(report: dict, args) -> None:
 def _local_group(args, degree: int) -> ug.LocalGroup:
     if getattr(args, "local_group", None):
         with open(args.local_group) as fh:
-            return ug.LocalGroup.from_json(json.load(fh))
+            F = ug.LocalGroup.from_json(json.load(fh))
+        if F.degree != degree:
+            raise ValueError(f"the local group has degree {F.degree}, but the tree has degree {degree}")
+        return F
     if getattr(args, "generators", None):
         return ug.LocalGroup.create(degree, json.loads(args.generators))
     return ug.LocalGroup.symmetric(degree)

@@ -23,7 +23,6 @@ from .universal_groups import (
     identity_aut,
     image_address,
     perm_identity,
-    translation,
     word_append,
     word_distance,
 )
@@ -115,9 +114,9 @@ class CartanDecomposition:
 def enumerate_representatives(gb: GroupBall, v: int, max_sphere: int) -> CartanDecomposition:
     """One mover per K-orbit per sphere radius <= max_sphere, identity at 0.
 
-    With a U1 context the mover to vertex w is the left translation by w's
-    address (always a member); otherwise gb is scanned and a missing mover is
-    reported as incompleteness.
+    The mover to an orbit representative w is the first element of gb moving
+    v to w (from enumerate_u1_ball at the base: the translation by w's
+    address); a missing mover is reported as incompleteness.
     """
     world = gb.world
     stab = stabilizer_subball(gb, v)
@@ -131,13 +130,10 @@ def enumerate_representatives(gb: GroupBall, v: int, max_sphere: int) -> CartanD
             if n == 0:
                 reps.append(Representative(0, v, identity_aut(world).restrict()))
                 continue
-            if gb.local_group is not None and v == gb.ball.base:
-                mover = translation(world, world.word_of[w]).restrict()
-            else:
-                mover = next((g for g in gb if g.images[v] == w), None)
-                if mover is None:
-                    raise CertificationError(
-                        f"group ball has no element moving {v} to orbit representative {w}")
+            mover = next((g for g in gb if g.images[v] == w), None)
+            if mover is None:
+                raise CertificationError(
+                    f"group ball has no element moving {v} to orbit representative {w}")
             reps.append(Representative(n, w, mover))
     return CartanDecomposition(v, stab, tuple(reps), tuple(partitions), gb)
 
@@ -179,28 +175,34 @@ def certify_partition(dec: CartanDecomposition, radius: int,
                       guard: int | None = None) -> DisjointnessCertificate:
     """Exhaustively check that the double cosets K a K partition the group ball.
 
-    Keys are restrictions to B(v, radius); every product k a k' is compared
-    against the enumerated elements.  The |K|^2 |A| products are checked
-    against the guard before the first one is made.
+    Only at the base, whose B(base, radius) is the ball ids 0..N-1: keys are
+    restrictions to it.  Each k2 in K fixes the base and so permutes those
+    ids, and the key of k1 a k2 is the key of k1 a read through k2.images[:N]
+    (None where that is -1); one product per (k1, a) thus gives |K| keys.  The
+    cosets are disjoint iff their sizes sum to the size of their union.  The
+    |K|^2 |A| keys are checked against the guard before the first product.
     """
-    check_guard(len(dec.stabilizer) ** 2 * len(dec.representatives), guard, "KAK partition products")
     world = dec.group.world
-    keys_by_rep: dict[int, set] = {}
-    for idx, rec in enumerate(dec.representatives):
+    if dec.vertex != world.ball.base:
+        raise CertificationError(
+            f"the partition certificate keys B(base, {radius}), not B({dec.vertex}, {radius})")
+    check_guard(len(dec.stabilizer) ** 2 * len(dec.representatives), guard, "KAK partition products")
+    size = sum(1 for depth in world.ball.depth if depth <= radius)
+    perms = [k2.images[:size] for k2 in dec.stabilizer]
+    if any(m >= size for perm in perms for m in perm):
+        raise CertificationError(f"a stabilizer element does not map B(base, {radius}) into itself")
+    cosets: list[set] = []
+    for rec in dec.representatives:
         keys = set()
         for k1 in dec.stabilizer:
-            for k2 in dec.stabilizer:
-                keys.add(restriction_key(compose(k1, compose(rec.element, k2)), world, radius))
-        keys_by_rep[idx] = keys
-    all_keys = [restriction_key(g, world, radius) for g in dec.group]
-    union = set().union(*keys_by_rep.values()) if keys_by_rep else set()
-    disjoint = all(
-        not (keys_by_rep[i] & keys_by_rep[j])
-        for i in keys_by_rep for j in keys_by_rep if i < j
-    )
-    covers = set(all_keys) == union
-    return DisjointnessCertificate(radius, disjoint, covers,
-                                   {i: len(ks) for i, ks in keys_by_rep.items()})
+            # the appended None is what an unknown image (-1) indexes
+            key = restriction_key(compose(k1, rec.element), world, radius) + (None,)
+            keys.update(tuple(map(key.__getitem__, perm)) for perm in perms)
+        cosets.append(keys)
+    union = set().union(*cosets)
+    covers = {restriction_key(g, world, radius) for g in dec.group} == union
+    return DisjointnessCertificate(radius, sum(map(len, cosets)) == len(union), covers,
+                                   {i: len(ks) for i, ks in enumerate(cosets)})
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +321,9 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
     if gb.local_group is not None:
         group = sorted(gb.local_group.closure())
         ident = perm_identity(world.degree)
-        if ball.base in fixed_side:
-            s_star = None          # plant anywhere on the moving side
-        else:
-            s_star = h.side        # moving side contains the base; avoid s_star's cone
-        moving = [u for u in sorted(ball.vertices()) if u not in fixed_side]
+        # With the base on the moving side, avoid the cone of h.side.
+        anc = None if ball.base in fixed_side else world.word_of[h.side]
+        moving = [u for u in ball.vertices() if u not in fixed_side]
         for u in sorted(moving, key=lambda x: (ball.depth[x], x)):
             if ball.depth[u] + 1 > ball.radius:
                 continue  # moved children must stay visible in the ball
@@ -331,18 +331,13 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
             if not wu:
                 # Plant at the base: fixing the color toward the fixed side
                 # fixes that entire branch pointwise.
-                locked = world.word_of[s_star][0]
-                for tau in group:
-                    if tau != ident and tau[locked - 1] == locked:
-                        return Portrait(world, (), {(): tau}).restrict()
-                continue
-            if s_star is not None:
-                anc = world.word_of[s_star]
-                if wu == anc[:len(wu)] or anc == wu[:len(anc)]:
-                    continue  # ancestors/descendants of the fixed cone
-            parent_color = wu[-1]
+                locked = anc[0]
+            elif anc is not None and (wu == anc[:len(wu)] or anc == wu[:len(anc)]):
+                continue  # ancestors/descendants of the fixed cone
+            else:
+                locked = wu[-1]  # the parent color
             for tau in group:
-                if tau != ident and tau[parent_color - 1] == parent_color:
+                if tau != ident and tau[locked - 1] == locked:
                     return Portrait(world, (), {wu: tau}).restrict()
         return None
     ident_key = identity_aut(world).restrict().key()

@@ -48,8 +48,22 @@ class LabelVector:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabelVector":
-        rule = {(lab, slot): child for lab, slot, child in data["rule"]}
-        return cls(tuple(data["labels"]), dict(data["degrees"]), rule)
+        """Read {"labels": [str], "degrees": {str: int}, "rule": [[str, int, str]]}, shape first."""
+        if not isinstance(data, dict) or not {"labels", "degrees", "rule"} <= data.keys():
+            raise ValueError("label config must be an object with 'labels', 'degrees' and 'rule'")
+        labels, degrees, triples = data["labels"], data["degrees"], data["rule"]
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise ValueError(f"'labels' must be a list of strings, got {labels!r}")
+        if not isinstance(degrees, dict) or not all(type(deg) is int for deg in degrees.values()):
+            raise ValueError(f"'degrees' must map labels to integers, got {degrees!r}")
+        if not isinstance(triples, list) or not all(
+                isinstance(t, list) and len(t) == 3 and isinstance(t[0], str) and type(t[1]) is int
+                and isinstance(t[2], str) for t in triples):
+            raise ValueError(f"'rule' must be a list of [label, slot, label] triples, got {triples!r}")
+        rule = {(lab, slot): child for lab, slot, child in triples}
+        if len(rule) != len(triples):
+            raise ValueError("'rule' lists a (label, slot) pair twice")
+        return cls(tuple(labels), dict(degrees), rule)
 
 
 @dataclass(frozen=True)

@@ -431,6 +431,14 @@ class LocalGroup:
 
     @classmethod
     def create(cls, degree: int, generators) -> "LocalGroup":
+        """The group from a degree and one-line permutations, shape-checked first:
+        an integer degree and a list of integer lists (bools and floats refused).
+        Callers holding tuples built in this module use the constructor."""
+        if type(degree) is not int:
+            raise ValueError(f"local group degree must be an integer, got {degree!r}")
+        if not isinstance(generators, (list, tuple)) or not all(
+                isinstance(g, (list, tuple)) and all(type(x) is int for x in g) for g in generators):
+            raise ValueError(f"local group generators must be a list of integer lists, got {generators!r}")
         return cls(degree, tuple(tuple(g) for g in generators))
 
     @classmethod
@@ -467,6 +475,8 @@ class LocalGroup:
 
     @classmethod
     def from_json(cls, data: dict) -> "LocalGroup":
+        if not isinstance(data, dict) or not {"degree", "generators"} <= data.keys():
+            raise ValueError("local group must be an object with 'degree' and 'generators'")
         return cls.create(data["degree"], data["generators"])
 
 
@@ -478,7 +488,7 @@ def _normal_subgroups(group: frozenset[Perm], degree: int) -> list[frozenset[Per
     generated by their union with no conjugation.
     """
     def generated(gens) -> frozenset[Perm]:
-        return LocalGroup.create(degree, sorted(gens)).closure()
+        return LocalGroup(degree, tuple(sorted(gens))).closure()
 
     unseen = set(group)
     basic = set()
@@ -520,7 +530,7 @@ def is_generated_by_point_stabilizers(F: LocalGroup, guard: int | None = None) -
     gens: set[Perm] = set()
     for point in range(1, F.degree + 1):
         gens |= {g for g in group if g[point - 1] == point}
-    return LocalGroup.create(F.degree, sorted(gens)).order() == F.order()
+    return LocalGroup(F.degree, tuple(sorted(gens))).order() == F.order()
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +746,7 @@ def generate_plus_k(gb: GroupBall, k: int, guard: int | None = None) -> GroupBal
         raise ValueError("generate_plus_k needs a closed group ball")
     gens = {tuple(x + 1 for x in g.key())
             for e in certified_edges(gb, k) for g in edge_fixator(gb, e, k)}
-    chain = LocalGroup.create(gb.ball.vertex_count, sorted(gens))
+    chain = LocalGroup(gb.ball.vertex_count, tuple(sorted(gens)))
     check_guard(chain.order(), guard, "plus-k closure")
     keys = sorted(tuple(x - 1 for x in p) for p in chain.closure())
     elements = [FiniteTreeAutomorphism(gb.ball, key) for key in keys]

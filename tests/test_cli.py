@@ -185,6 +185,53 @@ def test_building_spec_validation(tmp_path, capsys, spec):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    None,
+    {"degree": 3},
+    {"degree": "3", "generators": []},
+    {"degree": True, "generators": []},
+    {"degree": 3, "generators": 5},
+    {"degree": 3, "generators": [[2, 1, 3.0]]},
+    {"degree": 3, "generators": [[2, 1, True]]},
+    {"degree": 4, "generators": []},  # a degree-4 group on the degree-3 tree
+])
+@pytest.mark.parametrize("command", [
+    ["kak-tree", "--radius", "1", "--max-sphere", "1"],
+    ["contract-tree", "--radius", "3", "--powers", "1"],
+])
+def test_local_group_file_validation(tmp_path, capsys, data, command):
+    path = write_json(tmp_path, "bad.json", data)
+    assert run(command + ["--local-group", path]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("generators", ["5", "{}", "[[2, 1, 3.0]]", "[3]"])
+def test_generators_option_validation(capsys, generators):
+    assert run(["ugroup", "--radius", "1", "--generators", generators]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("config", [
+    [],
+    {"labels": ["a"], "degrees": {"a": 2}},                                 # no rule
+    {"labels": ["a"], "degrees": {"a": "3"}, "rule": [["a", 0, "a"], ["a", 1, "a"], ["a", 2, "a"]]},
+    {"labels": "a", "degrees": {"a": 2}, "rule": [["a", 0, "a"], ["a", 1, "a"]]},
+    {"labels": ["a"], "degrees": {"a": 2}, "rule": [["a", 0.0, "a"], ["a", 1, "a"]]},
+    {"labels": ["a"], "degrees": {"a": 2}, "rule": [["a", 0, "a"], ["a", 1]]},
+    {"labels": ["a"], "degrees": {"a": 2}, "rule": [["a", 0, "a"], ["a", 1, "a"], ["a", 1, "a"]]},
+])
+def test_label_config_validation(tmp_path, capsys, config):
+    path = write_json(tmp_path, "bad.json", config)
+    assert run(["tree", "--radius", "1", "--label-config", path, "--root-label", "a"]) == 1
+    assert_one_error_line(capsys)
+
+
 def test_negative_sizes_exit_1(tmp_path, capsys):
     assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error:")

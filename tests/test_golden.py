@@ -9,7 +9,9 @@ local groups that are not transitive or not symmetric.  In
 ugroup_r3_plus3_pk2 and ugroup_d4_r2_c4_plus1 the plus-k closure is a proper
 subgroup of the stabilizer ball (index 48 and 4).  The kak_tree_*_c3 and
 kak_tree_*_c4 cases use cyclic local groups, which hold no transposition;
-both report coverage false.
+both report coverage false.  kak_tree_d4_r1_s2_klein uses the intransitive
+Klein four group (nine representatives); in kak_tree_r2_s3 the keys read
+images beyond the ball.  Both report coverage false as well.
 """
 
 import json
@@ -30,6 +32,9 @@ CASES = {
                              "--generators", "[[2,3,1]]"],
     "kak_tree_d4_r1_s1_c4": ["kak-tree", "--degree", "4", "--radius", "1", "--max-sphere", "1",
                              "--generators", "[[2,3,4,1]]"],
+    "kak_tree_d4_r1_s2_klein": ["kak-tree", "--degree", "4", "--radius", "1", "--max-sphere", "2",
+                                "--generators", "[[2,1,3,4],[1,2,4,3]]"],
+    "kak_tree_r2_s3": ["kak-tree", "--radius", "2", "--max-sphere", "3"],
     "contract_tree_r8_p4": ["contract-tree", "--radius", "8", "--powers", "4"],
     "contract_tree_d4_r6_p3_s42": ["contract-tree", "--degree", "4", "--radius", "6",
                                    "--powers", "3", "--step", "4,2"],

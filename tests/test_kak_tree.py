@@ -1,6 +1,8 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tdlc import kak_tree as kt
 from tdlc import tree_aut as ta
@@ -11,6 +13,7 @@ from tdlc.errors import CertificationError, GuardExceeded
 
 S3 = ug.LocalGroup.symmetric(3)
 FLIP = ug.LocalGroup.create(3, [(2, 1, 3)])
+KLEIN = ug.LocalGroup.create(4, [(2, 1, 3, 4), (1, 2, 4, 3)])
 
 
 def full_ball_s3():
@@ -111,6 +114,82 @@ def test_certify_partition():
     cert = kt.certify_partition(dec, 2)
     assert cert.disjoint and cert.covers
     assert sum(cert.coset_sizes.values()) == 480
+
+
+def product_certificate(dec, radius):
+    """Oracle: key every product k1 a k2 and intersect the cosets pairwise."""
+    world = dec.group.world
+    keys_by_rep = {}
+    for idx, rec in enumerate(dec.representatives):
+        keys = set()
+        for k1 in dec.stabilizer:
+            for k2 in dec.stabilizer:
+                keys.add(kt.restriction_key(ta.compose(k1, ta.compose(rec.element, k2)), world, radius))
+        keys_by_rep[idx] = keys
+    all_keys = [kt.restriction_key(g, world, radius) for g in dec.group]
+    union = set().union(*keys_by_rep.values()) if keys_by_rep else set()
+    disjoint = all(
+        not (keys_by_rep[i] & keys_by_rep[j])
+        for i in keys_by_rep for j in keys_by_rep if i < j
+    )
+    covers = set(all_keys) == union
+    return kt.DisjointnessCertificate(radius, disjoint, covers,
+                                      {i: len(ks) for i, ks in keys_by_rep.items()})
+
+
+@st.composite
+def local_groups(draw):
+    d = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.permutations(range(1, d + 1)).map(tuple), max_size=2))
+    return ug.LocalGroup.create(d, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_groups(), st.integers(1, 2), st.integers(1, 3))
+@example(S3, 2, 2)
+@example(FLIP, 2, 2)
+@example(KLEIN, 1, 2)
+@example(ug.LocalGroup.create(3, [(2, 3, 1)]), 1, 2)      # cyclic: coverage fails
+@example(ug.LocalGroup.create(4, [(2, 3, 4, 1)]), 1, 1)
+@example(ug.LocalGroup.symmetric(4), 1, 3)
+def test_certify_partition_matches_the_product_oracle(F, support, max_sphere):
+    assume(ug.stabilizer_ball_count(F, support) ** 2 <= 20_000)
+    world = ug.ColorBall(F.degree, max_sphere + support)
+    gb = ug.enumerate_u1_ball(F, world, max_sphere, support)
+    dec = kt.enumerate_representatives(gb, 0, max_sphere)
+    assume(len(dec.stabilizer) ** 2 * len(dec.representatives) <= 20_000)
+    assert kt.certify_partition(dec, max_sphere) == product_certificate(dec, max_sphere)
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(), st.integers(0, 2), st.integers(0, 2))
+def test_first_mover_in_a_u1_ball_is_the_translation(F, support, move):
+    assume(ug.stabilizer_ball_count(F, support) <= 2_000)
+    world = ug.ColorBall(F.degree, move + support)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    for w in world.ball.vertices():
+        if world.ball.depth[w] <= move:
+            first = next(g for g in gb if g.images[0] == w)
+            t = ug.translation(world, world.word_of[w]).restrict()
+            assert first.key() == t.key()
+            assert first.exact == t.exact
+
+
+def test_certify_partition_refuses_a_vertex_other_than_the_base():
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, gb.world.id_of[(1,)], 1)
+    with pytest.raises(CertificationError, match="keys B\\(base, 1\\), not B\\(1, 1\\)"):
+        kt.certify_partition(dec, 1)
+
+
+def test_certify_partition_refuses_a_stabilizer_that_leaves_the_ball():
+    world = ug.ColorBall(3, 3)
+    dec = kt.enumerate_representatives(ug.enumerate_u1_ball(S3, world, 1, 2), 0, 1)
+    # fixes the base, but sends the depth-2 vertex (1, 2) to depth 3
+    partial = ta.FiniteTreeAutomorphism(world.ball, {0: 0, world.id_of[(1, 2)]: world.id_of[(1, 2, 1)]})
+    dec = dataclasses.replace(dec, stabilizer=ug.GroupBall(world, [partial]))
+    with pytest.raises(CertificationError, match="does not map B\\(base, 2\\) into itself"):
+        kt.certify_partition(dec, 2)
 
 
 def test_certify_partition_guard_before_products(monkeypatch):
