@@ -87,6 +87,20 @@ def _building_spec(args) -> rab.BuildingSpec:
         return rab.BuildingSpec.from_json(json.load(fh))
 
 
+def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list[cox.CoxElement]:
+    """The words of a JSON file holding a list of words, each a string of
+    space-separated generator names or a list of names."""
+    if path is None:
+        raise ValueError(f"{flag} is required for this action")
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, list) or not all(
+            isinstance(w, str) or isinstance(w, list) and all(isinstance(s, str) for s in w)
+            for w in data):
+        raise ValueError(f"{flag} must hold a JSON list of words, each a string or a list of strings")
+    return [cox.word_from_names(system, w) for w in data]
+
+
 def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
     """Refuse on the outer sphere of the ball before it is built."""
     sphere = degree * max(1, degree - 1) ** (radius - 1) if radius > 0 else 1
@@ -231,8 +245,7 @@ def _cmd_coxeter(args) -> dict:
         return {"max_length": args.max_length, "bound": args.bound,
                 "size": len(profile), "elements": [list(w.names()) for w in profile]}
     if args.action == "root-growth":
-        with open(args.words_file) as fh:
-            words = [cox.word_from_names(system, w) for w in json.load(fh)]
+        words = _word_list(args.words_file, "--words-file", system)
         chain = cox.root_growth_search(words, guard=args.guard)
         return {"generator": chain.generator,
                 "chain": [list(w.names()) for w in chain.chain],
@@ -261,8 +274,7 @@ def _cmd_building(args) -> dict:
             "disjointness": report.disjoint,
         }
     if args.action == "contract":
-        with open(args.ws_file) as fh:
-            ws = [cox.word_from_names(spec.system, w) for w in json.load(fh)]
+        ws = _word_list(args.ws_file, "--ws-file", spec.system)
         res = kb.building_contraction_witness(ws, spec, args.L, guard=args.guard)
         if isinstance(res, kb.NoBuildingWitness):
             return {"witness": None, "reason": res.reason, "L": args.L}

@@ -13,7 +13,8 @@ entries whose images leave the ball:
 - PARTIAL, the evaluator of a map known only on the ball (read from JSON,
   built on a plain TreeBall, or the identity of identity_automorphism),
   knows nothing beyond it, so composition intersects domains and agreement
-  stops where the domain does.
+  stops where the domain does.  A product with PARTIAL on either side is
+  PARTIAL: an exact evaluator never holds a partial part.
 
 An evaluator answers `address(v)` (the address of g(v), None when unknown),
 `locate(v)` (the ball id of g(v), -1 when outside or unknown), `compose`

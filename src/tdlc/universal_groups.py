@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import CertificationError, check_guard
 from .tree_core import build_regular_ball, half_tree_vertices, HalfTreeRef, layers
-from .tree_aut import FiniteTreeAutomorphism
+from .tree_aut import PARTIAL, FiniteTreeAutomorphism, PartialMap
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]  # perm[i] is the image of color i+1
@@ -156,7 +156,14 @@ class ExactAut:
     def image_word(self, u: Word) -> Word:
         raise NotImplementedError
 
-    def compose(self, other: "ExactAut") -> "ExactAut":
+    def image_words(self, words) -> list[Word]:
+        raise NotImplementedError
+
+    def compose(self, other: "ExactAut | PartialMap") -> "ExactAut | PartialMap":
+        """self after other: a Composite, or PARTIAL when other knows only
+        its ball portrait, since then no word has a known image."""
+        if other is PARTIAL:
+            return PARTIAL
         parts = (self.parts if isinstance(self, Composite) else (self,)) + \
                 (other.parts if isinstance(other, Composite) else (other,))
         return Composite(self.world, parts)
@@ -237,6 +244,38 @@ class Portrait(ExactAut):
             last, incoming = c, t
         return img
 
+    def image_words(self, words) -> list[Word]:
+        """[image_word(u) for u in words], stepping each distinct prefix once.
+
+        A local memo maps every prefix walked so far to the state image_word
+        carries past it (image, stored action, last letter, incoming colour),
+        and each word resumes from its longest memoised prefix; in BFS order
+        that is its parent, one letter back."""
+        acts = self._acts
+        memo: dict[Word, tuple] = {(): (self.base_word, acts.get(()), 0, 0)}
+        out = []
+        for u in words:
+            state = memo.get(u)
+            if state is None:
+                k = len(u)
+                while state is None:
+                    k -= 1
+                    state = memo.get(u[:k])
+                img, sigma, last, incoming = state
+                for i in range(k, len(u)):
+                    c = u[i]
+                    if sigma is not None:
+                        t = sigma[c - 1]
+                    else:
+                        t = last if c == incoming else c
+                    img = word_append(img, t)
+                    prefix = u[:i + 1]
+                    sigma = acts.get(prefix)
+                    last, incoming = c, t
+                    state = memo[prefix] = (img, sigma, last, incoming)
+            out.append(state[0])
+        return out
+
     def restrict(self) -> FiniteTreeAutomorphism:
         """Ball portrait in one BFS pass over the world ball (images outside it
         become -1): a child's image extends its parent's image by the color
@@ -296,8 +335,8 @@ def identity_aut(world: ColorBall) -> Portrait:
 class Composite(ExactAut):
     """parts[0] o parts[1] o ... o parts[-1], evaluated right to left.
 
-    A part that cannot say where a word goes (tree_aut.PARTIAL, the evaluator
-    of a partial map) makes the image unknown: image_word returns None.
+    Every part is exact (ExactAut.compose answers PARTIAL instead of holding
+    it), so every word has a known image.
     """
 
     def __init__(self, world: ColorBall, parts: tuple[ExactAut, ...]):
@@ -311,16 +350,20 @@ class Composite(ExactAut):
             cached = u
             for part in reversed(self.parts):
                 cached = part.image_word(cached)
-                if cached is None:
-                    return None
             self._img_cache[u] = cached
         return cached
 
+    def image_words(self, words) -> list[Word]:
+        """[image_word(u) for u in words], the whole list fed through each part."""
+        for part in reversed(self.parts):
+            words = part.image_words(words)
+        return list(words)
+
     def restrict(self) -> FiniteTreeAutomorphism:
-        """Ball portrait, every vertex evaluated from the base (-1 outside the ball or unknown)."""
+        """Ball portrait from one batch evaluation of the ball's words (-1 outside the ball)."""
         world = self.world
-        id_of, image_word = world.id_of, self.image_word
-        images = tuple(id_of.get(image_word(w), -1) for w in world.word_of)
+        id_of = world.id_of
+        images = tuple(id_of.get(w, -1) for w in self.image_words(world.word_of))
         return FiniteTreeAutomorphism(world.ball, images, self)
 
     def inverse(self) -> "ExactAut":

@@ -232,6 +232,39 @@ def test_label_config_validation(tmp_path, capsys, config):
     assert_one_error_line(capsys)
 
 
+def word_list_commands(tmp_path):
+    """The two actions that read a word-list file, without the file option."""
+    return [
+        ["coxeter", "root-growth", "--config", dinf_config(tmp_path)],
+        ["building", "contract", "--spec", dinf_q3_spec(tmp_path), "--L", "4"],
+        ["contract-building", "--spec", dinf_q3_spec(tmp_path), "--L", "4"],
+    ]
+
+
+@pytest.mark.parametrize("data", [5, [5], None, {"a": 1}, [["t", 5]], "t s"])
+def test_word_list_file_validation(tmp_path, capsys, data):
+    path = write_json(tmp_path, "ws.json", data)
+    for command, flag in zip(word_list_commands(tmp_path), ["--words-file", "--ws-file", "--ws-file"]):
+        assert run(command + [flag, path]) == 1, command
+        assert_one_error_line(capsys)
+
+
+def test_word_list_file_is_required(tmp_path, capsys):
+    for command in word_list_commands(tmp_path):
+        assert run(command) == 1, command
+        assert_one_error_line(capsys)
+
+
+def test_word_list_file_takes_lists_of_names(tmp_path):
+    spec = dinf_q3_spec(tmp_path)
+    ws = write_json(tmp_path, "ws.json", [["t", "s"], "t s t s"])
+    con = run_json(["building", "contract", "--spec", spec, "--L", "6", "--ws-file", ws], tmp_path)
+    assert con["fixed_ball_radii"] == [1, 3]
+    rep = run_json(["coxeter", "root-growth", "--config", dinf_config(tmp_path),
+                    "--words-file", ws], tmp_path)
+    assert rep["distances"] == [2, 4]
+
+
 def test_negative_sizes_exit_1(tmp_path, capsys):
     assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -36,6 +36,7 @@ CASES = {
                                 "--generators", "[[2,1,3,4],[1,2,4,3]]"],
     "kak_tree_r2_s3": ["kak-tree", "--radius", "2", "--max-sphere", "3"],
     "contract_tree_r8_p4": ["contract-tree", "--radius", "8", "--powers", "4"],
+    "contract_tree_r10_p8": ["contract-tree", "--radius", "10"],
     "contract_tree_d4_r6_p3_s42": ["contract-tree", "--degree", "4", "--radius", "6",
                                    "--powers", "3", "--step", "4,2"],
     "building_kak_L4": ["building", "kak", "--spec", "{spec}", "--L", "4"],

@@ -140,8 +140,10 @@ def test_portrait_inverse_is_a_closed_form_portrait(g):
 
 
 def per_vertex_restrict(g):
-    """Reference code: ExactAut.restrict as it was before Portrait.restrict
-    walked the ball once, evaluating every ball vertex from the base."""
+    """Reference code: the restriction of an exact evaluator with every ball
+    vertex evaluated from the base, as ExactAut.restrict did before
+    Portrait.restrict walked the ball once and Composite.restrict before it
+    evaluated the ball's words in one batch."""
     world = g.world
     images = tuple(world.id_of.get(g.image_word(w), -1) for w in world.word_of)
     return ta.FiniteTreeAutomorphism(world.ball, images, g)
@@ -167,6 +169,66 @@ def test_composite_restrict_is_the_composite_of_restrictions(pair):
     g, h = pair
     composite = ug.Composite(g.world, (g, h))
     assert composite.restrict().key() == ta.compose(g.restrict(), h.restrict()).key()
+
+
+@st.composite
+def composites(draw):
+    """A Composite of 1-4 random portraits of one degree in 2..4, each part
+    possibly replaced by its closed-form inverse."""
+    d = draw(st.integers(2, 4))
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        g = draw(portraits(degrees=[d]))
+        parts.append(g.inverse() if draw(st.booleans()) else g)
+    return ug.Composite(parts[0].world, tuple(parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(composites())
+def test_composite_restrict_matches_the_per_vertex_restrict(composite):
+    p = composite.restrict()
+    assert p.key() == per_vertex_restrict(composite).key()
+    assert p.exact is composite
+
+
+@settings(max_examples=150, deadline=None)
+@given(composites(), st.data())
+def test_image_words_match_image_word(composite, data):
+    """The batch evaluators on the shuffled ball words, words up to two
+    letters beyond the ball, and repeats."""
+    world = composite.world
+    ball_words = data.draw(st.permutations(world.word_of))
+    beyond = data.draw(st.lists(st.sampled_from(ug.reduced_words(world.degree, world.radius + 2)),
+                                max_size=20))
+    words = [*ball_words, *beyond, *ball_words[::3], *beyond[::2]]
+    for g in (*composite.parts, composite):
+        assert g.image_words(words) == [g.image_word(w) for w in words]
+
+
+def test_compose_with_a_partial_portrait_is_partial():
+    """A product with a JSON-read (partial) portrait on either side is
+    PARTIAL, with the images, certified radii and agreement depths of the
+    product of the two ball portraits alone."""
+    world = ug.ColorBall(3, 3)
+    ball = world.ball
+    g = ug.Portrait(world, (1, 2), {(): (2, 3, 1), (3,): (2, 3, 1)}).restrict()
+    t = ug.translation(world, (2,)).restrict()
+    read = ta.FiniteTreeAutomorphism.from_json(t.to_json(include_ball=False), ball)
+    assert read.exact is ta.PARTIAL and read.images == t.images
+    ident = ta.identity_automorphism(ball)
+    pairs = []
+    for e in (g, ta.compose(g, g)):
+        e_on_ball = ta.FiniteTreeAutomorphism(ball, e.images)
+        pairs += [(ta.compose(e, read), ta.compose(e_on_ball, read)),
+                  (ta.compose(read, e), ta.compose(read, e_on_ball))]
+    for p, q in pairs:
+        assert p.exact is ta.PARTIAL
+        assert p.images == q.images
+        assert -1 in p.images
+        for v in ball.vertices():
+            assert ta.certified_radius(p, v) == ta.certified_radius(q, v)
+            assert ta.agreement_depth(p, ident, v) == ta.agreement_depth(q, ident, v)
+            assert ta.agreement_depth(p, g, v) == ta.agreement_depth(q, g, v)
 
 
 def test_portrait_local_actions_are_intrinsic():
