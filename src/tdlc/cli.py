@@ -65,26 +65,34 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(text: str):
+    """Parse JSON input; nesting too deep for the parser is invalid input too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _local_group(args, degree: int) -> ug.LocalGroup:
     if getattr(args, "local_group", None):
         with open(args.local_group) as fh:
-            F = ug.LocalGroup.from_json(json.load(fh))
+            F = ug.LocalGroup.from_json(_read_json(fh.read()))
         if F.degree != degree:
             raise ValueError(f"the local group has degree {F.degree}, but the tree has degree {degree}")
         return F
     if getattr(args, "generators", None):
-        return ug.LocalGroup.create(degree, json.loads(args.generators))
+        return ug.LocalGroup.create(degree, _read_json(args.generators))
     return ug.LocalGroup.symmetric(degree)
 
 
 def _coxeter_system(args) -> cox.RACoxeterSystem:
     with open(args.config) as fh:
-        return cox.RACoxeterSystem.from_json(json.load(fh))
+        return cox.RACoxeterSystem.from_json(_read_json(fh.read()))
 
 
 def _building_spec(args) -> rab.BuildingSpec:
     with open(args.spec) as fh:
-        return rab.BuildingSpec.from_json(json.load(fh))
+        return rab.BuildingSpec.from_json(_read_json(fh.read()))
 
 
 def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list[cox.CoxElement]:
@@ -93,7 +101,7 @@ def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list
     if path is None:
         raise ValueError(f"{flag} is required for this action")
     with open(path) as fh:
-        data = json.load(fh)
+        data = _read_json(fh.read())
     if not isinstance(data, list) or not all(
             isinstance(w, str) or isinstance(w, list) and all(isinstance(s, str) for s in w)
             for w in data):
@@ -113,7 +121,7 @@ def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
 def _cmd_tree(args) -> dict:
     if args.label_config:
         with open(args.label_config) as fh:
-            lv = tc.LabelVector.from_json(json.load(fh))
+            lv = tc.LabelVector.from_json(_read_json(fh.read()))
         max_deg = max(lv.degree_of.values())
         _check_tree_ball(max_deg, args.radius, args.guard)
         ball = tc.build_label_regular_ball(lv, args.root_label, args.radius)

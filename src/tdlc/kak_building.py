@@ -29,20 +29,14 @@ from .rab import (
     ChamberBall,
     CompositeAut,
     FiniteBuildingAutomorphism,
-    IdentityAut,
     PanelRotation,
     RootRef,
     apartment_chamber,
     chamber_inverse,
-    chamber_product,
     chamber_times,
     dist_chamber_to_root,
-    gallery_distance,
     identity_chamber,
-    weyl_distance,
-    wing_contains,
-    _initial_syllable_position,
-    _nontrivial_wing_sigmas,
+    wing_split,
 )
 
 
@@ -56,8 +50,6 @@ def _reflection(spec: BuildingSpec, ap: ApartmentRef, s: int) -> BasePanelPermut
 
 def representative_aut(spec: BuildingSpec, ap: ApartmentRef, w: CoxElement) -> BuildingAut:
     """a_w: the composite of apartment reflections along the ShortLex word of w."""
-    if not w.word:
-        return IdentityAut(spec)
     return CompositeAut(spec, tuple(_reflection(spec, ap, s) for s in w.word))
 
 
@@ -89,7 +81,7 @@ def representatives(spec: BuildingSpec, max_length: int,
         target = apartment_chamber(spec, ap, w)
         if aut.image(base) != target:
             raise AssertionError(f"representative for {w} misses its apartment chamber")
-        if weyl_distance(base, aut.image(base)) != w:
+        if aut.image(base).type_word() != w:
             raise AssertionError(f"representative for {w} has wrong Weyl distance")
         reps[w.word] = aut
     return BuildingCartan(spec, ap, max_length, reps)
@@ -113,13 +105,12 @@ def _align_to_apartment(bc: BuildingCartan, target: Chamber) -> BuildingAut:
     """
     spec = bc.spec
     ap = bc.apartment
-    w = weyl_distance(identity_chamber(spec), target)
+    w = target.type_word()
     parts = []
     prefix = identity_chamber(spec)
     cur = target
     for s in w.word:
-        x = list(chamber_product(chamber_inverse(prefix), cur).syllables)
-        pos = _initial_syllable_position(spec, x, 1 << s)
+        x, pos = wing_split(chamber_inverse(prefix), s, cur)
         if pos is None:
             raise AssertionError("gallery alignment lost the expected panel direction")
         c = x[pos][1]
@@ -131,7 +122,7 @@ def _align_to_apartment(bc: BuildingCartan, target: Chamber) -> BuildingAut:
             parts.append(rot)
             cur = rot.image(cur)
         prefix = chamber_times(prefix, ((s, y),))
-    k = CompositeAut(spec, tuple(reversed(parts))) if parts else IdentityAut(spec)
+    k = CompositeAut(spec, tuple(reversed(parts)))
     if k.image(target) != apartment_chamber(spec, ap, w):
         raise AssertionError("alignment did not reach the standard apartment")
     return k
@@ -143,7 +134,7 @@ def factorize(g: FiniteBuildingAutomorphism, bc: BuildingCartan,
     spec = bc.spec
     base = identity_chamber(spec)
     target = g.exact.image(base)
-    w = weyl_distance(base, target)
+    w = target.type_word()
     if len(w.word) > bc.max_length:
         raise CertificationError(
             f"delta(C, g(C)) has length {len(w.word)} > enumerated {bc.max_length}")
@@ -181,15 +172,9 @@ class DisjointnessReport:
 
 
 def double_coset_disjointness_check(bc: BuildingCartan) -> DisjointnessReport:
-    spec = bc.spec
-    base = identity_chamber(spec)
-    seen = set()
-    realized = True
-    for word, aut in bc.reps.items():
-        w = weyl_distance(base, aut.image(base))
-        realized = realized and (w.word == word)
-        seen.add(w.word)
-    return DisjointnessReport(len(bc.reps), realized, len(seen) == len(bc.reps))
+    base = identity_chamber(bc.spec)
+    labels = [aut.image(base).type_word().word for aut in bc.reps.values()]
+    return DisjointnessReport(len(bc.reps), labels == list(bc.reps), len(set(labels)) == len(labels))
 
 
 @dataclass(frozen=True)
@@ -212,6 +197,12 @@ class BuildingContractionCertificate:
 @dataclass(frozen=True)
 class NoBuildingWitness:
     reason: str
+
+
+def _witness_sigma(q: int) -> tuple[int, ...]:
+    """The swap of the two largest colours, the lexicographically first
+    permutation of 0..q-1 that fixes 0 and is not the identity."""
+    return tuple(range(q - 2)) + (q - 1, q - 2)
 
 
 def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
@@ -239,8 +230,7 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
 
     # x fixes the wing of the opposite wall chamber of alpha_s and rotates the rest.
     opposite = apartment_chamber(spec, ap, CoxElement(spec.system, (s,)))
-    sigma = _nontrivial_wing_sigmas(spec.q(s))[0]
-    x_exact = PanelRotation(spec, opposite, s, sigma)
+    x_exact = PanelRotation(spec, opposite, s, _witness_sigma(spec.q(s)))
     x = x_exact.restrict(ball)
     if x.is_identity_on_ball():
         return NoBuildingWitness("wing fixator witness is trivial on the ball")
@@ -256,14 +246,16 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
             raise AssertionError(
                 f"ball distance {d_k} to the translated root disagrees with the Coxeter oracle {d_expected}")
         _, opp_k = root_k.wall_chambers(spec)
+        opp_k_inverse = chamber_inverse(opp_k)
         radius = d_k - 1
         for C in ball.chambers:
-            img = conj.image(C)
-            if wing_contains(opp_k, s, C) and img != C:
+            if conj.image(C) == C:
+                continue
+            if wing_split(opp_k_inverse, s, C)[1] is None:
                 raise AssertionError("conjugated witness moves the translated opposite wing")
-            if gallery_distance(base, C) <= radius and img != C:
+            if len(C.syllables) <= radius:
                 raise AssertionError(
-                    f"conjugated witness moves B(C,{radius}) at distance {gallery_distance(base, C)}")
+                    f"conjugated witness moves B(C,{radius}) at distance {len(C.syllables)}")
         distances.append(d_k)
         radii.append(radius)
     return BuildingContractionCertificate(

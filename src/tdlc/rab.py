@@ -150,6 +150,13 @@ def _initial_syllable_position(spec: BuildingSpec, syls: Sequence[Syllable], typ
     return initial_position(spec.system._comm, [t for t, _ in syls], types)
 
 
+def wing_split(C_inverse: Chamber, s: int, D: Chamber) -> tuple[list[Syllable], int | None]:
+    """The syllables of C^-1 D and the position of their initial s-syllable (at
+    most one: two would merge), None exactly when D lies in the s-wing of C."""
+    x = list(chamber_product(C_inverse, D).syllables)
+    return x, _initial_syllable_position(D.spec, x, 1 << s)
+
+
 def project(C: Chamber, J: Iterable[int | str], D: Chamber) -> Chamber:
     """Gate of D onto the J-residue of C: C times the maximal J-prefix of C^-1 D."""
     spec = C.spec
@@ -168,7 +175,8 @@ def project(C: Chamber, J: Iterable[int | str], D: Chamber) -> Chamber:
 
 def wing_contains(C: Chamber, s: int | str, D: Chamber) -> bool:
     """Whether D projects onto C on C's s-panel (D lies in the s-wing of C)."""
-    return project(C, [s], D) == C
+    idx = C.spec.system.index_of(s) if isinstance(s, str) else s
+    return wing_split(chamber_inverse(C), idx, D)[1] is None
 
 
 @dataclass(frozen=True)
@@ -229,7 +237,9 @@ class ChamberBall:
                 for s in range(spec.system.rank):
                     for c in range(1, spec.q(s)):
                         D = chamber_times(C, ((s, c),))
-                        if len(D.syllables) > len(C.syllables) and D.syllables not in seen:
+                        if len(D.syllables) <= len(C.syllables):
+                            break   # C ends in an s-syllable, so no colour of s leads outward
+                        if D.syllables not in seen:
                             # Guard before keeping: refusal stops at the first chamber over the cap.
                             check_guard(len(seen) + 1, guard, "chamber ball enumeration")
                             seen.add(D.syllables)
@@ -251,7 +261,7 @@ class ChamberBall:
         return self.chambers[0]
 
     def is_interior(self, C: Chamber) -> bool:
-        return len(C.type_word().word) < self.radius
+        return len(C.syllables) < self.radius
 
     def panel_members(self, C: Chamber, s: int | str) -> tuple[list[Chamber], bool]:
         """Panel chambers inside the ball, with a completeness flag."""
@@ -262,7 +272,7 @@ class ChamberBall:
     def sphere_sizes(self) -> list[int]:
         sizes = [0] * (self.radius + 1)
         for C in self.chambers:
-            sizes[len(C.type_word().word)] += 1
+            sizes[len(C.syllables)] += 1
         return sizes
 
 
@@ -305,6 +315,14 @@ def dist_chamber_to_root(C: Chamber, r: RootRef, ball: ChamberBall) -> int:
 # ---------------------------------------------------------------------------
 # exact building automorphisms
 
+def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a permutation of the colours 0..q-1, in one-line form."""
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    return tuple(inv)
+
+
 class BuildingAut:
     """Total, exact, type-preserving automorphism in the graph-product model."""
 
@@ -334,17 +352,6 @@ class BuildingAut:
         return self.image(C) == C
 
 
-class IdentityAut(BuildingAut):
-    def __init__(self, spec: BuildingSpec):
-        self.spec = spec
-
-    def image(self, C: Chamber) -> Chamber:
-        return C
-
-    def inverse(self) -> BuildingAut:
-        return self
-
-
 class PanelRotation(BuildingAut):
     """Rotate the colors of the s-prefix relative to a base chamber.
 
@@ -366,8 +373,7 @@ class PanelRotation(BuildingAut):
         self._base_inverse = chamber_inverse(base)
 
     def image(self, C: Chamber) -> Chamber:
-        x = list(chamber_product(self._base_inverse, C).syllables)
-        pos = _initial_syllable_position(self.spec, x, 1 << self.stype)
+        x, pos = wing_split(self._base_inverse, self.stype, C)
         if pos is None:
             return C
         # base^-1 C = (s, c) x'; its image (s, sigma(c)) x' only recolours that
@@ -376,10 +382,7 @@ class PanelRotation(BuildingAut):
         return chamber_times(self.base, x)
 
     def inverse(self) -> BuildingAut:
-        inv = [0] * len(self.sigma)
-        for i, v in enumerate(self.sigma):
-            inv[v] = i
-        return PanelRotation(self.spec, self.base, self.stype, tuple(inv))
+        return PanelRotation(self.spec, self.base, self.stype, _inverse_permutation(self.sigma))
 
 
 class BasePanelPermutation(BuildingAut):
@@ -412,13 +415,12 @@ class BasePanelPermutation(BuildingAut):
         return chamber_times(head, x)
 
     def inverse(self) -> BuildingAut:
-        inv = [0] * len(self.rho)
-        for i, v in enumerate(self.rho):
-            inv[v] = i
-        return BasePanelPermutation(self.spec, self.stype, tuple(inv))
+        return BasePanelPermutation(self.spec, self.stype, _inverse_permutation(self.rho))
 
 
 class CompositeAut(BuildingAut):
+    """parts[0] after parts[1] after ...; with no parts, the identity."""
+
     def __init__(self, spec: BuildingSpec, parts: tuple[BuildingAut, ...]):
         self.spec = spec
         self.parts = parts
@@ -534,6 +536,5 @@ def check_root_fixes_ball(ball: ChamberBall, r: RootRef, n: int) -> bool | str:
         return "inapplicable"
     _, opposite = r.wall_chambers(spec)
     gens = wing_fixator(ball, opposite, r.stype)
-    base = ball.base()
-    inner = [C for C in ball.chambers if gallery_distance(base, C) <= n]
+    inner = [C for C in ball.chambers if len(C.syllables) <= n]
     return all(g.exact.fixes(C) for g in gens for C in inner)

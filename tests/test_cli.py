@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import universal_groups as ug
 from tdlc.cli import run
@@ -265,6 +267,41 @@ def test_word_list_file_takes_lists_of_names(tmp_path):
     assert rep["distances"] == [2, 4]
 
 
+def test_building_contract_with_large_panels_refuses_quickly(tmp_path, capsys):
+    # The witness is one panel rotation; listing all 12! - 1 candidates first took minutes.
+    spec = write_json(tmp_path, "dinf_q13.json", {
+        "coxeter": {"generators": ["s", "t"], "commuting_pairs": []}, "parameters": {"s": 13, "t": 13}})
+    ws = write_json(tmp_path, "ws.json", ["t s", "t s t s"])
+    start = time.perf_counter()
+    assert run(["building", "contract", "--spec", spec, "--L", "2", "--ws-file", ws]) == 2
+    assert capsys.readouterr().err == "infeasible: root chambers not represented in the ball\n"
+    assert time.perf_counter() - start < 5
+
+
+def nested(depth):
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--config", "--local-group", "--label-config",
+                                  "--ws-file", "--words-file", "--generators"])
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, flag):
+    deep = write_json(tmp_path, "deep.json", None)
+    Path(deep).write_text(nested(3000))
+    argv = {
+        "--spec": ["building", "ball", "--spec", deep, "--L", "2"],
+        "--config": ["coxeter", "nf", "--config", deep, "--word", "s"],
+        "--local-group": ["kak-tree", "--radius", "1", "--max-sphere", "1", "--local-group", deep],
+        "--label-config": ["tree", "--radius", "1", "--label-config", deep, "--root-label", "a"],
+        "--ws-file": ["building", "contract", "--spec", dinf_q3_spec(tmp_path), "--L", "2",
+                      "--ws-file", deep],
+        "--words-file": ["coxeter", "root-growth", "--config", dinf_config(tmp_path),
+                         "--words-file", deep],
+        "--generators": ["ugroup", "--radius", "1", "--generators", nested(3000)],
+    }[flag]
+    assert run(argv) == 1
+    assert_one_error_line(capsys)
+
+
 def test_negative_sizes_exit_1(tmp_path, capsys):
     assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "-1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -394,3 +431,66 @@ def test_seed_is_a_padic_option_only(tmp_path, capsys):
     rep = run_json(["padic", "verify", "--p", "2", "--n-max", "3", "--matrices", "2", "--seed", "7"],
                    tmp_path)
     assert rep["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# fuzzed JSON inputs: a valid input with itself, or one of its fields,
+# replaced by a small JSON value
+
+FUZZ_INPUTS = [
+    ({"coxeter": {"generators": ["s", "t"], "commuting_pairs": []}, "parameters": {"s": 3, "t": 3}},
+     [["building", "ball", "--spec", "{f}", "--L", "2"],
+      ["building", "kak", "--spec", "{f}", "--L", "2"]]),
+    ({"generators": ["s", "t", "u"], "commuting_pairs": [["s", "t"]]},
+     [["coxeter", "nf", "--config", "{f}", "--word", "s t u s"]]),
+    ({"labels": ["a", "b"], "degrees": {"a": 2, "b": 3},
+      "rule": [["a", 0, "b"], ["a", 1, "b"], ["b", 0, "a"], ["b", 1, "a"], ["b", 2, "a"]]},
+     [["tree", "--radius", "2", "--label-config", "{f}", "--root-label", "a"]]),
+    ({"degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]},
+     [["ugroup", "--radius", "1", "--local-group", "{f}"],
+      ["kak-tree", "--radius", "1", "--max-sphere", "1", "--local-group", "{f}"],
+      ["contract-tree", "--radius", "3", "--powers", "1", "--local-group", "{f}"]]),
+]
+FUZZ_KEYS = st.sampled_from(["s", "t", "a", "b", "x", "coxeter", "parameters", "generators",
+                             "commuting_pairs", "labels", "degrees", "rule", "degree"])
+fuzz_values = st.recursive(
+    st.integers(-3, 12) | st.booleans() | st.none() | st.sampled_from(["s", "t", "a", "b", ""]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(FUZZ_KEYS, inner, max_size=4),
+    max_leaves=12)
+
+
+def json_paths(data, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def replaced(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_json_inputs_exit_0_1_or_2(fuzz_dir, data):
+    valid, commands = data.draw(st.sampled_from(FUZZ_INPUTS))
+    path = data.draw(st.sampled_from(list(json_paths(valid))))
+    doc = replaced(valid, path, data.draw(fuzz_values))
+    f = fuzz_dir / "input.json"
+    f.write_text(json.dumps(doc))
+    for command in commands:
+        argv = [tok.format(f=f) for tok in command] + ["--out", str(fuzz_dir / "out.json")]
+        assert run(argv) in (0, 1, 2), argv

@@ -2,9 +2,12 @@
 
 Each case runs one subcommand through tdlc.cli.run and compares the report
 with its golden file byte for byte, so a refactor that changes any report
-(ordering, a number, a trailing newline) fails here.  The building cases use
-the D_inf spec with q = 3 on both generators; the coxeter case uses the free
-product of three copies of Z/2.  The ugroup cases with --generators cover
+(ordering, a number, a trailing newline) fails here.  The building_*_L*
+cases use the D_inf spec with q = 3 on both generators.  The
+building_*_path4_q34_L4 cases use the path4 system, where a-b, b-c and c-d
+commute, with panel sizes q = 3, 4, 3, 4 on a, b, c, d: there the s-wing
+test looks past commuting letters, and the panels differ in size.  The
+coxeter case uses the free product of three copies of Z/2.  The ugroup cases with --generators cover
 local groups that are not transitive or not symmetric.  In
 ugroup_r3_plus3_pk2 and ugroup_d4_r2_c4_plus1 the plus-k closure is a proper
 subgroup of the stabilizer ball (index 48 and 4).  The kak_tree_*_c3 and
@@ -53,6 +56,9 @@ CASES = {
     "padic_p3_n10": ["padic", "verify", "--p", "3", "--n-max", "10"],
     "coxeter_profile_free3_6": ["coxeter", "profile", "--config", "{free3}", "--max-length", "6"],
     "building_ball_L4": ["building", "ball", "--spec", "{spec}", "--L", "4"],
+    "building_ball_path4_q34_L4": ["building", "ball", "--spec", "{path4}", "--L", "4"],
+    "building_contract_path4_q34_L4": ["building", "contract", "--spec", "{path4}", "--L", "4",
+                                       "--ws-file", "{ws_path4}"],
 }
 
 
@@ -64,8 +70,16 @@ def report_bytes(argv, workdir: Path) -> bytes:
     ws.write_text(json.dumps(["t s", "t s t s", "t s t s t s"]))
     free3 = workdir / "free3.json"
     free3.write_text(json.dumps({"generators": ["a", "b", "c"], "commuting_pairs": []}))
+    path4 = workdir / "path4_q34.json"
+    path4.write_text(json.dumps({
+        "coxeter": {"generators": ["a", "b", "c", "d"],
+                    "commuting_pairs": [["a", "b"], ["b", "c"], ["c", "d"]]},
+        "parameters": {"a": 3, "b": 4, "c": 3, "d": 4}}))
+    ws_path4 = workdir / "ws_path4.json"
+    ws_path4.write_text(json.dumps(["a c", "a c a c"]))
     out = workdir / "report.json"
-    argv = [tok.format(spec=spec, ws=ws, free3=free3) for tok in argv]
+    argv = [tok.format(spec=spec, ws=ws, free3=free3, path4=path4, ws_path4=ws_path4)
+            for tok in argv]
     assert run(argv + ["--out", str(out)]) == 0, argv
     return out.read_bytes()
 

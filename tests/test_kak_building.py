@@ -88,7 +88,7 @@ def test_factorize_exhaustive_small():
     bc = kb.representatives(spec, 2)
     ball = rab.ChamberBall(spec, 2)
     base = rab.identity_chamber(spec)
-    rotations = [rab.IdentityAut(spec)]
+    rotations = [rab.CompositeAut(spec, ())]
     for t in range(2):
         for sigma in rab._nontrivial_wing_sigmas(3):
             rotations.append(rab.PanelRotation(spec, base, t, sigma))
@@ -129,6 +129,19 @@ def test_building_contraction_witness():
     assert cert.distances == (2, 4, 6)
     assert cert.fixed_ball_radii == (1, 3, 5)
     assert not cert.witness.is_identity_on_ball()
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+def test_witness_sigma_is_the_first_nontrivial_wing_sigma(q):
+    assert kb._witness_sigma(q) == rab._nontrivial_wing_sigmas(q)[0]
+
+
+def test_empty_composite_is_the_identity():
+    spec = dinf_spec()
+    e = rab.CompositeAut(spec, ())
+    assert e.inverse().parts == ()
+    assert all(e.image(C) == C for C in rab.ChamberBall(spec, 2).chambers)
+    assert kb.representative_aut(spec, rab.ApartmentRef.default(spec), cox.identity(spec.system)).parts == ()
 
 
 def test_building_contraction_witness_errors():

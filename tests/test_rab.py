@@ -390,6 +390,37 @@ def test_automorphism_images_match_oracle(spec):
             assert flip.image(C).syllables == oracle_chamber(spec, [(s, rho[c])] + x)
 
 
+def path4_spec():
+    """a-b, b-c and c-d commute; panel sizes 3, 4, 3, 4."""
+    system = cox.RACoxeterSystem.create(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    return rab.BuildingSpec(system, {"a": 3, "b": 4, "c": 3, "d": 4})
+
+
+@pytest.mark.parametrize("spec", [dinf_spec(2, 2), dinf_spec(), klein_spec(), path4_spec()],
+                         ids=["dinf_q2", "dinf_q3", "klein_q3", "path4_q3434"])
+def test_chamber_facts_match_distance_and_gate_oracles(spec):
+    """Distance from the base and the s-wing test against the general pair rules.
+
+    The base is the identity chamber, so delta(1, C) is C's type word and
+    d(1, C) its syllable count; D lies in the s-wing of C exactly when the
+    gate of D on C's s-panel is C itself.
+    """
+    ball = rab.ChamberBall(spec, 3)
+    e = rab.identity_chamber(spec)
+    for C in ball.chambers:
+        assert len(C.syllables) == rab.gallery_distance(e, C)
+        assert C.type_word() == rab.weyl_distance(e, C)
+        C_inverse = rab.chamber_inverse(C)
+        for D in ball.chambers:
+            CD = rab.chamber_product(C_inverse, D).syllables
+            for s in range(spec.system.rank):
+                in_wing = rab.project(C, [s], D) == C
+                assert rab.wing_contains(C, s, D) == in_wing
+                x, pos = rab.wing_split(C_inverse, s, D)
+                assert tuple(x) == CD
+                assert (pos is None) == in_wing
+
+
 def test_chamber_ball_guard_fires_before_layer_completes():
     # D_inf with q = 3 has 1, 5, 13, 29 chambers up to radius 0..3; a guard
     # checked once per layer would fire only after all 29 were built.
