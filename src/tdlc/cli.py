@@ -152,11 +152,11 @@ def _cmd_ugroup(args) -> dict:
         "semiprimitive": ug.is_semiprimitive(F, guard=args.guard),
         "generated_by_point_stabilizers": ug.is_generated_by_point_stabilizers(F, guard=args.guard),
     }
-    if args.plus_k:
+    if args.plus_k is not None:
         plus = ug.generate_plus_k(gb, args.plus_k, guard=args.guard)
         report["plus_k"] = {"k": args.plus_k, "size": len(plus),
                             "index_in_stabilizer_ball": len(gb) // len(plus)}
-    if args.pk_k:
+    if args.pk_k is not None:
         if not world.ball.children[0]:
             raise CertificationError("property P_k needs an edge, and the radius-0 ball has none")
         edge = (0, world.ball.children[0][0])
@@ -212,6 +212,8 @@ def _cmd_padic(args) -> dict:
     if args.action != "verify":
         raise ValueError(f"unknown padic action: {args.action}")
     p, n_max = args.p, args.n_max
+    if args.matrices < 0:
+        raise ValueError(f"--matrices must be nonnegative, got {args.matrices}")
     rng = random.Random(args.seed)
     matrices = [pp.random_matrix(rng, p) for _ in range(args.matrices)]
     formula_ok = all(pp.conjugation_formula_check(h, n)

@@ -7,9 +7,9 @@ therefore representable.  Composition and inversion index into these
 tuples.  Every portrait carries an evaluator `exact`, consulted only for
 entries whose images leave the ball:
 
-- an exact evaluator (Portrait or Composite in universal_groups; a
-  Portrait's inverse is again a Portrait) knows the address of every image,
-  on the infinite tree;
+- an exact evaluator, a universal_groups.Portrait (inverses and products
+  of portraits are again portraits, in closed form), knows the address of
+  every image, on the infinite tree;
 - PARTIAL, the evaluator of a map known only on the ball (read from JSON,
   built on a plain TreeBall, or the identity of identity_automorphism),
   knows nothing beyond it, so composition intersects domains and agreement

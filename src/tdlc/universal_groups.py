@@ -12,9 +12,15 @@ stores finitely many local actions explicitly and extends canonically: at an
 unstored vertex the local action is the identity when that is consistent,
 and otherwise the unique transposition forced by the parent edge, which
 image_word applies letter by letter.  Portraits with empty tables are
-exactly the left translations by reduced words.  The inverse of a portrait
-is again a portrait, in closed form; composites are evaluated lazily, so
-group arithmetic is exact at any depth.
+exactly the left translations by reduced words.
+
+Portrait is the one exact automorphism type, and its letter-by-letter walk
+the one evaluator: image_word, local_action and compose read the state it
+ends in.  Inverses and products are again portraits, in closed form: the
+product g h acts at w by sigma_g(h(w)) sigma_h(w), and its table needs only
+the vertices near the two tables and near the geodesic to h^-1(base)
+(Portrait.compose proves which).  So group arithmetic is exact at
+any depth, with no lazy composite and no batch evaluator.
 """
 
 from __future__ import annotations
@@ -142,48 +148,21 @@ class ColorBall:
 
 
 # ---------------------------------------------------------------------------
-# exact automorphism evaluators
+# exact automorphisms
 
-class ExactAut:
-    """Shared behaviour for exact evaluators over a common ColorBall world.
-
-    These are the evaluators of tree_aut portraits: address and locate read
-    the image of a ball vertex on the infinite tree.
-    """
-
-    world: ColorBall
-
-    def image_word(self, u: Word) -> Word:
-        raise NotImplementedError
-
-    def image_words(self, words) -> list[Word]:
-        raise NotImplementedError
-
-    def compose(self, other: "ExactAut | PartialMap") -> "ExactAut | PartialMap":
-        """self after other: a Composite, or PARTIAL when other knows only
-        its ball portrait, since then no word has a known image."""
-        if other is PARTIAL:
-            return PARTIAL
-        parts = (self.parts if isinstance(self, Composite) else (self,)) + \
-                (other.parts if isinstance(other, Composite) else (other,))
-        return Composite(self.world, parts)
-
-    def address(self, v: int) -> Word | None:
-        """Address of the image of ball vertex v, possibly outside the ball."""
-        return self.image_word(self.world.word_of[v])
-
-    def locate(self, v: int) -> int:
-        """Ball id of the image of ball vertex v; -1 when it leaves the ball."""
-        return self.world.id_of.get(self.address(v), -1)
+def _prefixes(words) -> set[Word]:
+    return {w[:i] for w in words for i in range(len(w) + 1)}
 
 
-class Portrait(ExactAut):
+class Portrait:
     """Exact automorphism from a base image plus finitely many local actions.
 
     acts maps vertex addresses to full color permutations; missing vertices
     take the canonical extension (identity when consistent, else the forced
     transposition), and only entries that differ from it are kept.  An empty
-    table is the left translation by base_word.
+    table is the left translation by base_word.  Portraits are the exact
+    evaluators of tree_aut portraits: address and locate read the image of a
+    ball vertex on the infinite tree.
     """
 
     def __init__(self, world: ColorBall, base_word: Word = (), acts: dict[Word, Perm] | None = None):
@@ -216,18 +195,11 @@ class Portrait(ExactAut):
             sigma = perm_transposition(d, w[-1], sent) if w else perm_identity(d)
         return sigma
 
-    def local_action(self, w: Word) -> Perm:
-        """The stored action at w, else the canonical one: the identity at the
-        base, and elsewhere the transposition of w[-1] with the color g sends
-        w's parent edge to (the identity when that is w[-1] itself)."""
-        if not w or w in self._acts:
-            return self._action(w, 0)
-        return self._action(w, _edge_color(self.image_word(w[:-1]), self.image_word(w)))
-
-    def image_word(self, u: Word) -> Word:
-        """g(u), one letter at a time; the stored table is consistent, so an
-        unstored vertex's canonical action is applied without being built: it
-        swaps the vertex's last letter with that letter's image."""
+    def _walk(self, u: Word) -> tuple[Word, int]:
+        """g(u) and the color g sends u's parent edge to (0 at the base), one
+        letter at a time; the stored table is consistent, so an unstored
+        vertex's canonical action is applied without being built: it swaps
+        the vertex's last letter with that letter's image."""
         acts = self._acts
         img = self.base_word
         sigma = acts.get(())
@@ -242,39 +214,24 @@ class Portrait(ExactAut):
             prefix += (c,)
             sigma = acts.get(prefix)
             last, incoming = c, t
-        return img
+        return img, incoming
 
-    def image_words(self, words) -> list[Word]:
-        """[image_word(u) for u in words], stepping each distinct prefix once.
+    def image_word(self, u: Word) -> Word:
+        return self._walk(u)[0]
 
-        A local memo maps every prefix walked so far to the state image_word
-        carries past it (image, stored action, last letter, incoming colour),
-        and each word resumes from its longest memoised prefix; in BFS order
-        that is its parent, one letter back."""
-        acts = self._acts
-        memo: dict[Word, tuple] = {(): (self.base_word, acts.get(()), 0, 0)}
-        out = []
-        for u in words:
-            state = memo.get(u)
-            if state is None:
-                k = len(u)
-                while state is None:
-                    k -= 1
-                    state = memo.get(u[:k])
-                img, sigma, last, incoming = state
-                for i in range(k, len(u)):
-                    c = u[i]
-                    if sigma is not None:
-                        t = sigma[c - 1]
-                    else:
-                        t = last if c == incoming else c
-                    img = word_append(img, t)
-                    prefix = u[:i + 1]
-                    sigma = acts.get(prefix)
-                    last, incoming = c, t
-                    state = memo[prefix] = (img, sigma, last, incoming)
-            out.append(state[0])
-        return out
+    def local_action(self, w: Word) -> Perm:
+        """The stored action at w, else the canonical one: the identity at the
+        base, and elsewhere the transposition of w[-1] with the color g sends
+        w's parent edge to (the identity when that is w[-1] itself)."""
+        return self._action(w, self._walk(w)[1])
+
+    def address(self, v: int) -> Word:
+        """Address of the image of ball vertex v, possibly outside the ball."""
+        return self.image_word(self.world.word_of[v])
+
+    def locate(self, v: int) -> int:
+        """Ball id of the image of ball vertex v; -1 when it leaves the ball."""
+        return self.world.id_of.get(self.address(v), -1)
 
     def restrict(self) -> FiniteTreeAutomorphism:
         """Ball portrait in one BFS pass over the world ball (images outside it
@@ -292,26 +249,74 @@ class Portrait(ExactAut):
                     images[x] = word_append(images[v], t)
         return FiniteTreeAutomorphism(world.ball, tuple(id_of.get(w, -1) for w in images), self)
 
-    def inverse(self) -> "Portrait":
-        """g^-1 in closed form: the base goes to g^-1(base), and g(w) gets sigma(w)^-1.
-
-        g^-1(base) is reached from the base by pulling g's image path back one
-        colour at a time.  Wherever g maps the parent edge of u onto the parent
-        edge of g(u), that is at every u off the geodesic from the base to
-        g^-1(base), g^-1 is canonical at g(u) exactly when g is canonical at u.
-        So only g's stored vertices and the prefixes of g^-1(base) need an
-        entry; the constructor strips whatever is canonical.
-        """
+    def _base_preimage_path(self) -> list[Word]:
+        """The geodesic from the base to g^-1(base): g's image path from g(base)
+        back to the base, pulled back one colour at a time."""
         u: Word = ()
-        prefixes = [u]
+        path = [u]
         img = self.base_word
         while img:
             u = word_append(u, perm_inv(self.local_action(u))[img[-1] - 1])
             img = img[:-1]
-            prefixes.append(u)
-        acts = {self.image_word(w): perm_inv(self.local_action(w))
-                for w in (*self._acts, *prefixes)}
-        return Portrait(self.world, u, acts)
+            path.append(u)
+        return path
+
+    def inverse(self) -> "Portrait":
+        """g^-1 in closed form: the base goes to g^-1(base), and g(w) gets sigma(w)^-1.
+
+        Wherever g maps the parent edge of u onto the parent edge of g(u), that
+        is at every u off the geodesic from the base to g^-1(base), g^-1 is
+        canonical at g(u) exactly when g is canonical at u.  So only g's
+        stored vertices and the prefixes of g^-1(base) need an entry; the
+        constructor strips whatever is canonical.
+        """
+        path = self._base_preimage_path()
+        acts = {self.image_word(w): perm_inv(self.local_action(w)) for w in (*self._acts, *path)}
+        return Portrait(self.world, path[-1], acts)
+
+    def compose(self, other: "Portrait | PartialMap") -> "Portrait | PartialMap":
+        """g h for g = self and h = other, as one Portrait; PARTIAL when h knows
+        only its ball portrait, since then no word has a known image.
+
+        p = g h sends the base to g(h(base)) and acts at w by
+        sigma_p(w) = sigma_g(h(w)) sigma_h(w).  A walk from the base gives every
+        vertex it reaches that entry, and descends into the children of w
+        only when w is a prefix of a stored vertex of h or of h^-1(base), or
+        h(w) is a prefix of a stored vertex of g.  The constructor strips the
+        canonical entries.
+
+        Every vertex the walk misses is canonical for p.  The walk reaches
+        every child of a vertex it descends into, so a missed vertex lies
+        below a reached x where the walk stops, and x is not the base, a
+        prefix of h^-1(base).  At x and at every u below it, u is off the
+        geodesic from the base to h^-1(base), so h maps u's parent edge onto
+        h(u)'s parent edge, and h is canonical at u; so h(u) lies below h(x),
+        and g is canonical at h(u).  With a = u[-1], b = h(u)[-1] and c the
+        colour g sends h(u)'s parent edge to, sigma_h(u) = (a b) and
+        sigma_g(h(u)) = (b c).  Their product (b c)(a b) sends a to c, the
+        colour p sends u's parent edge to, so it is canonical for p unless
+        a, b, c are pairwise distinct (then it is a 3-cycle).  At a child u.e
+        (e != a) the three colours are e, f = (a b)(e) and (b c)(f).  If
+        e != b then f = e.  If e = b then f = a, and (b c)(a) is b = e when
+        a = c, and a = f otherwise.  So every vertex below x is canonical for
+        p.  Where g sends h(u)'s parent edge plays no part, so g^-1(base)
+        needs no descent.
+        """
+        if other is PARTIAL:
+            return PARTIAL
+        g, h = self, other
+        h_prefixes = _prefixes((*h._acts, h._base_preimage_path()[-1]))
+        g_prefixes = _prefixes(g._acts)
+        d = g.world.degree
+        acts: dict[Word, Perm] = {}
+        pending: list[Word] = [()]
+        while pending:
+            w = pending.pop()
+            hw, h_sent = h._walk(w)
+            acts[w] = perm_mul(g.local_action(hw), h._action(w, h_sent))
+            if w in h_prefixes or hw in g_prefixes:
+                pending.extend(w + (c,) for c in range(1, d + 1) if not w or c != w[-1])
+        return Portrait(g.world, g.image_word(h.base_word), acts)
 
     def canonical_key(self) -> tuple:
         return (self.base_word, tuple(sorted(self._acts.items())))
@@ -330,45 +335,6 @@ def translation(world: ColorBall, word: Word) -> Portrait:
 
 def identity_aut(world: ColorBall) -> Portrait:
     return Portrait(world, (), {})
-
-
-class Composite(ExactAut):
-    """parts[0] o parts[1] o ... o parts[-1], evaluated right to left.
-
-    Every part is exact (ExactAut.compose answers PARTIAL instead of holding
-    it), so every word has a known image.
-    """
-
-    def __init__(self, world: ColorBall, parts: tuple[ExactAut, ...]):
-        self.world = world
-        self.parts = parts
-        self._img_cache: dict[Word, Word] = {}
-
-    def image_word(self, u: Word) -> Word:
-        cached = self._img_cache.get(u)
-        if cached is None:
-            cached = u
-            for part in reversed(self.parts):
-                cached = part.image_word(cached)
-            self._img_cache[u] = cached
-        return cached
-
-    def image_words(self, words) -> list[Word]:
-        """[image_word(u) for u in words], the whole list fed through each part."""
-        for part in reversed(self.parts):
-            words = part.image_words(words)
-        return list(words)
-
-    def restrict(self) -> FiniteTreeAutomorphism:
-        """Ball portrait from one batch evaluation of the ball's words (-1 outside the ball)."""
-        world = self.world
-        id_of = world.id_of
-        images = tuple(id_of.get(w, -1) for w in self.image_words(world.word_of))
-        return FiniteTreeAutomorphism(world.ball, images, self)
-
-    def inverse(self) -> "ExactAut":
-        inv_parts = tuple(p.inverse() for p in reversed(self.parts))
-        return Composite(self.world, inv_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +710,8 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     Membership claims downstream are certified at ball depth; the canonical
     extension beyond the support is a representative choice.
     """
+    if move_radius < 0 or support_radius < 0:
+        raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
     if move_radius + support_radius > world.radius:
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
@@ -769,6 +737,8 @@ def edge_fixator(gb: GroupBall, edge: tuple[int, int], k: int) -> GroupBall:
 
 
 def certified_edges(gb: GroupBall, k: int) -> list[tuple[int, int]]:
+    if k < 1:
+        raise ValueError("k must be >= 1")
     ball = gb.ball
     return [(u, v) for u, v in ball.edges()
             if ball.depth[u] + k - 1 <= ball.radius and ball.depth[v] + k - 1 <= ball.radius]
@@ -783,12 +753,16 @@ def generate_plus_k(gb: GroupBall, k: int, guard: int | None = None) -> GroupBal
     checked against the guard before any element is listed.  Two products
     are identified when they agree on the whole ball; the elements carry no
     evaluator beyond it, because elements needing larger support than the
-    ball are outside certification scope by construction.
+    ball are outside certification scope by construction.  With no
+    certified edge there is no generator, and the ball certifies nothing
+    about the closure, so it refuses.
     """
     if not gb.closed:
         raise ValueError("generate_plus_k needs a closed group ball")
-    gens = {tuple(x + 1 for x in g.key())
-            for e in certified_edges(gb, k) for g in edge_fixator(gb, e, k)}
+    edges = certified_edges(gb, k)
+    if not edges:
+        raise CertificationError(f"no edge of the radius-{gb.ball.radius} ball has its {k - 1}-balls inside it")
+    gens = {tuple(x + 1 for x in g.key()) for e in edges for g in edge_fixator(gb, e, k)}
     chain = LocalGroup(gb.ball.vertex_count, tuple(sorted(gens)))
     check_guard(chain.order(), guard, "plus-k closure")
     keys = sorted(tuple(x - 1 for x in p) for p in chain.closure())

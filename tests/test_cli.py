@@ -309,6 +309,12 @@ def test_negative_sizes_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
     assert run(["coxeter", "profile", "--config", dinf_config(tmp_path), "--max-length", "-3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    for argv in (["kak-tree", "--max-sphere", "-1"], ["kak-tree", "--radius", "-1"],
+                 ["padic", "verify", "--p", "3", "--n-max", "2", "--matrices", "-3"],
+                 ["ugroup", "--radius", "2", "--plus-k", "0"], ["ugroup", "--radius", "2", "--pk-k", "0"],
+                 ["ugroup", "--radius", "0", "--plus-k", "-1"]):
+        assert run(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_guard_refusal_message(tmp_path, capsys):
@@ -405,6 +411,16 @@ def test_ugroup_plus_k_is_quick(tmp_path, argv, size):
     rep = run_json(["ugroup", *argv, "--plus-k", "1"], tmp_path)
     assert rep["plus_k"] == {"index_in_stabilizer_ball": 1, "k": 1, "size": size}
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--radius", "2", "--plus-k", "3"],
+    ["--degree", "4", "--radius", "1", "--plus-k", "2"],
+])
+def test_ugroup_plus_k_without_a_certified_edge_refuses(capsys, argv):
+    # the --pk-k refusal on the same ball: no edge has its (k-1)-balls inside it
+    assert run(["ugroup", *argv]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: no edge of the radius-")
 
 
 def test_kak_tree_partition_guard(capsys):

@@ -101,11 +101,13 @@ def pullback_image(g, u):
 
 
 @st.composite
-def portraits(draw, radius=3, degrees=(3, 4)):
-    """A Portrait on ColorBall(d, radius): a base word and a table filled in BFS
-    order, each action sending w[-1] to the colour the parent's action forces."""
-    d = draw(st.sampled_from(degrees))
-    world = ug.ColorBall(d, radius)
+def portraits(draw, radius=3, degrees=(3, 4), world=None):
+    """A Portrait on ColorBall(d, radius), or on `world` when given: a base word
+    and a table filled in BFS order, each action sending w[-1] to the colour
+    the parent's action forces."""
+    if world is None:
+        world = ug.ColorBall(draw(st.sampled_from(degrees)), radius)
+    d, radius = world.degree, world.radius
     base = ()
     for _ in range(draw(st.integers(0, 4))):
         base = ug.word_append(base, draw(st.sampled_from([c for c in range(1, d + 1)
@@ -141,9 +143,8 @@ def test_portrait_inverse_is_a_closed_form_portrait(g):
 
 def per_vertex_restrict(g):
     """Reference code: the restriction of an exact evaluator with every ball
-    vertex evaluated from the base, as ExactAut.restrict did before
-    Portrait.restrict walked the ball once and Composite.restrict before it
-    evaluated the ball's words in one batch."""
+    vertex evaluated from the base, as it was before Portrait.restrict
+    walked the ball once."""
     world = g.world
     images = tuple(world.id_of.get(g.image_word(w), -1) for w in world.word_of)
     return ta.FiniteTreeAutomorphism(world.ball, images, g)
@@ -157,52 +158,92 @@ def test_portrait_restrict_matches_the_per_vertex_restrict(g):
     assert p.exact is g
 
 
-def portrait_pairs():
-    """Two portraits on colored balls of the same degree."""
-    return st.sampled_from([3, 4]).flatmap(
-        lambda d: st.tuples(portraits(degrees=[d]), portraits(degrees=[d])))
-
-
-@settings(max_examples=100, deadline=None)
-@given(portrait_pairs())
-def test_composite_restrict_is_the_composite_of_restrictions(pair):
-    g, h = pair
-    composite = ug.Composite(g.world, (g, h))
-    assert composite.restrict().key() == ta.compose(g.restrict(), h.restrict()).key()
-
-
 @st.composite
-def composites(draw):
-    """A Composite of 1-4 random portraits of one degree in 2..4, each part
-    possibly replaced by its closed-form inverse."""
-    d = draw(st.integers(2, 4))
+def chains(draw, length=(1, 4)):
+    """1-4 random portraits on one ColorBall of degree 2..4, each possibly
+    replaced by its closed-form inverse."""
+    world = ug.ColorBall(draw(st.integers(2, 4)), 3)
     parts = []
-    for _ in range(draw(st.integers(1, 4))):
-        g = draw(portraits(degrees=[d]))
+    for _ in range(draw(st.integers(*length))):
+        g = draw(portraits(world=world))
         parts.append(g.inverse() if draw(st.booleans()) else g)
-    return ug.Composite(parts[0].world, tuple(parts))
+    return parts
 
 
-@settings(max_examples=150, deadline=None)
-@given(composites())
-def test_composite_restrict_matches_the_per_vertex_restrict(composite):
-    p = composite.restrict()
-    assert p.key() == per_vertex_restrict(composite).key()
-    assert p.exact is composite
+def product(parts):
+    out = parts[0]
+    for g in parts[1:]:
+        out = out.compose(g)
+    return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(composites(), st.data())
-def test_image_words_match_image_word(composite, data):
-    """The batch evaluators on the shuffled ball words, words up to two
-    letters beyond the ball, and repeats."""
-    world = composite.world
-    ball_words = data.draw(st.permutations(world.word_of))
-    beyond = data.draw(st.lists(st.sampled_from(ug.reduced_words(world.degree, world.radius + 2)),
-                                max_size=20))
-    words = [*ball_words, *beyond, *ball_words[::3], *beyond[::2]]
-    for g in (*composite.parts, composite):
-        assert g.image_words(words) == [g.image_word(w) for w in words]
+def sequential_image(parts, w):
+    """Reference code: the image of w under parts[0] o ... o parts[-1], applying
+    the factors one after another, right to left."""
+    for g in reversed(parts):
+        w = g.image_word(w)
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_product_matches_sequential_evaluation(parts):
+    """Every word up to three letters past the ball; the tables reach depth 2
+    and the base images length 4, so that covers where the factors' tables
+    and base preimages meet."""
+    p = product(parts)
+    assert isinstance(p, ug.Portrait)
+    world = p.world
+    for w in ug.reduced_words(world.degree, world.radius + 3):
+        assert p.image_word(w) == sequential_image(parts, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_product_restrict_matches_the_per_vertex_restrict(parts):
+    p = product(parts)
+    restricted = p.restrict()
+    world = p.world
+    assert restricted.key() == per_vertex_restrict(p).key()
+    assert restricted.key() == tuple(world.id_of.get(sequential_image(parts, w), -1)
+                                     for w in world.word_of)
+    assert restricted.exact is p
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_product_restrict_is_the_ball_product_of_restrictions(parts):
+    ball_product = parts[0].restrict()
+    for g in parts[1:]:
+        ball_product = ta.compose(ball_product, g.restrict())
+    assert product(parts).restrict().key() == ball_product.key()
+    assert ball_product.exact == product(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(length=(3, 3)))
+def test_product_is_associative(parts):
+    f, g, h = parts
+    assert f.compose(g).compose(h) == f.compose(g.compose(h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains(length=(1, 1)))
+def test_product_with_the_inverse_is_the_identity(parts):
+    g = parts[0]
+    assert g.compose(g.inverse()) == ug.identity_aut(g.world)
+    assert g.inverse().compose(g) == ug.identity_aut(g.world)
+    assert g.compose(ug.identity_aut(g.world)) == g == ug.identity_aut(g.world).compose(g)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_product_of_translations_is_a_translation(degree):
+    world = ug.ColorBall(degree, 1)
+    words = ug.reduced_words(degree, 3)
+    for x in words:
+        for y in words:
+            assert ug.translation(world, x).compose(ug.translation(world, y)) == \
+                ug.translation(world, ug.word_mul(x, y))
 
 
 def test_compose_with_a_partial_portrait_is_partial():
@@ -716,6 +757,11 @@ def test_plus_k_matches_the_compose_search(F):
     radius = largest_radius(F, 400)
     gb = ug.enumerate_u1_stabilizer_ball(F, ug.ColorBall(F.degree, radius))
     for k in (1, 2):
+        if not ug.certified_edges(gb, k):
+            # radius 1 with k = 2: no fixator generates, so the ball certifies nothing
+            with pytest.raises(CertificationError):
+                ug.generate_plus_k(gb, k)
+            continue
         plus = ug.generate_plus_k(gb, k)
         assert plus.key_set() == bfs_plus_k(gb, k).key_set()
         assert len(plus) == len(plus.key_set())
