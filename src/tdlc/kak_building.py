@@ -36,16 +36,13 @@ from .rab import (
     chamber_times,
     dist_chamber_to_root,
     identity_chamber,
+    transposition,
     wing_split,
 )
 
 
 def _reflection(spec: BuildingSpec, ap: ApartmentRef, s: int) -> BasePanelPermutation:
-    q = spec.q(s)
-    y = ap.color_choice[s]
-    rho = list(range(q))
-    rho[0], rho[y] = y, 0
-    return BasePanelPermutation(spec, s, tuple(rho))
+    return BasePanelPermutation(spec, s, transposition(spec.q(s), 0, ap.color_choice[s]))
 
 
 def representative_aut(spec: BuildingSpec, ap: ApartmentRef, w: CoxElement) -> BuildingAut:
@@ -116,9 +113,7 @@ def _align_to_apartment(bc: BuildingCartan, target: Chamber) -> BuildingAut:
         c = x[pos][1]
         y = ap.color_choice[s]
         if c != y:
-            sigma = list(range(spec.q(s)))
-            sigma[c], sigma[y] = y, c
-            rot = PanelRotation(spec, prefix, s, tuple(sigma))
+            rot = PanelRotation(spec, prefix, s, transposition(spec.q(s), c, y))
             parts.append(rot)
             cur = rot.image(cur)
         prefix = chamber_times(prefix, ((s, y),))
@@ -202,7 +197,7 @@ class NoBuildingWitness:
 def _witness_sigma(q: int) -> tuple[int, ...]:
     """The swap of the two largest colours, the lexicographically first
     permutation of 0..q-1 that fixes 0 and is not the identity."""
-    return tuple(range(q - 2)) + (q - 1, q - 2)
+    return transposition(q, q - 2, q - 1)
 
 
 def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,

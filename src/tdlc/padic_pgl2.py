@@ -13,21 +13,35 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CertificationError
+
 INF = math.inf
 
 
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
+    """Miller-Rabin to the 13 bases in _SMALL_PRIMES, which is exact below
+    PRIMALITY_BOUND (Sorenson & Webster, Math. Comp. 86 (2017)); a larger p
+    is not certified."""
+    if p < 4:   # 2 and 3 with no lookup: the examples use them most
+        return p > 1
+    if p <= 41:
+        return p in _SMALL_PRIMES
+    if p >= PRIMALITY_BOUND:
+        raise CertificationError(f"primality of {p} is certified only below {PRIMALITY_BOUND}")
+    r = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d * 2^r with d odd
+    for a in _SMALL_PRIMES:
+        x = pow(a, (p - 1) >> r, p)
+        if x != 1:
+            for _ in range(r):   # is one of x, x^2, ..., x^(2^(r-1)) equal to -1?
+                if x == p - 1:
+                    break
+                x = x * x % p
+            else:
+                return False
     return True
 
 
@@ -88,17 +102,14 @@ class ProjMatrix:
 
     __slots__ = ("a", "b", "c", "d", "p")
 
-    def __init__(self, entries, p: int, _canonical: bool = False):
+    def __init__(self, entries, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         a, b, c, d = (Fraction(x) for x in entries)
         if a * d - b * c == 0:
             raise ValueError("matrix is singular")
         self.p = p
-        if _canonical:
-            self.a, self.b, self.c, self.d = a, b, c, d
-        else:
-            self.a, self.b, self.c, self.d = self._canonicalize(a, b, c, d, p)
+        self.a, self.b, self.c, self.d = self._canonicalize(a, b, c, d, p)
 
     @staticmethod
     def _canonicalize(a, b, c, d, p):

@@ -15,6 +15,8 @@ permutations and their composites); ball objects only certify and serialize.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -439,27 +441,13 @@ class FiniteBuildingAutomorphism:
     """Ball view of an exact type-preserving automorphism, made by BuildingAut.restrict.
 
     mapping holds the chambers whose image stays in the ball; exact
-    evaluates the automorphism everywhere.
+    evaluates the automorphism everywhere.  restrict is the only builder, so
+    the view is injective and keeps s-adjacency by construction, unchecked.
     """
 
     ball: ChamberBall = field(compare=False, hash=False)
     mapping: dict[int, int] = field(hash=False)
     exact: BuildingAut = field(compare=False, hash=False)
-
-    def __post_init__(self):
-        images = set(self.mapping.values())
-        if len(images) != len(self.mapping):
-            raise ValueError("mapping is not injective")
-        ball = self.ball
-        for i, j in self.mapping.items():
-            Ci, Cj = ball.chambers[i], ball.chambers[j]
-            for s in range(ball.spec.system.rank):
-                for D in panel(Ci, s):
-                    di = ball.index.get(D.syllables)
-                    if di is not None and di in self.mapping:
-                        w = weyl_distance(Cj, ball.chambers[self.mapping[di]])
-                        if D != Ci and w.word != (s,):
-                            raise ValueError("mapping does not preserve s-adjacency")
 
     def __call__(self, C: Chamber) -> Chamber | None:
         i = self.ball.index.get(C.syllables)
@@ -467,61 +455,43 @@ class FiniteBuildingAutomorphism:
             return None
         return self.ball.chambers[self.mapping[i]]
 
-    def key(self) -> tuple:
-        return tuple(sorted(self.mapping.items()))
-
     def is_identity_on_ball(self) -> bool:
         return all(i == j for i, j in self.mapping.items())
 
 
-def panel_rotation(ball: ChamberBall, C: Chamber, s: int | str,
-                   sigma: Sequence[int]) -> FiniteBuildingAutomorphism:
-    spec = ball.spec
-    idx = spec.system.index_of(s) if isinstance(s, str) else s
-    return PanelRotation(spec, C, idx, tuple(sigma)).restrict(ball)
-
-
-def _nontrivial_wing_sigmas(q: int) -> list[tuple[int, ...]]:
-    """All permutations of 0..q-1 fixing 0, except the identity."""
-    import itertools
-    out = []
-    for perm in itertools.permutations(range(1, q)):
-        sigma = (0,) + perm
-        if sigma != tuple(range(q)):
-            out.append(sigma)
-    return out
+def transposition(q: int, a: int, b: int) -> tuple[int, ...]:
+    """The permutation of the colours 0..q-1 that swaps a and b."""
+    return tuple(b if c == a else a if c == b else c for c in range(q))
 
 
 def wing_fixator(ball: ChamberBall, C: Chamber, s: int | str,
-                 guard: int | None = None) -> list[FiniteBuildingAutomorphism]:
+                 guard: int | None = None) -> list[PanelRotation]:
     """Generators of the fixator of the s-wing of C, certified on the ball.
 
-    Panel rotations at C of type s fix the wing by construction; rotations
-    based at other chambers are kept when their support (checked chamber by
-    chamber on the ball) stays off the wing.
+    PanelRotation(D, t, sigma) moves a chamber E only by recolouring the
+    initial t-syllable of D^-1 E, so it fixes every wing chamber of the ball
+    exactly when sigma fixes the set W(D, t) of those colours.  The sigma kept
+    are the permutations of the nonzero colours outside W(D, t), which their
+    transpositions generate; a group fixes a set pointwise exactly when its
+    generators do.  At D = C and t = s, W is empty.
     """
     spec = ball.spec
     idx = spec.system.index_of(s) if isinstance(s, str) else s
-    wing_flags = {i: wing_contains(C, idx, D) for i, D in enumerate(ball.chambers)}
-    gens: dict[tuple, FiniteBuildingAutomorphism] = {}
-    for sigma in _nontrivial_wing_sigmas(spec.q(idx)):
-        g = panel_rotation(ball, C, idx, sigma)
-        gens[g.key()] = g
+    check_guard(len(ball) * sum(math.comb(spec.q(t) - 1, 2) for t in range(spec.system.rank)),
+                guard, "wing fixator generators")
+    C_inverse = chamber_inverse(C)
+    wing = [E for E in ball.chambers if wing_split(C_inverse, idx, E)[1] is None]
+    gens = []
     for D in ball.chambers:
+        D_inverse = chamber_inverse(D)
+        words = [chamber_product(D_inverse, E).syllables for E in wing]   # as in wing_split, once per D
         for t in range(spec.system.rank):
-            for sigma in _nontrivial_wing_sigmas(spec.q(t)):
-                if D == C and t == idx:
-                    continue
-                aut = PanelRotation(spec, D, t, sigma)
-                support_off_wing = all(
-                    aut.image(E) == E
-                    for j, E in enumerate(ball.chambers) if wing_flags[j]
-                )
-                if support_off_wing:
-                    g = aut.restrict(ball)
-                    gens.setdefault(g.key(), g)
-        check_guard(len(gens), guard, "wing fixator generators")
-    return list(gens.values())
+            held = {x[pos][1] for x in words
+                    if (pos := _initial_syllable_position(spec, x, 1 << t)) is not None}
+            free = [c for c in range(1, spec.q(t)) if c not in held]
+            gens.extend(PanelRotation(spec, D, t, transposition(spec.q(t), a, b))
+                        for a, b in itertools.combinations(free, 2))
+    return gens
 
 
 def check_root_fixes_ball(ball: ChamberBall, r: RootRef, n: int) -> bool | str:
@@ -537,4 +507,4 @@ def check_root_fixes_ball(ball: ChamberBall, r: RootRef, n: int) -> bool | str:
     _, opposite = r.wall_chambers(spec)
     gens = wing_fixator(ball, opposite, r.stype)
     inner = [C for C in ball.chambers if len(C.syllables) <= n]
-    return all(g.exact.fixes(C) for g in gens for C in inner)
+    return all(g.fixes(C) for g in gens for C in inner)

@@ -25,9 +25,10 @@ any depth, with no lazy composite and no batch evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import CertificationError, check_guard
+from .errors import CertificationError, check_guard, check_power_guard
 from .tree_core import build_regular_ball, half_tree_vertices, HalfTreeRef, layers
 from .tree_aut import PARTIAL, FiniteTreeAutomorphism, PartialMap
 
@@ -621,6 +622,15 @@ class GroupBall:
         return self._keys
 
 
+def _stabilizer_count_factors(F: LocalGroup, radius: int) -> tuple[int, int, int]:
+    """(c, b, e) with stabilizer_ball_count(F, radius) = c * b**e."""
+    if radius < 1:
+        return 1, 1, 0
+    order, d = F.order(), F.degree
+    stabilizers = math.prod(order // len(_orbit_transversal(c, F.generators, d)) for c in range(1, d + 1))
+    return order, stabilizers, sum((d - 1) ** (n - 1) for n in range(1, radius))
+
+
 def stabilizer_ball_count(F: LocalGroup, radius: int) -> int:
     """Exact number of base-fixing portraits of depth `radius` with local actions in <F>.
 
@@ -632,25 +642,19 @@ def stabilizer_ball_count(F: LocalGroup, radius: int) -> int:
     |<F>| * prod_c |Stab(c)|^(sum_{n=1}^{radius-1} (d-1)^(n-1)), and 1 at
     radius 0, with no ball built.
     """
-    if radius < 1:
-        return 1
-    order, d = F.order(), F.degree
-    per_color = sum((d - 1) ** (n - 1) for n in range(1, radius))
-    count = order
-    for c in range(1, d + 1):
-        count *= (order // len(_orbit_transversal(c, F.generators, d))) ** per_color
-    return count
+    c, b, e = _stabilizer_count_factors(F, radius)
+    return c * b**e
 
 
 def check_u1_guard(F: LocalGroup, radius: int, guard: int | None, move_radius: int = 0) -> None:
     """Refuse on the exact count, with no ball built: the tables of depth
     `radius`, then one portrait per table and base address of length <=
     `move_radius` (the U1 ball of enumerate_u1_ball)."""
-    count = stabilizer_ball_count(F, radius)
-    check_guard(count, guard, "U1 stabilizer ball enumeration")
+    c, b, e = _stabilizer_count_factors(F, radius)
+    check_power_guard(c, b, e, guard, "U1 stabilizer ball enumeration")
     d = F.degree
     addresses = 1 + sum(d * (d - 1) ** (n - 1) for n in range(1, move_radius + 1))
-    check_guard(addresses * count, guard, "U1 ball enumeration")
+    check_power_guard(addresses * c, b, e, guard, "U1 ball enumeration")
 
 
 def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,

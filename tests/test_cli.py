@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -510,3 +512,63 @@ def test_fuzzed_json_inputs_exit_0_1_or_2(fuzz_dir, data):
     for command in commands:
         argv = [tok.format(f=f) for tok in command] + ["--out", str(fuzz_dir / "out.json")]
         assert run(argv) in (0, 1, 2), argv
+
+
+# ---------------------------------------------------------------------------
+# fuzzed word lists and generators: a valid value with itself, or one of its
+# entries, replaced by a small JSON value
+
+FUZZ_WORD_INPUTS = [
+    (["t s", "t s t s", ["t", "s", "t", "s", "t", "s"]],
+     [["building", "contract", "--spec", "{spec}", "--L", "4", "--ws-file", "{f}"],
+      ["coxeter", "root-growth", "--config", "{config}", "--words-file", "{f}"]]),
+    ([[2, 1, 3], [2, 3, 1]],
+     [["ugroup", "--radius", "1", "--generators={doc}"],
+      ["kak-tree", "--radius", "1", "--max-sphere", "1", "--generators={doc}"]]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fuzzed_word_lists_and_generators_end_in_one_line(fuzz_dir, data):
+    valid, commands = data.draw(st.sampled_from(FUZZ_WORD_INPUTS))
+    path = data.draw(st.sampled_from(list(json_paths(valid))))
+    doc = json.dumps(replaced(valid, path, data.draw(fuzz_values)))
+    f = fuzz_dir / "words.json"
+    f.write_text(doc)
+    names = {"spec": dinf_q3_spec(fuzz_dir), "config": dinf_config(fuzz_dir), "f": f, "doc": doc}
+    for command in commands:
+        argv = [tok.format(**names) for tok in command] + ["--out", str(fuzz_dir / "out.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == [], argv
+        else:
+            prefix = {1: "error:", 2: "infeasible:"}[code]
+            assert len(lines) == 1 and lines[0].startswith(prefix), (argv, lines)
+
+
+# ---------------------------------------------------------------------------
+# refusals decided from the size of a total, not the total
+
+def test_ugroup_radius_32_refuses_from_the_log_of_its_count(capsys):
+    start = time.perf_counter()
+    assert run(["ugroup", "--radius", "32", "--guard", "100"]) == 2
+    assert time.perf_counter() - start < 1
+    # 6 * 2^(3 * (2^31 - 1)) tables
+    assert capsys.readouterr().err == \
+        "infeasible: U1 stabilizer ball enumeration: over 10^1939370979 objects exceeds guard 100\n"
+
+
+def test_padic_primality_limits(capsys):
+    start = time.perf_counter()
+    assert run(["padic", "verify", "--p", "1000000000000000003", "--n-max", "2", "--matrices", "1",
+                "--out", os.devnull]) == 0
+    assert time.perf_counter() - start < 5
+    assert run(["padic", "verify", "--p", "1000000000000000001", "--n-max", "2"]) == 1
+    assert_one_error_line(capsys)
+    assert run(["padic", "verify", "--p", "3317044064679887385961981", "--n-max", "2"]) == 2
+    assert capsys.readouterr().err == ("infeasible: primality of 3317044064679887385961981 is "
+                                       "certified only below 3317044064679887385961981\n")

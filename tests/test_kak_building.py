@@ -4,6 +4,7 @@ from tdlc import coxeter_ra as cox
 from tdlc import kak_building as kb
 from tdlc import rab
 from tdlc.errors import CertificationError
+from test_rab import nontrivial_wing_sigmas
 
 
 def dinf_spec(qs=3, qt=3):
@@ -90,7 +91,7 @@ def test_factorize_exhaustive_small():
     base = rab.identity_chamber(spec)
     rotations = [rab.CompositeAut(spec, ())]
     for t in range(2):
-        for sigma in rab._nontrivial_wing_sigmas(3):
+        for sigma in nontrivial_wing_sigmas(3):
             rotations.append(rab.PanelRotation(spec, base, t, sigma))
     for w in cox.enumerate_elements(spec.system, 2):
         for rot in rotations:
@@ -133,7 +134,7 @@ def test_building_contraction_witness():
 
 @pytest.mark.parametrize("q", range(3, 9))
 def test_witness_sigma_is_the_first_nontrivial_wing_sigma(q):
-    assert kb._witness_sigma(q) == rab._nontrivial_wing_sigmas(q)[0]
+    assert kb._witness_sigma(q) == nontrivial_wing_sigmas(q)[0]
 
 
 def test_empty_composite_is_the_identity():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tdlc import padic_pgl2 as pp
+from tdlc.errors import CertificationError
 
 
 def test_valuation_examples():
@@ -160,3 +161,28 @@ def test_padic_rational_laws():
     assert x.val == 2 and y.val == -1
     assert (x * y).val == 1
     assert (x + y).val == -1
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+    assert all(pp.is_prime(n) == trial(n) for n in range(-3, 20_000))
+    for n in (1_000_000_007, 998_244_353, 2**61 - 1, 10**18 + 3):
+        assert pp.is_prime(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 1, 2, 4, 5, 6, 7, 9 and 12 prime bases
+    for n in (2047, 1373653, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
+        assert not pp.is_prime(n), n
+    assert not pp.is_prime(10**18 + 1)
+
+
+def test_is_prime_refuses_at_the_bound():
+    # the bound is the least strong pseudoprime to all 13 bases
+    assert not pp.is_prime(pp.PRIMALITY_BOUND - 1)
+    with pytest.raises(CertificationError, match="certified only below"):
+        pp.is_prime(pp.PRIMALITY_BOUND)
+    with pytest.raises(CertificationError):
+        pp.valuation(1, 2**89 - 1)

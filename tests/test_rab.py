@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,16 +209,16 @@ def test_panel_rotation_basics():
     spec = dinf_spec()
     ball = rab.ChamberBall(spec, 2)
     e = rab.identity_chamber(spec)
-    ident = rab.panel_rotation(ball, e, "s", (0, 1, 2))
+    ident = rab.PanelRotation(spec, e, 0, (0, 1, 2)).restrict(ball)
     assert ident.is_identity_on_ball()
-    swap = rab.panel_rotation(ball, e, "s", (0, 2, 1))
+    swap = rab.PanelRotation(spec, e, 0, (0, 2, 1)).restrict(ball)
     fixed = [C for C in ball.chambers if rab.wing_contains(e, "s", C)]
     for C in fixed:
         assert swap(C) == C
     moved = [C for C in ball.chambers if swap(C) is not None and swap(C) != C]
     assert moved
     with pytest.raises(ValueError):
-        rab.panel_rotation(ball, e, "s", (1, 0, 2))
+        rab.PanelRotation(spec, e, 0, (1, 0, 2))
 
 
 def test_panel_rotation_composition_law():
@@ -254,8 +255,7 @@ def test_wing_fixator_generators():
     for g in gens:
         for C in ball.chambers:
             if rab.wing_contains(e, "s", C):
-                img = g(C)
-                assert img is None or img == C
+                assert g.image(C) == C
 
     thin = rab.ChamberBall(dinf_spec(2, 2), 2)
     assert rab.wing_fixator(thin, rab.identity_chamber(thin.spec), "s") == []
@@ -455,3 +455,217 @@ def test_spec_json_validation():
                 {"coxeter": {"generators": "st"}, "parameters": {"s": 3, "t": 3}}):
         with pytest.raises(ValueError):
             rab.BuildingSpec.from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# ball views against the adjacency check they no longer run
+
+def valid_ball_view(view):
+    """The injectivity and s-adjacency check that FiniteBuildingAutomorphism's
+    constructor ran before restrict was trusted to build valid views, kept
+    word for word as the oracle; raises ValueError on an invalid view."""
+    images = set(view.mapping.values())
+    if len(images) != len(view.mapping):
+        raise ValueError("mapping is not injective")
+    ball = view.ball
+    for i, j in view.mapping.items():
+        Ci, Cj = ball.chambers[i], ball.chambers[j]
+        for s in range(ball.spec.system.rank):
+            for D in rab.panel(Ci, s):
+                di = ball.index.get(D.syllables)
+                if di is not None and di in view.mapping:
+                    w = rab.weyl_distance(Cj, ball.chambers[view.mapping[di]])
+                    if D != Ci and w.word != (s,):
+                        raise ValueError("mapping does not preserve s-adjacency")
+    return True
+
+
+def swapped_images(view):
+    """view with the images of two chambers swapped, or None.
+
+    The chambers are Ci, which has a mapped panel neighbour D, and Cj at
+    gallery distance >= 2 from Ci.  After the swap Ci goes to g(Cj), which
+    is not adjacent to g(D) because Cj is not adjacent to D, so the oracle
+    must reject the view.
+    """
+    ball, mapping = view.ball, view.mapping
+    for i in mapping:
+        Ci = ball.chambers[i]
+        if not any(ball.index.get(D.syllables) in mapping
+                   for s in range(ball.spec.system.rank) for D in rab.panel(Ci, s) if D != Ci):
+            continue
+        for j in mapping:
+            if rab.gallery_distance(Ci, ball.chambers[j]) >= 2:
+                swapped = dict(mapping)
+                swapped[i], swapped[j] = mapping[j], mapping[i]
+                return rab.FiniteBuildingAutomorphism(ball, swapped, view.exact)
+    return None
+
+
+VIEW_BALLS = [rab.ChamberBall(spec, 3) for spec in
+              (dinf_spec(2, 2), dinf_spec(3, 3), dinf_spec(4, 4), dinf_spec(2, 4), klein_spec(), path4_spec())]
+
+
+@st.composite
+def composites(draw, ball):
+    """A composite of 1-4 panel rotations (based in the ball) and base-panel permutations."""
+    spec = ball.spec
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.integers(0, spec.system.rank - 1))
+        q = spec.q(t)
+        if draw(st.booleans()):
+            sigma = (0,) + tuple(draw(st.permutations(range(1, q))))
+            parts.append(rab.PanelRotation(spec, draw(st.sampled_from(ball.chambers)), t, sigma))
+        else:
+            parts.append(rab.BasePanelPermutation(spec, t, tuple(draw(st.permutations(range(q))))))
+    return rab.CompositeAut(spec, tuple(parts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restricted_composites_are_valid_ball_views(data):
+    ball = data.draw(st.sampled_from(VIEW_BALLS))
+    view = data.draw(composites(ball)).restrict(ball)
+    assert valid_ball_view(view)
+    bad = swapped_images(view)
+    if bad is not None:
+        with pytest.raises(ValueError, match="adjacency"):
+            valid_ball_view(bad)
+
+
+def test_the_ball_view_oracle_rejects_swapped_images():
+    spec = dinf_spec()
+    ball = rab.ChamberBall(spec, 3)
+    view = rab.PanelRotation(spec, rab.make_chamber(spec, [("t", 1)]), 0, (0, 2, 1)).restrict(ball)
+    assert valid_ball_view(view)
+    bad = swapped_images(view)
+    assert bad is not None
+    with pytest.raises(ValueError, match="adjacency"):
+        valid_ball_view(bad)
+    duplicate = dict(view.mapping)
+    duplicate[0] = duplicate[1]
+    with pytest.raises(ValueError, match="injective"):
+        valid_ball_view(rab.FiniteBuildingAutomorphism(ball, duplicate, view.exact))
+
+
+# ---------------------------------------------------------------------------
+# wing-fixator transpositions against the listing of every wing permutation
+
+def nontrivial_wing_sigmas(q):
+    """All permutations of 0..q-1 fixing 0, except the identity."""
+    out = []
+    for perm in itertools.permutations(range(1, q)):
+        sigma = (0,) + perm
+        if sigma != tuple(range(q)):
+            out.append(sigma)
+    return out
+
+
+def rotation_supports(ball):
+    """(D, t, sigma) -> the ball indices PanelRotation(D, t, sigma) moves, for
+    every D in the ball and every nontrivial wing permutation sigma."""
+    spec = ball.spec
+    supports = {}
+    for D in ball.chambers:
+        for t in range(spec.system.rank):
+            for sigma in nontrivial_wing_sigmas(spec.q(t)):
+                aut = rab.PanelRotation(spec, D, t, sigma)
+                supports[D.syllables, t, sigma] = frozenset(
+                    j for j, E in enumerate(ball.chambers) if aut.image(E) != E)
+    return supports
+
+
+def listed_wing_sigmas(ball, supports, C, s):
+    """(D, t) -> the sigma the full listing keeps: those whose rotation at D
+    fixes every chamber of the ball in the s-wing of C."""
+    wing = frozenset(j for j, E in enumerate(ball.chambers) if rab.wing_contains(C, s, E))
+    kept = {}
+    for (D, t, sigma), moved in supports.items():
+        if not moved & wing:
+            kept.setdefault((D, t), set()).add(sigma)
+    return kept
+
+
+def generated(q, gens):
+    """The group of permutations of 0..q-1 generated by gens."""
+    group = {tuple(range(q))}
+    frontier = list(group)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                h = tuple(g[p[i]] for i in range(q))
+                if h not in group:
+                    group.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return group
+
+
+WING_BALLS = {name: rab.ChamberBall(spec, 2) for name, spec in [
+    ("dinf_q33", dinf_spec(3, 3)), ("dinf_q25", dinf_spec(2, 5)), ("dinf_q54", dinf_spec(5, 4)),
+    ("dinf_q55", dinf_spec(5, 5)), ("klein_q33", klein_spec()), ("klein_q42", klein_spec(4, 2)),
+    ("path4_q3434", path4_spec())]}
+
+
+@pytest.mark.parametrize("ball", WING_BALLS.values(), ids=list(WING_BALLS))
+def test_wing_fixator_transpositions_generate_the_listed_sigmas(ball):
+    spec = ball.spec
+    supports = rotation_supports(ball)
+    for C in ball.chambers:
+        for s in range(spec.system.rank):
+            kept = listed_wing_sigmas(ball, supports, C, s)
+            gens = {}
+            for g in rab.wing_fixator(ball, C, s):
+                assert sum(a != b for a, b in enumerate(g.sigma)) == 2
+                gens.setdefault((g.base.syllables, g.stype), []).append(g.sigma)
+            for D in ball.chambers:
+                for t in range(spec.system.rank):
+                    group = generated(spec.q(t), gens.get((D.syllables, t), []))
+                    assert group - {tuple(range(spec.q(t)))} == kept.get((D.syllables, t), set())
+
+
+@pytest.mark.parametrize("ball", WING_BALLS.values(), ids=list(WING_BALLS))
+def test_check_root_fixes_ball_matches_the_listed_sigmas(ball):
+    spec = ball.spec
+    supports = rotation_supports(ball)
+    ap = rab.ApartmentRef.default(spec)
+    verdicts = set()
+    for w in cox.enumerate_elements(spec.system, 2):
+        for s in range(spec.system.rank):
+            r = rab.RootRef(ap, w, s)
+            try:
+                d = rab.dist_chamber_to_root(ball.base(), r, ball)
+            except CertificationError:
+                continue
+            kept = listed_wing_sigmas(ball, supports, r.wall_chambers(spec)[1], s)
+            for n in (0, 1):
+                inner = frozenset(j for j, C in enumerate(ball.chambers) if len(C.syllables) <= n)
+                want = "inapplicable" if d <= n else all(
+                    not supports[D, t, sigma] & inner for (D, t), sigmas in kept.items() for sigma in sigmas)
+                assert rab.check_root_fixes_ball(ball, r, n) == want
+                verdicts.add(want)
+    assert verdicts - {"inapplicable"}
+
+
+def test_wing_fixator_at_q7_is_quick():
+    spec = dinf_spec(7, 7)
+    ball = rab.ChamberBall(spec, 1)
+    start = time.perf_counter()
+    gens = rab.wing_fixator(ball, ball.base(), "s")
+    assert time.perf_counter() - start < 1
+    # The base's wing is the base and its six t-neighbours.  Rotations of type
+    # s keep C(6, 2) = 15 transpositions at the base and at each t-neighbour,
+    # and C(5, 2) = 10 at each s-neighbour (s, a), which must fix the colour
+    # -a; of type t, only the six s-neighbours keep 15 each.
+    assert len(gens) == 15 + 6 * 15 + 6 * (10 + 15)
+
+
+def test_wing_fixator_guard_is_checked_before_the_loop():
+    spec = dinf_spec(5, 5)
+    ball = rab.ChamberBall(spec, 2)
+    # 41 chambers * 2 types * C(4, 2) transpositions bound the list
+    with pytest.raises(GuardExceeded, match="^wing fixator generators: 492 objects exceeds guard 491$"):
+        rab.wing_fixator(ball, ball.base(), "s", guard=491)
+    assert len(rab.wing_fixator(ball, ball.base(), "s", guard=492)) <= 492

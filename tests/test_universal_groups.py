@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
-from tdlc.errors import CertificationError, GuardExceeded, check_guard
+from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -418,6 +418,31 @@ def test_u1_ball_guard_counts_every_base_image():
     with pytest.raises(GuardExceeded, match="U1 ball enumeration: 24 objects exceeds guard 20"):
         ug.enumerate_u1_ball(S3, ug.ColorBall(3, 2), 1, 1, guard=20)
     assert len(ug.enumerate_u1_ball(S3, ug.ColorBall(3, 2), 1, 1, guard=24)) == 24
+
+
+def guard_outcome(check, *args):
+    try:
+        check(*args)
+    except GuardExceeded as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10**6), st.sampled_from([1, 2, 3, 6, 8, 24, 1296, 3**7]), st.integers(0, 400),
+       st.none() | st.integers(0, 10**40))
+def test_power_guard_refuses_as_the_built_total_does(c, b, e, guard):
+    assert guard_outcome(check_power_guard, c, b, e, guard, "count") == \
+        guard_outcome(check_guard, c * b**e, guard, "count")
+
+
+def test_power_guard_does_not_build_a_total_it_can_refuse():
+    # 6 * 8^(2^40) = 2^(3 * 2^40 + 2) * 1.5: the total would take 3 * 2^40 + 3 bits
+    with pytest.raises(GuardExceeded, match=r"^count: over 10\^992957941626 objects exceeds guard 100$"):
+        check_power_guard(6, 8, 2**40, 100, "count")
+    # an exponent past the range of floats is bounded below, not converted
+    with pytest.raises(GuardExceeded, match=r"^count: over 10\^"):
+        check_power_guard(6, 8, 2**2000, None, "count")
 
 
 def test_degree_12_guards_refuse_without_listing(monkeypatch):
