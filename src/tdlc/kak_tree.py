@@ -338,7 +338,7 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
                 locked = wu[-1]  # the parent color
             for tau in group:
                 if tau != ident and tau[locked - 1] == locked:
-                    return Portrait(world, (), {wu: tau}).restrict()
+                    return Portrait._trusted(world, (), {wu: tau}).restrict()
         return None
     ident_key = identity_aut(world).restrict().key()
     for g in gb:

@@ -49,6 +49,10 @@ def valuation(x, p: int):
     """Exact p-adic valuation of a rational; infinity at 0."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x, p: int):
     x = Fraction(x)
     if x == 0:
         return INF
@@ -77,7 +81,7 @@ class PAdicRational:
 
     @property
     def val(self):
-        return valuation(self.value, self.p)
+        return _valuation(self.value, self.p)
 
     def __add__(self, other: "PAdicRational") -> "PAdicRational":
         self._check(other)
@@ -108,16 +112,17 @@ class ProjMatrix:
         a, b, c, d = (Fraction(x) for x in entries)
         if a * d - b * c == 0:
             raise ValueError("matrix is singular")
-        self.p = p
-        self.a, self.b, self.c, self.d = self._canonicalize(a, b, c, d, p)
+        self._canonicalize(a, b, c, d, p)
 
-    @staticmethod
-    def _canonicalize(a, b, c, d, p):
-        m = min(v for v in (valuation(x, p) for x in (a, b, c, d)) if v is not INF)
+    def _canonicalize(self, a, b, c, d, p: int) -> "ProjMatrix":
+        """Store the canonical entries of a nonsingular matrix over p, which is
+        checked prime already: products and inverses come here directly."""
+        m = min(v for v in (_valuation(x, p) for x in (a, b, c, d)) if v is not INF)
         scale = Fraction(p) ** int(-m)
         a, b, c, d = a * scale, b * scale, c * scale, d * scale
-        unit = next(x for x in (a, b, c, d) if x != 0 and valuation(x, p) == 0)
-        return a / unit, b / unit, c / unit, d / unit
+        unit = next(x for x in (a, b, c, d) if x != 0 and _valuation(x, p) == 0)
+        self.p, self.a, self.b, self.c, self.d = p, a / unit, b / unit, c / unit, d / unit
+        return self
 
     @property
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -137,18 +142,19 @@ class ProjMatrix:
             raise ValueError("mixed primes")
         a, b, c, d = self.entries
         e, f, g, h = other.entries
-        return ProjMatrix((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), self.p)
+        return ProjMatrix.__new__(ProjMatrix)._canonicalize(
+            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, self.p)
 
     def inverse(self) -> "ProjMatrix":
         a, b, c, d = self.entries
-        return ProjMatrix((d, -b, -c, a), self.p)  # adjugate; determinant is a scalar
+        return ProjMatrix.__new__(ProjMatrix)._canonicalize(d, -b, -c, a, self.p)  # adjugate: det is a scalar
 
     def det_valuation(self):
-        return valuation(self.a * self.d - self.b * self.c, self.p)
+        return _valuation(self.a * self.d - self.b * self.c, self.p)
 
     def is_integral_unit(self) -> bool:
         """Membership in PGL2(Z_p): canonical entries p-integral with unit determinant."""
-        vals = [valuation(x, self.p) for x in self.entries if x != 0]
+        vals = [_valuation(x, self.p) for x in self.entries if x != 0]
         return all(v >= 0 for v in vals) and self.det_valuation() == 0
 
 
@@ -220,7 +226,7 @@ def distance_to_identity(m: ProjMatrix):
     from the maximal compact.
     """
     diff = (m.a - 1, m.b, m.c, m.d - 1)
-    return min(valuation(x, m.p) for x in diff)
+    return min(_valuation(x, m.p) for x in diff)
 
 
 def unipotent_element(p: int) -> ProjMatrix:
@@ -266,8 +272,8 @@ def perturbed_triviality_evidence(h: ProjMatrix, n_max: int) -> DivergenceReport
     dists = []
     for n in range(1, n_max + 1):
         a, b, c, d = perturbed_conjugate_raw(h, n)
-        vals.append(valuation(c, p))
-        dists.append(min(valuation(x, p) for x in (a - 1, b, c, d - 1)))
+        vals.append(_valuation(c, p))
+        dists.append(min(_valuation(x, p) for x in (a - 1, b, c, d - 1)))
     diverges = n_max >= 4 and all(vals[i + 3] < vals[i] for i in range(n_max - 3))
     return DivergenceReport(p, tuple(vals), tuple(dists), diverges)
 
@@ -278,11 +284,11 @@ def predicted_bottom_left_valuation(h: ProjMatrix, n: int):
     ceil_n3 = (n + 2) // 3
     terms = []
     if h.a != h.d:
-        terms.append(valuation(h.a - h.d, p) + ceil_n3 - n)
+        terms.append(_valuation(h.a - h.d, p) + ceil_n3 - n)
     if h.c != 0:
-        terms.append(valuation(h.c, p) - n)
+        terms.append(_valuation(h.c, p) - n)
     if h.b != 0:
-        terms.append(valuation(h.b, p) + 2 * ceil_n3 - n)
+        terms.append(_valuation(h.b, p) + 2 * ceil_n3 - n)
     return min(terms) if terms else INF
 
 

@@ -58,36 +58,35 @@ PARTIAL = PartialMap()
 class FiniteTreeAutomorphism:
     """Injective adjacency-preserving self-map of a ball, as an image tuple.
 
-    `images` may also be given as a {v: g(v)} dict, the form of partial maps
-    read from JSON; it is stored as the tuple.
+    The constructor trusts its tuple: restrict, compose, invert,
+    identity_automorphism and generate_plus_k build valid ones.  A map from
+    outside enters through from_mapping (or from_json), which checks it.
     """
 
     ball: TreeBall
     images: tuple[int, ...]
     exact: object = field(default=PARTIAL, compare=False)
 
-    def __post_init__(self):
-        n = self.ball.vertex_count
-        images = self.images
-        if isinstance(images, dict):
-            if not all(type(u) is type(w) is int and 0 <= u < n and 0 <= w < n
-                       for u, w in images.items()):
-                raise ValueError("mapping leaves the ball")
-            images = tuple(images.get(v, -1) for v in range(n))
-            object.__setattr__(self, "images", images)
-        if len(images) != n or not all(-1 <= w < n for w in images):
+    @classmethod
+    def from_mapping(cls, ball: TreeBall, mapping: dict) -> "FiniteTreeAutomorphism":
+        """The partial map {v: g(v)} on `ball`, checked: images in range,
+        injective, edges to edges and labels kept."""
+        n = ball.vertex_count
+        if not all(type(u) is type(w) is int and 0 <= u < n and 0 <= w < n
+                   for u, w in mapping.items()):
             raise ValueError("mapping leaves the ball")
-        inside = [w for w in images if w >= 0]
-        if len(set(inside)) != len(inside):
+        if len(set(mapping.values())) != len(mapping):
             raise ValueError("mapping is not injective")
-        parent = self.ball.parent
+        images = tuple(mapping.get(v, -1) for v in range(n))
+        parent = ball.parent
         for v, p in enumerate(parent):
             iv, ip = images[v], images[p] if p >= 0 else -1
             if iv >= 0 and ip >= 0 and parent[iv] != ip and parent[ip] != iv:
                 raise ValueError(f"edge ({p},{v}) maps to a non-edge ({ip},{iv})")
-        labels = self.ball.label_of
-        if labels is not None and any(w >= 0 and labels[v] != labels[w] for v, w in enumerate(images)):
+        labels = ball.label_of
+        if labels is not None and any(labels[v] != labels[w] for v, w in mapping.items()):
             raise ValueError("mapping does not preserve labels")
+        return cls(ball, images)
 
     @property
     def mapping(self) -> MappingProxyType:
@@ -108,12 +107,19 @@ class FiniteTreeAutomorphism:
 
     @classmethod
     def from_json(cls, data: dict, ball: TreeBall | None = None) -> "FiniteTreeAutomorphism":
+        """Read {"perm": [[u, g(u)], ...], "ball": ...}, shape first; the ball
+        may be given instead of read."""
+        perm = data.get("perm") if isinstance(data, dict) else None
+        if not isinstance(perm, list) or (ball is None and "ball" not in data) or not all(
+                isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) for pair in perm):
+            raise ValueError("portrait must be an object with 'perm', a list of [vertex, image] integer pairs, "
+                             "and 'ball' unless one is given")
         if ball is None:
             ball = TreeBall.from_json(data["ball"])
-        mapping = {u: w for u, w in data["perm"]}
-        if len(mapping) != len(data["perm"]):
+        mapping = {u: w for u, w in perm}
+        if len(mapping) != len(perm):
             raise ValueError("perm lists a source vertex twice")
-        return cls(ball, mapping)
+        return cls.from_mapping(ball, mapping)
 
 
 def identity_automorphism(ball: TreeBall) -> FiniteTreeAutomorphism:

@@ -68,7 +68,8 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class TreeBall:
-    """Radius-R truncation with parent links and ordered child lists."""
+    """Radius-R truncation with parent links and ordered child lists; the builders
+    below make consistent ones, and from_json checks a ball from outside."""
 
     base: int
     radius: int
@@ -76,13 +77,6 @@ class TreeBall:
     children: tuple[tuple[int, ...], ...]
     depth: tuple[int, ...]
     label_of: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        n = len(self.parent)
-        if not (len(self.children) == len(self.depth) == n):
-            raise ValueError("inconsistent vertex arrays")
-        if self.parent[self.base] != -1 or self.depth[self.base] != 0:
-            raise ValueError("base must be the BFS root")
 
     @property
     def vertex_count(self) -> int:
@@ -122,7 +116,13 @@ class TreeBall:
         Ids are creation order, so a vertex's parent must carry a smaller id;
         that also rules out cycles and gives every vertex its true depth.
         """
-        verts = sorted(data["vertices"], key=lambda rec: rec["id"])
+        verts = data.get("vertices") if isinstance(data, dict) else None
+        if not isinstance(verts, list) or "radius" not in data or not all(
+                isinstance(rec, dict) and type(rec.get("id")) is type(rec.get("parent")) is int
+                and isinstance(rec.get("label"), (str, type(None))) for rec in verts):
+            raise ValueError("tree ball must be an object with 'radius' and 'vertices', a list of records "
+                             "with integer 'id' and 'parent' and a string or null 'label'")
+        verts = sorted(verts, key=lambda rec: rec["id"])
         if [rec["id"] for rec in verts] != list(range(len(verts))):
             raise ValueError("vertex ids must be 0..n-1")
         parent = tuple(rec["parent"] for rec in verts)
@@ -134,7 +134,7 @@ class TreeBall:
         depth = [0] * len(verts)
         kids: list[list[int]] = [[] for _ in verts]
         for v, p in enumerate(parent[1:], 1):
-            if not (type(p) is int and 0 <= p < v):
+            if not 0 <= p < v:
                 raise ValueError(f"parent {p!r} of vertex {v} is not an earlier vertex id")
             depth[v] = depth[p] + 1
             if depth[v] > radius:

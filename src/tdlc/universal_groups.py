@@ -167,24 +167,42 @@ class Portrait:
     """
 
     def __init__(self, world: ColorBall, base_word: Word = (), acts: dict[Word, Perm] | None = None):
-        self.world = world
-        self.base_word = tuple(base_word)
-        d = world.degree
-        if not is_reduced_word(self.base_word, d):
-            raise ValueError(f"base image is not a reduced color word: {self.base_word}")
-        # Shorter words first: the canonical action at w depends only on the
-        # entries at w's proper prefixes, which are settled by then.
-        self._acts: dict[Word, Perm] = {}
-        for w, sigma in sorted((acts or {}).items(), key=lambda item: len(item[0])):
+        d, base_word, acts = world.degree, tuple(base_word), acts or {}
+        if not is_reduced_word(base_word, d):
+            raise ValueError(f"base image is not a reduced color word: {base_word}")
+        for w, sigma in acts.items():
             if not is_reduced_word(tuple(w), d):
                 raise ValueError(f"support vertex is not a reduced color word: {w}")
             if not is_perm(sigma, d):
                 raise ValueError(f"not a permutation of 1..{d}: {sigma}")
-            canonical = self.local_action(w)
+        self._settle(world, base_word, acts)
+
+    @classmethod
+    def _trusted(cls, world: ColorBall, base_word: Word, acts: dict[Word, Perm]) -> "Portrait":
+        """A product built in this package, of reduced words and permutations
+        by construction: only the parent edges are checked."""
+        g = cls.__new__(cls)
+        g._settle(world, base_word, acts)
+        return g
+
+    def _settle(self, world: ColorBall, base_word: Word, acts: dict[Word, Perm]) -> None:
+        """Keep each entry that differs from its canonical action, after checking
+        that they agree on the parent colour.  `full` memoizes the action at
+        every prefix of an entry: the entry, or the transposition of w[-1]
+        with the colour the action at w[:-1] sends w[-1] to."""
+        self.world, self.base_word, self._acts = world, base_word, {}
+        d = world.degree
+        full: dict[Word, Perm] = {(): acts.get((), perm_identity(d))}
+        for w, sigma in acts.items():
+            k = len(w)
+            while w[:k] not in full:
+                k -= 1
+            for u in (w[:i] for i in range(k + 1, len(w))):
+                full[u] = acts.get(u) or perm_transposition(d, u[-1], full[u[:-1]][u[-1] - 1])
+            canonical = perm_transposition(d, w[-1], full[w[:-1]][w[-1] - 1]) if w else perm_identity(d)
             if w and sigma[w[-1] - 1] != canonical[w[-1] - 1]:
-                raise ValueError(
-                    f"local action at {w} maps parent color {w[-1]} to "
-                    f"{sigma[w[-1] - 1]}, but the parent edge forces {canonical[w[-1] - 1]}")
+                raise ValueError(f"local action at {w} maps parent color {w[-1]} to "
+                                 f"{sigma[w[-1] - 1]}, but the parent edge forces {canonical[w[-1] - 1]}")
             if sigma != canonical:
                 self._acts[w] = sigma
 
@@ -268,12 +286,12 @@ class Portrait:
         Wherever g maps the parent edge of u onto the parent edge of g(u), that
         is at every u off the geodesic from the base to g^-1(base), g^-1 is
         canonical at g(u) exactly when g is canonical at u.  So only g's
-        stored vertices and the prefixes of g^-1(base) need an entry; the
-        constructor strips whatever is canonical.
+        stored vertices and the prefixes of g^-1(base) need an entry;
+        _trusted strips whatever is canonical.
         """
         path = self._base_preimage_path()
         acts = {self.image_word(w): perm_inv(self.local_action(w)) for w in (*self._acts, *path)}
-        return Portrait(self.world, path[-1], acts)
+        return Portrait._trusted(self.world, path[-1], acts)
 
     def compose(self, other: "Portrait | PartialMap") -> "Portrait | PartialMap":
         """g h for g = self and h = other, as one Portrait; PARTIAL when h knows
@@ -283,7 +301,7 @@ class Portrait:
         sigma_p(w) = sigma_g(h(w)) sigma_h(w).  A walk from the base gives every
         vertex it reaches that entry, and descends into the children of w
         only when w is a prefix of a stored vertex of h or of h^-1(base), or
-        h(w) is a prefix of a stored vertex of g.  The constructor strips the
+        h(w) is a prefix of a stored vertex of g.  _trusted strips the
         canonical entries.
 
         Every vertex the walk misses is canonical for p.  The walk reaches
@@ -317,7 +335,7 @@ class Portrait:
             acts[w] = perm_mul(g.local_action(hw), h._action(w, h_sent))
             if w in h_prefixes or hw in g_prefixes:
                 pending.extend(w + (c,) for c in range(1, d + 1) if not w or c != w[-1])
-        return Portrait(g.world, g.image_word(h.base_word), acts)
+        return Portrait._trusted(g.world, g.image_word(h.base_word), acts)
 
     def canonical_key(self) -> tuple:
         return (self.base_word, tuple(sorted(self._acts.items())))
@@ -697,7 +715,7 @@ def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
 def enumerate_u1_stabilizer_ball(F: LocalGroup, world: ColorBall,
                                  guard: int | None = None) -> GroupBall:
     """All base-fixing portraits on the world ball with local actions in <F>."""
-    elements = [Portrait(world, (), acts).restrict()
+    elements = [Portrait._trusted(world, (), acts).restrict()
                 for acts in _stabilizer_tables(F, world, world.radius, guard)]
     return GroupBall(world, elements, closed=True, local_group=F)
 
@@ -721,7 +739,7 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
     bases = reduced_words(world.degree, move_radius)
     tables = _stabilizer_tables(F, world, support_radius, guard, move_radius)
-    elements = [Portrait(world, w, acts).restrict() for w in bases for acts in tables]
+    elements = [Portrait._trusted(world, w, acts).restrict() for w in bases for acts in tables]
     return GroupBall(world, elements, closed=False, local_group=F)
 
 

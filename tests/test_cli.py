@@ -215,6 +215,17 @@ def test_local_group_file_validation(tmp_path, capsys, data, command):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("step", [
+    "1,1",      # not reduced
+    "1,4",      # a colour beyond the degree
+    "0,1",      # colour 0
+    "1,2,1",    # reduced, but its square 1,2,1,1,2,1 is not
+])
+def test_contract_tree_rejects_a_step_that_is_not_a_reduced_word(capsys, step):
+    assert run(["contract-tree", "--degree", "3", "--radius", "3", "--powers", "2", "--step", step]) == 1
+    assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("generators", ["5", "{}", "[[2, 1, 3.0]]", "[3]"])
 def test_generators_option_validation(capsys, generators):
     assert run(["ugroup", "--radius", "1", "--generators", generators]) == 1

@@ -186,7 +186,8 @@ def test_certify_partition_refuses_a_stabilizer_that_leaves_the_ball():
     world = ug.ColorBall(3, 3)
     dec = kt.enumerate_representatives(ug.enumerate_u1_ball(S3, world, 1, 2), 0, 1)
     # fixes the base, but sends the depth-2 vertex (1, 2) to depth 3
-    partial = ta.FiniteTreeAutomorphism(world.ball, {0: 0, world.id_of[(1, 2)]: world.id_of[(1, 2, 1)]})
+    partial = ta.FiniteTreeAutomorphism.from_mapping(
+        world.ball, {0: 0, world.id_of[(1, 2)]: world.id_of[(1, 2, 1)]})
     dec = dataclasses.replace(dec, stabilizer=ug.GroupBall(world, [partial]))
     with pytest.raises(CertificationError, match="does not map B\\(base, 2\\) into itself"):
         kt.certify_partition(dec, 2)

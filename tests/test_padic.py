@@ -186,3 +186,19 @@ def test_is_prime_refuses_at_the_bound():
         pp.is_prime(pp.PRIMALITY_BOUND)
     with pytest.raises(CertificationError):
         pp.valuation(1, 2**89 - 1)
+
+
+def test_primality_is_checked_once_per_outside_prime(monkeypatch):
+    calls = []
+    real = pp.is_prime
+    monkeypatch.setattr(pp, "is_prime", lambda p: calls.append(p) or real(p))
+    p = 10**18 + 3
+    h = pp.ProjMatrix((1, 1, 0, 1), p)
+    assert calls == [p]
+    g = pp.cartan_rep(3, p)
+    calls.clear()
+    pp.conjugate(g, h)
+    pp.distance_to_identity(h * h.inverse())
+    pp.perturbed_triviality_evidence(h, 6)
+    pp.cartan_exponent(g)
+    assert calls == []

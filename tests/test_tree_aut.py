@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +40,7 @@ def test_compose_partial_maps_without_exact():
     # shift along the 5-vertex path: ids in path order
     order = sorted(ball.vertices(), key=lambda v: tc.distance(ball, v, 3))
     shift = {order[i]: order[i + 1] for i in range(4)}
-    g = ta.FiniteTreeAutomorphism(ball, shift)
+    g = ta.FiniteTreeAutomorphism.from_mapping(ball, shift)
     g2 = ta.compose(g, g)
     assert g2.mapping == {order[i]: order[i + 2] for i in range(3)}
 
@@ -46,9 +48,12 @@ def test_compose_partial_maps_without_exact():
 def test_validation_rejects_bad_maps():
     ball = tc.build_regular_ball(3, 1)
     with pytest.raises(ValueError, match="injective"):
-        ta.FiniteTreeAutomorphism(ball, {1: 2, 3: 2})
+        ta.FiniteTreeAutomorphism.from_mapping(ball, {1: 2, 3: 2})
     with pytest.raises(ValueError, match="non-edge"):
-        ta.FiniteTreeAutomorphism(ball, {0: 1, 1: 2})
+        ta.FiniteTreeAutomorphism.from_mapping(ball, {0: 1, 1: 2})
+    for outside in ({0: 4}, {-1: 0}, {0: True}):
+        with pytest.raises(ValueError, match="leaves the ball"):
+            ta.FiniteTreeAutomorphism.from_mapping(ball, outside)
 
 
 def test_classify_identity_elliptic():
@@ -62,7 +67,7 @@ def test_classify_shift_is_hyperbolic():
     ball = tc.build_regular_ball(2, 4)
     ends = [v for v in ball.vertices() if ball.depth[v] == 4]
     order = sorted(ball.vertices(), key=lambda v: tc.distance(ball, v, ends[0]))
-    g = ta.FiniteTreeAutomorphism(ball, {order[i]: order[i + 1] for i in range(8)})
+    g = ta.FiniteTreeAutomorphism.from_mapping(ball, {order[i]: order[i + 1] for i in range(8)})
     res = ta.classify(g)
     assert res.kind == "hyperbolic"
     assert res.translation_length == 1
@@ -184,6 +189,30 @@ def test_portrait_json_rejects_a_repeated_source():
         ta.FiniteTreeAutomorphism.from_json({"perm": [[0, 0], [0, 1]]}, world.ball)
 
 
+def test_from_mapping_rejects_a_label_change():
+    labels = tc.LabelVector(("A", "B"), {"A": 2, "B": 2},
+                            {("A", 0): "B", ("A", 1): "B", ("B", 0): "A", ("B", 1): "A"})
+    ball = tc.build_label_regular_ball(labels, "A", 2)
+    with pytest.raises(ValueError, match="labels"):
+        ta.FiniteTreeAutomorphism.from_mapping(ball, {0: 1})
+
+
+@pytest.mark.parametrize("data", [
+    {}, {"perm": 3}, {"perm": [[0, 0], 5]}, {"perm": [[0, 0, 0]]}, {"perm": [[0, "0"]]},
+    {"perm": [[0, 0.0]]}, {"perm": [[[0], 0]]}, None, [], {"perm": [[0, 10]]},
+])
+def test_portrait_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError):
+        ta.FiniteTreeAutomorphism.from_json(data, t3_world().ball)
+
+
+def test_portrait_json_needs_a_ball():
+    with pytest.raises(ValueError, match="'ball'"):
+        ta.FiniteTreeAutomorphism.from_json({"perm": []})
+    with pytest.raises(ValueError):
+        ta.FiniteTreeAutomorphism.from_json({"perm": [], "ball": {"radius": 1}})
+
+
 # ---------------------------------------------------------------------------
 # the portrait protocol against the exact evaluators and a dict oracle
 
@@ -223,7 +252,7 @@ def partial_maps(draw):
     """A ball portrait of an exact element with its evaluator dropped and part of its domain cut."""
     g = draw(exact_auts).restrict()
     kept = {u: w for u, w in g.mapping.items() if draw(st.integers(0, 3))}
-    return ta.FiniteTreeAutomorphism(WORLD4.ball, kept)
+    return ta.FiniteTreeAutomorphism.from_mapping(WORLD4.ball, kept)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,3 +284,112 @@ def test_partial_compose_matches_dict_oracle(g, h):
     assert dict(ta.compose(g, h).mapping) == dict_compose(dict(g.mapping), dict(h.mapping))
     assert dict(ta.compose(h, g).mapping) == dict_compose(dict(h.mapping), dict(g.mapping))
     assert dict(ta.invert(h).mapping) == {w: u for u, w in h.mapping.items()}
+
+
+# ---------------------------------------------------------------------------
+# the JSON boundaries: generated round-trips, and ValueError on anything else
+
+def valid_tree_portrait(g):
+    """The range, injectivity, adjacency and label checks that
+    FiniteTreeAutomorphism's constructor ran on every image tuple before
+    builders were trusted to make valid ones, kept as the oracle; raises
+    ValueError on an invalid portrait."""
+    n = g.ball.vertex_count
+    images = g.images
+    if len(images) != n or not all(-1 <= w < n for w in images):
+        raise ValueError("mapping leaves the ball")
+    inside = [w for w in images if w >= 0]
+    if len(set(inside)) != len(inside):
+        raise ValueError("mapping is not injective")
+    parent = g.ball.parent
+    for v, p in enumerate(parent):
+        iv, ip = images[v], images[p] if p >= 0 else -1
+        if iv >= 0 and ip >= 0 and parent[iv] != ip and parent[ip] != iv:
+            raise ValueError(f"edge ({p},{v}) maps to a non-edge ({ip},{iv})")
+    labels = g.ball.label_of
+    if labels is not None and any(w >= 0 and labels[v] != labels[w] for v, w in enumerate(images)):
+        raise ValueError("mapping does not preserve labels")
+    return True
+
+
+@st.composite
+def tree_balls(draw):
+    """The JSON of a rooted tree: ids in creation order, each parent an
+    earlier vertex above the radius, labels on every vertex or on none."""
+    radius = draw(st.integers(0, 3))
+    depth, records = [0], [{"id": 0, "parent": -1, "label": None}]
+    for v in range(1, draw(st.integers(1, 12))):
+        candidates = [u for u in range(v) if depth[u] < radius]
+        if not candidates:
+            break
+        p = draw(st.sampled_from(candidates))
+        depth.append(depth[p] + 1)
+        records.append({"id": v, "parent": p, "label": None})
+    if draw(st.booleans()):
+        for rec in records:
+            rec["label"] = draw(st.sampled_from(["A", "B"]))
+    return {"base": 0, "radius": radius, "vertices": records}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_balls(), st.data())
+def test_generated_balls_and_portraits_round_trip(doc, data):
+    ball = tc.TreeBall.from_json(doc)
+    assert ball.to_json() == doc
+    assert tc.TreeBall.from_json(ball.to_json()) == ball
+    # the identity on part of the ball keeps edges and labels
+    kept = data.draw(st.sets(st.sampled_from(list(ball.vertices()))))
+    g = ta.FiniteTreeAutomorphism.from_mapping(ball, {v: v for v in kept})
+    for back in (ta.FiniteTreeAutomorphism.from_json(g.to_json()),
+                 ta.FiniteTreeAutomorphism.from_json(g.to_json(include_ball=False), ball)):
+        assert back == g and back.ball == ball
+
+
+JSON_KEYS = st.sampled_from(["perm", "ball", "base", "radius", "vertices", "id", "parent", "label"])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(JSON_KEYS | st.text(max_size=3), kids, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one value somewhere in it replaced by arbitrary JSON, or one key dropped."""
+    doc = json.loads(json.dumps(doc))
+    holder, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        holder = node
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        node = node[key]
+    if holder is None:
+        return draw(json_values)
+    if isinstance(holder, dict) and draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = draw(json_values)
+    return doc
+
+
+def loads_or_refuses(read, data):
+    """What read returns from data, or None when it refuses with ValueError; any other error fails."""
+    try:
+        return read(data)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_malformed_documents_raise_value_error(data):
+    ball_doc = data.draw(tree_balls())
+    ball = loads_or_refuses(tc.TreeBall.from_json, data.draw(mutated(ball_doc)))
+    if ball is not None:
+        assert tc.TreeBall.from_json(ball.to_json()) == ball
+    g = data.draw(st.one_of(exact_auts.map(lambda g: g.restrict()), partial_maps()))
+    read = loads_or_refuses(ta.FiniteTreeAutomorphism.from_json, data.draw(mutated(g.to_json())))
+    # whatever from_json accepts passes every check the constructor once made
+    assert read is None or valid_tree_portrait(read)
+    read = loads_or_refuses(lambda d: ta.FiniteTreeAutomorphism.from_json(d, t3_world().ball),
+                            data.draw(mutated({"perm": [[0, 0], [1, 2]]})))
+    assert read is None or valid_tree_portrait(read)

@@ -160,6 +160,24 @@ def test_json_rejects_malformed_balls(parents, radius):
         tc.TreeBall.from_json(ball_record(parents, radius))
 
 
+@pytest.mark.parametrize("data", [
+    {"radius": 1},
+    {"vertices": [{"id": 0, "parent": -1, "label": None}]},
+    {"radius": 1, "vertices": [1]},
+    {"radius": 1, "vertices": {"id": 0}},
+    {"radius": 1, "vertices": [{"id": 0}]},
+    {"radius": 1, "vertices": [{"id": "0", "parent": -1}]},
+    {"radius": 1, "vertices": [{"id": 0, "parent": -1.0}]},
+    {"radius": 1, "vertices": [{"id": 0, "parent": -1, "label": ["A"]}]},
+    {"radius": 1.0, "vertices": [{"id": 0, "parent": -1, "label": None}]},
+    None,
+    [],
+])
+def test_json_rejects_malformed_shapes(data):
+    with pytest.raises(ValueError):
+        tc.TreeBall.from_json(data)
+
+
 def test_layers_match_distance_spheres():
     ball = tc.build_regular_ball(3, 4)
     for v in (0, 1, 5, 30):

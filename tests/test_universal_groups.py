@@ -3,10 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdlc import kak_tree as kt
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
+from test_tree_aut import valid_tree_portrait
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -246,6 +248,116 @@ def test_product_of_translations_is_a_translation(degree):
                 ug.translation(world, ug.word_mul(x, y))
 
 
+# ---------------------------------------------------------------------------
+# products built past the constructor's checks, against those checks
+
+def walked_action(table, w, d):
+    """The action at w, walked down from the base: each prefix takes its
+    entry, or the transposition of its last colour with the colour the
+    parent's action sends that colour to."""
+    sigma = table.get((), ug.perm_identity(d))
+    for i in range(1, len(w) + 1):
+        u = w[:i]
+        sigma = table.get(u) or ug.perm_transposition(d, u[-1], sigma[u[-1] - 1])
+    return sigma
+
+
+def valid_portrait(g):
+    """The reduced-word, permutation and parent-edge checks that Portrait's
+    constructor ran on every table before products were built past them,
+    kept as the oracle, shortest entry first; raises ValueError on an invalid
+    table.  Every kept entry must also differ from its canonical action."""
+    d = g.world.degree
+    base, items = g.canonical_key()
+    if not ug.is_reduced_word(base, d):
+        raise ValueError(f"base image is not a reduced color word: {base}")
+    table = dict(items)
+    for w, sigma in sorted(items, key=lambda item: len(item[0])):
+        if not ug.is_reduced_word(w, d):
+            raise ValueError(f"support vertex is not a reduced color word: {w}")
+        if not ug.is_perm(sigma, d):
+            raise ValueError(f"not a permutation of 1..{d}: {sigma}")
+        canonical = ug.perm_identity(d)
+        if w:
+            forced = walked_action(table, w[:-1], d)[w[-1] - 1]
+            if sigma[w[-1] - 1] != forced:
+                raise ValueError(f"local action at {w} maps parent color {w[-1]} to "
+                                 f"{sigma[w[-1] - 1]}, but the parent edge forces {forced}")
+            canonical = ug.perm_transposition(d, w[-1], forced)
+        assert sigma != canonical, f"canonical entry kept at {w}"
+    return True
+
+
+def broken_edge(view):
+    """view with the images of v and x swapped, where (p, v) is an edge, x is
+    neither p's neighbour nor v, and all three images lie in the ball; None
+    when there is no such triple.  (p, v) then maps to (g p, g x), not an
+    edge, because p and x are not adjacent."""
+    ball, images = view.ball, list(view.images)
+    for p, v in ball.edges():
+        for x in ball.vertices():
+            if x != v and not ball.has_edge(p, x) and x != p and min(images[p], images[v], images[x]) >= 0:
+                images[v], images[x] = images[x], images[v]
+                return ta.FiniteTreeAutomorphism(ball, tuple(images))
+    return None
+
+
+def assert_valid_view(view):
+    assert valid_tree_portrait(view)
+    bad = broken_edge(view)
+    if bad is not None:
+        with pytest.raises(ValueError, match="non-edge"):
+            valid_tree_portrait(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains())
+def test_products_and_views_pass_the_constructor_checks(parts):
+    p = product(parts)
+    for g in (p, p.inverse(), *parts):
+        assert valid_portrait(g)
+        assert_valid_view(g.restrict())
+    view = p.restrict()
+    assert_valid_view(ta.invert(view))
+    assert_valid_view(ta.compose(parts[0].restrict(), view))
+
+
+@pytest.mark.parametrize("base, acts, message", [
+    ((1, 1), {}, "base image is not a reduced color word"),
+    ((), {(1, 1): (1, 2, 3)}, "support vertex is not a reduced color word"),
+    ((), {(4,): (4, 2, 3, 1)}, "support vertex is not a reduced color word"),
+    ((), {(): (1, 1, 3)}, "not a permutation of 1..3"),
+    ((), {(): (1, 2)}, "not a permutation of 1..3"),
+    ((), {(1,): (2, 1, 3)}, "the parent edge forces 1"),
+    ((), {(): (2, 1, 3), (1,): (1, 3, 2)}, "the parent edge forces 2"),
+])
+def test_the_constructor_and_the_oracle_reject_bad_tables(base, acts, message):
+    world = ug.ColorBall(3, 2)
+    with pytest.raises(ValueError, match=message):
+        ug.Portrait(world, base, acts)
+    # a table built past the constructor's own checks is refused by the oracle
+    unchecked = ug.Portrait.__new__(ug.Portrait)
+    unchecked.world, unchecked.base_word, unchecked._acts = world, base, acts
+    with pytest.raises(ValueError, match=message):
+        valid_portrait(unchecked)
+
+
+def test_trusted_products_still_check_the_parent_edge():
+    with pytest.raises(ValueError, match="the parent edge forces 1"):
+        ug.Portrait._trusted(ug.ColorBall(3, 2), (), {(1,): (2, 1, 3)})
+
+
+def test_the_view_oracle_rejects_a_broken_edge():
+    world = ug.ColorBall(3, 2)
+    view = ug.Portrait(world, (1,), {(): (2, 3, 1)}).restrict()
+    assert valid_tree_portrait(view)
+    bad = broken_edge(view)
+    with pytest.raises(ValueError, match="non-edge"):
+        valid_tree_portrait(bad)
+    with pytest.raises(ValueError, match="non-edge"):
+        ta.FiniteTreeAutomorphism.from_mapping(world.ball, dict(bad.mapping))
+
+
 def test_compose_with_a_partial_portrait_is_partial():
     """A product with a JSON-read (partial) portrait on either side is
     PARTIAL, with the images, certified radii and agreement depths of the
@@ -297,7 +409,7 @@ def test_local_action_examples():
 def test_local_action_boundary_error():
     world = ug.ColorBall(3, 2)
     coloring = world
-    shiftless = ta.FiniteTreeAutomorphism(world.ball, {v: v for v in world.ball.vertices()})
+    shiftless = ta.FiniteTreeAutomorphism.from_mapping(world.ball, {v: v for v in world.ball.vertices()})
     boundary = next(v for v in world.ball.vertices() if not world.ball.is_interior(v))
     with pytest.raises(CertificationError):
         ug.local_action(shiftless, boundary, coloring)
@@ -774,7 +886,7 @@ def largest_radius(F, cap):
     return max(r for r in (1, 2, 3) if ug.stabilizer_ball_count(F, r) <= cap)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 @given(local_groups(st.integers(2, 4)))
 def test_plus_k_matches_the_compose_search(F):
     # The search makes |plus-k| x |generators| compositions, so the balls stay
@@ -792,7 +904,7 @@ def test_plus_k_matches_the_compose_search(F):
         assert len(plus) == len(plus.key_set())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(local_groups(st.integers(2, 4)))
 def test_property_pk_matches_the_portrait_factors_on_stabilizer_balls(F):
     radius = largest_radius(F, 3100)
@@ -835,10 +947,33 @@ def test_property_pk_refuses_an_undetermined_half_tree_image():
     # and (1,3), on the (1,) side, are unknown.
     world = ug.ColorBall(3, 2)
     unknown = {world.id_of[(1, 2)], world.id_of[(1, 3)]}
-    g = ta.FiniteTreeAutomorphism(world.ball, {v: v for v in world.ball.vertices() if v not in unknown})
+    g = ta.FiniteTreeAutomorphism.from_mapping(
+        world.ball, {v: v for v in world.ball.vertices() if v not in unknown})
     gb = ug.GroupBall(world, [g], closed=False)
     with pytest.raises(CertificationError):
         ug.check_property_pk(gb, (0, world.id_of[(1,)]), 1)
     # on the other half-tree every image is known, so both codes answer
     e = (world.id_of[(1,)], 0)
     assert ug.check_property_pk(gb, e, 1) == portrait_property_pk(gb, e, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(local_groups(st.integers(2, 4)), st.sampled_from([(0, 1), (0, 2), (1, 1), (1, 2)]))
+def test_u1_elements_pass_the_constructor_checks(F, sizes):
+    move, support = sizes
+    if len(ug.reduced_words(F.degree, move)) * ug.stabilizer_ball_count(F, support) > 1000:
+        move, support = 0, 1
+    world = ug.ColorBall(F.degree, move + support)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    for g in gb:
+        assert valid_portrait(g.exact)
+        assert_valid_view(g)
+    # at most 1000 elements, by the size check above
+    stab = ug.enumerate_u1_stabilizer_ball(F, ug.ColorBall(F.degree, support), guard=1000)
+    for g in ug.generate_plus_k(stab, 1):
+        assert valid_tree_portrait(g)
+    for u, v in world.ball.edges():
+        x = kt.half_tree_fixator_witness(gb, tc.HalfTreeRef((u, v), v))
+        if x is not None:
+            assert valid_portrait(x.exact)
+            assert_valid_view(x)
