@@ -196,7 +196,7 @@ def _cmd_contract_tree(args) -> dict:
     gb = ug.GroupBall(world, [], closed=False, local_group=F)
     step = tuple(int(x) for x in args.step.split(","))
     seq = [ug.translation(world, step * i).restrict() for i in range(1, args.powers + 1)]
-    res = kt.contraction_witness_search(seq, gb, 0)
+    res = kt.contraction_witness_search(seq, gb, 0, guard=args.guard)
     if isinstance(res, kt.NoWitness):
         return {"witness": None, "reason": res.reason, "certified_radius": args.radius}
     return {
@@ -256,7 +256,7 @@ def _cmd_coxeter(args) -> dict:
                 "size": len(profile), "elements": [list(w.names()) for w in profile]}
     if args.action == "root-growth":
         words = _word_list(args.words_file, "--words-file", system)
-        chain = cox.root_growth_search(words, guard=args.guard)
+        chain = cox.root_growth_search(words)
         return {"generator": chain.generator,
                 "chain": [list(w.names()) for w in chain.chain],
                 "distances": list(chain.distances)}

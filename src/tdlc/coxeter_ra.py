@@ -77,9 +77,7 @@ class RACoxeterSystem:
             raise ValueError(f"unknown generator or index out of range: {exc}") from None
 
     def commutes(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        return frozenset((self.generators[i], self.generators[j])) in self.commuting_pairs
+        return bool(self._comm[i] >> j & 1)
 
     def to_json(self) -> dict:
         return {
@@ -310,27 +308,22 @@ def cayley_distance(u: CoxElement, v: CoxElement, guard: int | None = None) -> i
     return dist
 
 
-def dist_to_root(w: CoxElement, s: str, guard: int | None = None) -> int:
-    """Gallery distance from chamber w to the root alpha_s (BFS layers)."""
-    system = w.system
-    frontier = [w]
-    seen = {w.word}
-    dist = 0
-    while True:
-        if any(root_contains(s, u) for u in frontier):
-            return dist
-        nxt = []
-        for u in frontier:
-            for g in range(system.rank):
-                x = multiply_generator(u, g)
-                if x.word not in seen:
-                    check_guard(len(seen) + 1, guard, "root BFS")
-                    seen.add(x.word)
-                    nxt.append(x)
-        if not nxt:
-            raise RuntimeError("BFS exhausted without reaching the root")
-        frontier = nxt
-        dist += 1
+def dist_to_root(w: CoxElement, s: str) -> int:
+    """Gallery distance from chamber w to the root alpha_s, read off the normal form.
+
+    It is 0 when w lies in alpha_s, and otherwise wall_distance(w, s) + 1 =
+    (l(w^-1 s w) + 1)/2.  Chambers are elements, d(u, v) = l(u^-1 v), and
+    left multiplication by s is the reflection in the wall of s, so it is an
+    isometry that swaps the two sides, and d(w, sw) = l(w^-1 s w) = 2k + 1.
+    Every gallery from w into alpha_s crosses the wall, from some x to sx;
+    then 2k + 1 = d(w, sw) <= d(w, x) + 1 + d(sx, sw) = 2 d(w, x) + 1, so
+    it has at least k + 1 steps.  A minimal gallery from w to sw crosses no
+    wall twice, so it crosses this one once, from some x to sx, and d(sx, sw) = d(x, w) puts that
+    crossing at its middle step: its first k + 1 steps reach alpha_s.
+    """
+    if root_contains(s, w):
+        return 0
+    return wall_distance(w, s) + 1
 
 
 @dataclass(frozen=True)
@@ -339,10 +332,10 @@ class GrowthChain:
 
     generator: str
     chain: tuple[CoxElement, ...]
-    distances: tuple[int, ...]  # d(C, w_k(alpha_s)) = dist_to_root(w_k^-1, s), strictly increasing
+    distances: tuple[int, ...]  # d(C, w_k(alpha_s)) = (l(w_k s w_k^-1) + 1)/2, strictly increasing
 
 
-def root_growth_search(elements: Sequence[CoxElement], guard: int | None = None) -> GrowthChain:
+def root_growth_search(elements: Sequence[CoxElement]) -> GrowthChain:
     """Find a generator s and a subfamily along which d(C, w(alpha_s)) grows.
 
     For each s, candidates are the w whose inverse lies in -alpha_s; their
@@ -368,7 +361,7 @@ def root_growth_search(elements: Sequence[CoxElement], guard: int | None = None)
             w_inv = invert(w)
             if root_contains(s, w_inv):
                 continue  # need w^-1 in -alpha_s
-            d = dist_to_root(w_inv, s, guard=guard)
+            d = dist_to_root(w_inv, s)
             if d not in by_dist or w.word < by_dist[d].word:
                 by_dist[d] = w
         if len(by_dist) < 2:

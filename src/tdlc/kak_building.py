@@ -217,7 +217,7 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
     if not spec.is_thick():
         return NoBuildingWitness("trivial wing fixator: some panel has only two chambers")
 
-    chain = root_growth_search(ws, guard=guard)
+    chain = root_growth_search(ws)
     s = spec.system.index_of(chain.generator)
     ap = ApartmentRef.default(spec)
     ball = ChamberBall(spec, max_length, guard=guard)

@@ -23,7 +23,6 @@ from .universal_groups import (
     identity_aut,
     image_address,
     perm_identity,
-    word_append,
     word_distance,
 )
 
@@ -307,18 +306,21 @@ def is_bounded(seq: Sequence[FiniteTreeAutomorphism], v: int, bound: int) -> boo
     return all(g.images[v] >= 0 and distance(g.ball, v, g.images[v]) < bound for g in seq)
 
 
-def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomorphism | None:
+def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef,
+                              guard: int | None = None) -> FiniteTreeAutomorphism | None:
     """A nontrivial gb element fixing the chosen half pointwise, or None.
 
     With a U1 context the witness is built directly: plant a nontrivial color
     permutation fixing the parent color at a vertex whose moved branches stay
     off the fixed side.  None certifies exhaustion of that search at ball
-    depth (for U1 this means every point stabilizer of F is trivial).
+    depth (for U1 this means every point stabilizer of F is trivial).  <F> is
+    listed for that search, so its order is checked against the guard first.
     """
     world = gb.world
     ball = gb.ball
     fixed_side = half_tree_vertices(ball, h)
     if gb.local_group is not None:
+        check_guard(gb.local_group.order(), guard, "local group closure")
         group = sorted(gb.local_group.closure())
         ident = perm_identity(world.degree)
         # With the base on the moving side, avoid the cone of h.side.
@@ -366,7 +368,7 @@ class NoWitness:
 
 
 def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupBall,
-                               v: int) -> ContractionCertificate | NoWitness:
+                               v: int, guard: int | None = None) -> ContractionCertificate | NoWitness:
     """Run the half-tree witness construction along an unbounded family.
 
     Deterministic version of the subsequence argument: group the family by
@@ -374,8 +376,10 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     class (ties by vertex id); split that class into translations through v
     and the rest and keep the larger part (ties to translations).  For
     translations the witness fixes the half-tree at v; otherwise the
-    half-tree at w.  Depths of agreement of g x g^-1 with the identity are
-    reported exactly, capped by the ball radius.
+    half-tree at w.  The first step is read off the addresses: w extends v
+    by the next letter of g(v) when v's word is a prefix of g(v)'s, and is
+    v's parent otherwise.  Depths of agreement of g x g^-1 with the identity
+    are reported exactly, capped by the ball radius.
     """
     world = gb.world
     ball = gb.ball
@@ -395,8 +399,7 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
         d = word_distance(word_v, img)
         if d == 0:
             continue
-        first = next(word_append(word_v, c) for c in range(1, world.degree + 1)
-                     if word_distance(word_append(word_v, c), img) == d - 1)
+        first = word_v + (img[len(word_v)],) if img[:len(word_v)] == word_v else word_v[:-1]
         moved.append((g, d, first, img2))
     if not moved:
         return NoWitness("no element moves the base vertex")
@@ -419,7 +422,7 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
         return NoWitness("no usable subfamily after the case split")
 
     href = HalfTreeRef((v, w_vertex), side)
-    x = half_tree_fixator_witness(gb, href)
+    x = half_tree_fixator_witness(gb, href, guard)
     if x is None:
         return NoWitness("no half-tree fixator witness at this depth")
 

@@ -139,9 +139,6 @@ class ColorBall:
             raise ValueError(f"not an edge: ({u},{v})")
         return _edge_color(self.word_of[u], self.word_of[v])
 
-    def neighbor_by_color(self, v: int, color: int) -> int | None:
-        return self.id_of.get(word_append(self.word_of[v], color))
-
     def to_json(self) -> dict:
         """The legal coloring in spec form: the ball plus (u, v, color) per edge."""
         edges = sorted([min(u, v), max(u, v), self.edge_color(u, v)] for u, v in self.ball.edges())
@@ -359,15 +356,18 @@ def identity_aut(world: ColorBall) -> Portrait:
 # ---------------------------------------------------------------------------
 # local groups (finite permutation groups on colors)
 
-def _orbit_transversal(point: int, gens, degree: int) -> dict[int, Perm]:
-    """Each point y of the orbit of `point`, mapped to a u in <gens> with u(point) = y."""
-    trans = {point: perm_identity(degree)}
+def _orbit_transversal(point: int, gens, degree: int) -> dict[int, tuple[Perm, Perm]]:
+    """Each point y of the orbit of `point`, mapped to a u in <gens> with
+    u(point) = y and to its inverse."""
+    ident = perm_identity(degree)
+    trans = {point: (ident, ident)}
     queue = [point]
     for x in queue:
         for g in gens:
             y = g[x - 1]
             if y not in trans:
-                trans[y] = perm_mul(g, trans[x])
+                u = perm_mul(g, trans[x][0])
+                trans[y] = (u, perm_inv(u))
                 queue.append(y)
     return trans
 
@@ -379,11 +379,11 @@ def _sift(p: Perm, base, trans, start: int = 0) -> tuple[Perm, int]:
         u = trans[level].get(p[base[level] - 1])
         if u is None:
             return p, level
-        p = perm_mul(perm_inv(u), p)
+        p = perm_mul(u[1], p)
     return p, len(base)
 
 
-def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, Perm]]]:
+def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, tuple[Perm, Perm]]]]:
     """Base points and transversals of a stabilizer chain of <generators>.
 
     Deterministic Schreier-Sims (C. Sims 1970; Seress, Permutation Group
@@ -398,7 +398,7 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, P
     ident = perm_identity(degree)
     base: list[int] = []
     strong: list[list[Perm]] = []
-    trans: list[dict[int, Perm]] = []
+    trans: list[dict[int, tuple[Perm, Perm]]] = []
 
     def keep(h: Perm, top: int, level: int) -> None:
         # h fixes base[:level], so it is a strong generator on levels top..level
@@ -411,9 +411,9 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, P
             trans[i] = _orbit_transversal(base[i], strong[i], degree)
 
     def failing_schreier_generator(i: int) -> tuple[Perm, int] | None:
-        for x, ux in trans[i].items():
+        for x, (ux, _) in trans[i].items():
             for g in strong[i]:
-                s = perm_mul(perm_inv(trans[i][g[x - 1]]), perm_mul(g, ux))
+                s = perm_mul(trans[i][g[x - 1]][1], perm_mul(g, ux))
                 h, level = _sift(s, base, trans, i + 1)
                 if h != ident:
                     return h, level
@@ -439,8 +439,9 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, P
 class LocalGroup:
     """A subgroup of Sym(d) given by generators, acting on colors 1..d.
 
-    A stabilizer chain (base points and transversals) is built once, so the
-    order and membership are known without listing the group.
+    A stabilizer chain (base points and transversals, each transversal
+    element stored with its inverse for sifting) is built once, so the order
+    and membership are known without listing the group.
     generate_plus_k uses the same chain for a group acting on the ids 1..n
     of a ball's vertices.
     """
@@ -495,7 +496,7 @@ class LocalGroup:
         """Every element, once: the products u_0 u_1 ... of one transversal element per level."""
         out = [perm_identity(self.degree)]
         for trans in reversed(self._transversals):
-            out = [perm_mul(u, p) for u in trans.values() for p in out]
+            out = [perm_mul(u, p) for u, _ in trans.values() for p in out]
         return frozenset(out)
 
     def to_json(self) -> dict:
@@ -715,9 +716,8 @@ def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
 def enumerate_u1_stabilizer_ball(F: LocalGroup, world: ColorBall,
                                  guard: int | None = None) -> GroupBall:
     """All base-fixing portraits on the world ball with local actions in <F>."""
-    elements = [Portrait._trusted(world, (), acts).restrict()
-                for acts in _stabilizer_tables(F, world, world.radius, guard)]
-    return GroupBall(world, elements, closed=True, local_group=F)
+    gb = enumerate_u1_ball(F, world, 0, world.radius, guard=guard)
+    return GroupBall(world, gb.elements, closed=True, local_group=F)
 
 
 def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,

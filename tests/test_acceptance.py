@@ -19,6 +19,7 @@ from tdlc import padic_pgl2 as pp
 from tdlc import rab
 from tdlc import tree_aut as ta
 from tdlc import universal_groups as ug
+from test_coxeter import pair_commutes
 
 S3 = ug.LocalGroup.symmetric(3)
 
@@ -138,7 +139,7 @@ def _system_edge_union(system, max_len):
             a, b = w[pos], w[pos + 1]
             if a == b:
                 j = index[w[:pos] + w[pos + 2:]]
-            elif system.commutes(a, b):
+            elif pair_commutes(system, a, b):
                 j = index[w[:pos] + (b, a) + w[pos + 2:]]
             else:
                 continue
@@ -211,7 +212,7 @@ def test_ac5_word_problem_oracle_equivalence():
                     a, b = w[pos], w[pos + 1]
                     if a == b:
                         w2 = w[:pos] + w[pos + 2:]
-                    elif system.commutes(a, b):
+                    elif pair_commutes(system, a, b):
                         w2 = w[:pos] + (b, a) + w[pos + 2:]
                     else:
                         continue

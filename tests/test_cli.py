@@ -291,6 +291,41 @@ def test_building_contract_with_large_panels_refuses_quickly(tmp_path, capsys):
     assert time.perf_counter() - start < 5
 
 
+FREE3 = {"generators": ["a", "b", "c"], "commuting_pairs": []}
+FREE3_WORDS = ["a c a b a b c b", "a b a b c a c b c a c a", "b a c a b c a b c a c a b c a b",
+               "a c a b a b c a c b a c b c b c a b c b",
+               "c b c a b a c b c a b c b a b c a c b c a b a b"]
+
+
+def test_root_growth_reads_distances_off_normal_forms(tmp_path):
+    # A Cayley-graph search to the root visited over 10^6 elements on these words.
+    config = write_json(tmp_path, "free3.json", FREE3)
+    ws = write_json(tmp_path, "ws.json", FREE3_WORDS)
+    start = time.perf_counter()
+    rep = run_json(["coxeter", "root-growth", "--config", config, "--words-file", ws], tmp_path)
+    assert time.perf_counter() - start < 2
+    assert rep["generator"] == "b"
+    assert rep["distances"] == [8, 16, 20, 24]
+
+
+def test_building_contract_on_free3_refuses_quickly(tmp_path, capsys):
+    spec = write_json(tmp_path, "free3_q3.json", {"coxeter": FREE3, "parameters": {"a": 3, "b": 3, "c": 3}})
+    ws = write_json(tmp_path, "ws.json", FREE3_WORDS)
+    start = time.perf_counter()
+    assert run(["building", "contract", "--spec", spec, "--L", "5", "--ws-file", ws]) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "infeasible: root chambers not represented in the ball\n"
+
+
+def test_contract_tree_checks_the_local_group_order_before_listing_it(tmp_path, capsys):
+    # |Sym(9)| = 362880; a bounded family returns before the group is listed.
+    assert run(["contract-tree", "--degree", "9", "--radius", "3", "--guard", "1000"]) == 2
+    assert capsys.readouterr().err == "infeasible: local group closure: 362880 objects exceeds guard 1000\n"
+    rep = run_json(["contract-tree", "--degree", "9", "--radius", "3", "--powers", "1", "--guard", "1000"],
+                   tmp_path)
+    assert rep["reason"] == "bounded"
+
+
 def nested(depth):
     return "[" * depth + "]" * depth
 

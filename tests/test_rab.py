@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import coxeter_ra as cox
 from tdlc import rab
 from tdlc.errors import CertificationError, GuardExceeded
+from test_coxeter import pair_commutes
 
 
 def dinf_spec(qs=3, qt=3):
@@ -284,7 +285,7 @@ def test_spec_json_round_trip():
 # the chamber normal form against an independent oracle
 
 def oracle_chamber(spec, syllables):
-    """Syllable normal form by a two-pass algorithm on RACoxeterSystem.commutes.
+    """Syllable normal form by a two-pass algorithm on pair_commutes.
 
     Merge with a visible same-type syllable (re-inserting the tail after a
     zero merge), then ShortLex-minimise the type word.  Kept as an oracle:
@@ -308,7 +309,7 @@ def oracle_chamber(spec, syllables):
                     for t2, c3 in tail:
                         insert(syls, t2, c3)
                 return
-            if not system.commutes(t, s):
+            if not pair_commutes(system, t, s):
                 break
         syls.append((s, c))
 
@@ -319,7 +320,7 @@ def oracle_chamber(spec, syllables):
     while syls:
         best = 0
         for i in range(1, len(syls)):
-            if syls[i][0] < syls[best][0] and all(system.commutes(syls[j][0], syls[i][0]) for j in range(i)):
+            if syls[i][0] < syls[best][0] and all(pair_commutes(system, syls[j][0], syls[i][0]) for j in range(i)):
                 best = i
         out.append(syls.pop(best))
     return tuple(out)
@@ -362,7 +363,7 @@ def test_automorphism_images_match_oracle(spec):
 
     def initial(x, s):
         for i, (t, _) in enumerate(x):
-            if t == s and all(spec.system.commutes(x[j][0], s) for j in range(i)):
+            if t == s and all(pair_commutes(spec.system, x[j][0], s) for j in range(i)):
                 return i
         return None
 
