@@ -9,16 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import coxeter_ra as cox
-from . import kak_building as kb
-from . import kak_tree as kt
-from . import padic_pgl2 as pp
-from . import rab
-from . import tree_core as tc
-from . import universal_groups as ug
 from .errors import CertificationError, GuardExceeded, check_guard
 
 SCHEMA_VERSION = "1"
@@ -74,6 +66,7 @@ def _read_json(text: str):
 
 
 def _local_group(args, degree: int) -> ug.LocalGroup:
+    from . import universal_groups as ug
     if getattr(args, "local_group", None):
         with open(args.local_group) as fh:
             F = ug.LocalGroup.from_json(_read_json(fh.read()))
@@ -86,11 +79,13 @@ def _local_group(args, degree: int) -> ug.LocalGroup:
 
 
 def _coxeter_system(args) -> cox.RACoxeterSystem:
+    from . import coxeter_ra as cox
     with open(args.config) as fh:
         return cox.RACoxeterSystem.from_json(_read_json(fh.read()))
 
 
 def _building_spec(args) -> rab.BuildingSpec:
+    from . import rab
     with open(args.spec) as fh:
         return rab.BuildingSpec.from_json(_read_json(fh.read()))
 
@@ -98,6 +93,7 @@ def _building_spec(args) -> rab.BuildingSpec:
 def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list[cox.CoxElement]:
     """The words of a JSON file holding a list of words, each a string of
     space-separated generator names or a list of names."""
+    from . import coxeter_ra as cox
     if path is None:
         raise ValueError(f"{flag} is required for this action")
     with open(path) as fh:
@@ -119,6 +115,7 @@ def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
 # subcommand handlers
 
 def _cmd_tree(args) -> dict:
+    from . import tree_core as tc
     if args.label_config:
         with open(args.label_config) as fh:
             lv = tc.LabelVector.from_json(_read_json(fh.read()))
@@ -139,6 +136,7 @@ def _cmd_tree(args) -> dict:
 
 
 def _cmd_ugroup(args) -> dict:
+    from . import universal_groups as ug
     F = _local_group(args, args.degree)
     ug.check_u1_guard(F, args.radius, args.guard)
     _check_tree_ball(args.degree, args.radius, args.guard)
@@ -167,6 +165,8 @@ def _cmd_ugroup(args) -> dict:
 
 
 def _cmd_kak_tree(args) -> dict:
+    from . import kak_tree as kt
+    from . import universal_groups as ug
     F = _local_group(args, args.degree)
     ug.check_u1_guard(F, args.radius, args.guard, args.max_sphere)
     _check_tree_ball(args.degree, args.max_sphere + args.radius, args.guard)
@@ -190,6 +190,10 @@ def _cmd_kak_tree(args) -> dict:
 
 
 def _cmd_contract_tree(args) -> dict:
+    from . import kak_tree as kt
+    from . import universal_groups as ug
+    if args.powers < 1:
+        raise ValueError(f"--powers must be positive, got {args.powers}")
     F = _local_group(args, args.degree)
     _check_tree_ball(args.degree, args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.radius)
@@ -209,6 +213,9 @@ def _cmd_contract_tree(args) -> dict:
 
 
 def _cmd_padic(args) -> dict:
+    import random
+
+    from . import padic_pgl2 as pp
     if args.action != "verify":
         raise ValueError(f"unknown padic action: {args.action}")
     p, n_max = args.p, args.n_max
@@ -242,11 +249,14 @@ def _cmd_padic(args) -> dict:
 
 
 def _cmd_coxeter(args) -> dict:
+    from . import coxeter_ra as cox
     system = _coxeter_system(args)
     if args.action == "nf":
         el = cox.word_from_names(system, args.word or "")
         return {"word": args.word or "", "normal_form": list(el.names()), "length": len(el.word)}
     if args.action == "wall":
+        if args.gen is None:
+            raise ValueError("--gen is required for this action")
         el = cox.word_from_names(system, args.word or "")
         return {"word": args.word or "", "generator": args.gen,
                 "wall_distance": cox.wall_distance(el, args.gen)}
@@ -264,6 +274,8 @@ def _cmd_coxeter(args) -> dict:
 
 
 def _cmd_building(args) -> dict:
+    from . import kak_building as kb
+    from . import rab
     spec = _building_spec(args)
     if args.action == "ball":
         ball = rab.ChamberBall(spec, args.L, guard=args.guard)
@@ -396,6 +408,8 @@ def run(argv) -> int:
     elif command == "contract-building":
         command, args.action = "building", "contract"
     try:
+        if args.guard is not None and args.guard < 0:
+            raise ValueError(f"--guard must be nonnegative, got {args.guard}")
         report = _HANDLERS[command](args)
     except (GuardExceeded, CertificationError) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

@@ -379,8 +379,11 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     half-tree at w.  The first step is read off the addresses: w extends v
     by the next letter of g(v) when v's word is a prefix of g(v)'s, and is
     v's parent otherwise.  Depths of agreement of g x g^-1 with the identity
-    are reported exactly, capped by the ball radius.
+    are reported exactly, capped by the ball radius.  An empty family is
+    invalid: every claim about it would be vacuous.
     """
+    if not seq:
+        raise ValueError("contraction search needs a nonempty family")
     world = gb.world
     ball = gb.ball
     radius = ball.radius - ball.depth[v]

@@ -360,9 +360,35 @@ def test_negative_sizes_exit_1(tmp_path, capsys):
     for argv in (["kak-tree", "--max-sphere", "-1"], ["kak-tree", "--radius", "-1"],
                  ["padic", "verify", "--p", "3", "--n-max", "2", "--matrices", "-3"],
                  ["ugroup", "--radius", "2", "--plus-k", "0"], ["ugroup", "--radius", "2", "--pk-k", "0"],
-                 ["ugroup", "--radius", "0", "--plus-k", "-1"]):
+                 ["ugroup", "--radius", "0", "--plus-k", "-1"],
+                 # an empty family of powers would be bounded vacuously
+                 ["contract-tree", "--radius", "3", "--powers", "0"],
+                 ["contract-tree", "--radius", "3", "--powers", "-2"]):
         assert run(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--radius", "3"],
+    ["ugroup", "--radius", "2"],
+    ["kak-tree", "--radius", "1", "--max-sphere", "1"],
+    ["contract-tree", "--radius", "3"],
+    ["padic", "verify", "--p", "3", "--n-max", "2"],
+    ["coxeter", "profile", "--config", "{config}"],
+    ["building", "ball", "--spec", "{spec}", "--L", "2"],
+    ["kak-building", "--spec", "{spec}", "--L", "2"],
+    ["contract-building", "--spec", "{spec}", "--L", "2", "--ws-file", "{ws}"],
+])
+def test_negative_guard_is_invalid_input(tmp_path, capsys, argv):
+    names = {"config": dinf_config(tmp_path), "spec": dinf_q3_spec(tmp_path),
+             "ws": write_json(tmp_path, "ws.json", ["t s"])}
+    assert run([tok.format(**names) for tok in argv] + ["--guard", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --guard must be nonnegative, got -1\n"
+
+
+def test_coxeter_wall_needs_a_generator(tmp_path, capsys):
+    assert run(["coxeter", "wall", "--config", dinf_config(tmp_path), "--word", "t s"]) == 1
+    assert capsys.readouterr().err == "error: --gen is required for this action\n"
 
 
 def test_guard_refusal_message(tmp_path, capsys):
@@ -477,9 +503,14 @@ def test_kak_tree_partition_guard(capsys):
     assert capsys.readouterr().err == "infeasible: KAK partition products: 72 objects exceeds guard 50\n"
 
 
-def test_python_m_entry_point(tmp_path):
+def src_env():
+    """The environment of a child interpreter that imports tdlc from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_python_m_entry_point(tmp_path):
+    env = src_env()
     config = dinf_config(tmp_path)
     proc = subprocess.run([sys.executable, "-m", "tdlc.cli", "coxeter", "nf", "--config", config,
                            "--word", "t s s t"], capture_output=True, text=True, env=env, timeout=60)
@@ -488,6 +519,52 @@ def test_python_m_entry_point(tmp_path):
     bad = subprocess.run([sys.executable, "-m", "tdlc.cli", "nonsense"], capture_output=True,
                          text=True, env=env, timeout=60)
     assert bad.returncode == 1
+
+
+# Each subcommand imports its pipeline where it runs.  pytest's own process has
+# imported every module, so only a fresh interpreter shows what a call loads.
+CLI_BASE = {"tdlc", "tdlc.cli", "tdlc.errors"}
+TREE_MODULES = CLI_BASE | {"tdlc.tree_core"}
+UGROUP_MODULES = TREE_MODULES | {"tdlc.tree_aut", "tdlc.universal_groups"}
+KAK_TREE_MODULES = UGROUP_MODULES | {"tdlc.kak_tree"}
+COXETER_MODULES = CLI_BASE | {"tdlc.coxeter_ra"}
+BUILDING_MODULES = COXETER_MODULES | {"tdlc.rab", "tdlc.kak_building"}
+LOADED_MODULES_PROBE = """
+import json, sys
+from tdlc.cli import run
+code = run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "tdlc")]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    (["--help"], 0, CLI_BASE),
+    (["tree", "--radius", "2"], 0, TREE_MODULES),
+    (["tree", "--radius", "2", "--guard", "-1"], 1, CLI_BASE),
+    (["ugroup", "--radius", "2", "--pk-k", "1"], 0, UGROUP_MODULES),
+    (["ugroup", "--degree", "9", "--radius", "1", "--guard", "100"], 2, UGROUP_MODULES),
+    (["kak-tree", "--radius", "1", "--max-sphere", "1"], 0, KAK_TREE_MODULES),
+    (["contract-tree", "--radius", "4", "--powers", "2"], 0, KAK_TREE_MODULES),
+    (["padic", "verify", "--p", "3", "--n-max", "3", "--matrices", "2"], 0, CLI_BASE | {"tdlc.padic_pgl2"}),
+    (["coxeter", "nf", "--config", "{config}", "--word", "t s s t"], 0, COXETER_MODULES),
+    (["coxeter", "wall", "--config", "{config}", "--word", "t s", "--gen", "s"], 0, COXETER_MODULES),
+    (["coxeter", "profile", "--config", "{config}", "--max-length", "4"], 0, COXETER_MODULES),
+    (["coxeter", "root-growth", "--config", "{config}", "--words-file", "{ws}"], 0, COXETER_MODULES),
+    (["building", "ball", "--spec", "{spec}", "--L", "2"], 0, BUILDING_MODULES),
+    (["building", "kak", "--spec", "{spec}", "--L", "2"], 0, BUILDING_MODULES),
+    (["building", "contract", "--spec", "{spec}", "--L", "4", "--ws-file", "{ws}"], 0, BUILDING_MODULES),
+])
+def test_each_subcommand_loads_only_its_own_pipeline(tmp_path, argv, code, modules):
+    names = {"config": dinf_config(tmp_path), "spec": dinf_q3_spec(tmp_path),
+             "ws": write_json(tmp_path, "ws.json", ["t s", "t s t s"])}
+    argv = [tok.format(**names) for tok in argv]
+    out = [] if argv == ["--help"] else ["--out", str(tmp_path / "out.json")]
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES_PROBE, *argv, *out],
+                          capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got_code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got_code == code, proc.stderr
+    assert set(loaded) == modules
 
 
 def test_seed_is_a_padic_option_only(tmp_path, capsys):

@@ -333,3 +333,10 @@ def test_contraction_witness_bounded():
     res = kt.contraction_witness_search([rot, rot], gb, 0)
     assert isinstance(res, kt.NoWitness)
     assert res.reason == "bounded"
+
+
+def test_contraction_witness_refuses_an_empty_family():
+    world = ug.ColorBall(3, 4)
+    gb = ug.GroupBall(world, [], closed=False, local_group=S3)
+    with pytest.raises(ValueError, match="nonempty"):
+        kt.contraction_witness_search([], gb, 0)
