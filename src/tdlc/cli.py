@@ -171,6 +171,10 @@ def _cmd_kak_tree(args) -> dict:
     ug.check_u1_guard(F, args.radius, args.guard, args.max_sphere)
     _check_tree_ball(args.degree, args.max_sphere + args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.max_sphere + args.radius)
+    # The certificate's |K|^2 |A| keys, refused before the U1 ball is listed: |K|
+    # is the stabilizer count, and each sphere up to max_sphere has a representative.
+    check_guard(ug.stabilizer_ball_count(F, args.radius) ** 2 * (args.max_sphere + 1),
+                args.guard, "KAK partition products")
     gb = ug.enumerate_u1_ball(F, world, args.max_sphere, args.radius, guard=args.guard)
     dec = kt.enumerate_representatives(gb, 0, args.max_sphere)
     cert = kt.certify_partition(dec, args.max_sphere, guard=args.guard)
@@ -200,7 +204,7 @@ def _cmd_contract_tree(args) -> dict:
     gb = ug.GroupBall(world, [], closed=False, local_group=F)
     step = tuple(int(x) for x in args.step.split(","))
     seq = [ug.translation(world, step * i).restrict() for i in range(1, args.powers + 1)]
-    res = kt.contraction_witness_search(seq, gb, 0, guard=args.guard)
+    res = kt.contraction_witness_search(seq, gb, 0)
     if isinstance(res, kt.NoWitness):
         return {"witness": None, "reason": res.reason, "certified_radius": args.radius}
     return {

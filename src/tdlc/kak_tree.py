@@ -9,12 +9,12 @@ conjugated witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CertificationError, check_guard
 from .tree_core import HalfTreeRef, distance, half_tree_vertices, layers
-from .tree_aut import FiniteTreeAutomorphism, agreement_depth, compose, invert
+from .tree_aut import FiniteTreeAutomorphism, agreement_depth, compose, invert, product_addresses
 from .universal_groups import (
     ColorBall,
     GroupBall,
@@ -22,7 +22,6 @@ from .universal_groups import (
     Word,
     identity_aut,
     image_address,
-    perm_identity,
     word_distance,
 )
 
@@ -91,13 +90,19 @@ class Representative:
 
 @dataclass(frozen=True)
 class CartanDecomposition:
-    """K plus one double-coset representative per K-orbit per sphere."""
+    """K plus one double-coset representative per K-orbit per sphere.
+
+    factors memoizes factorize's target-dependent factors, filled as targets
+    are met.  It is not an __init__ argument, so dataclasses.replace starts
+    an empty one and a replaced decomposition never reads stale factors.
+    """
 
     vertex: int
     stabilizer: GroupBall
     representatives: tuple[Representative, ...]
     partitions: tuple[OrbitPartition, ...]
     group: GroupBall
+    factors: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def representative_for(self, point: int) -> Representative:
         for part in self.partitions:
@@ -145,20 +150,36 @@ class Factorization:
 
 
 def factorize(g: FiniteTreeAutomorphism, dec: CartanDecomposition) -> Factorization:
-    """Write g = k a k' with k, k' fixing v, verified pointwise on the ball."""
+    """Write g = k a k' with k, k' fixing v, verified pointwise on the ball.
+
+    k, the representative a, and so k a and (k a)^-1, depend only on the
+    target g(v): dec.factors keeps them per target, built on first use.  Each
+    g then costs one product, k' = (k a)^-1 g, which keeps its exact
+    evaluator because callers compose it again.  k a k' = g is checked where
+    g's images are ball ids, against the addresses of (k a) k' read off the
+    two factors (product_addresses): forming that product in closed form
+    would build an evaluator no caller reads.
+    """
     v = dec.vertex
     img = g.images[v]
     if img < 0:
         raise CertificationError(f"g moves vertex {v} outside the certified ball")
-    rec = dec.representative_for(img)
-    part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
-    k = part.transversal[img]                    # k(rep vertex) = g(v)
-    k_prime = compose(invert(rec.element), compose(invert(k), g))
+    factors = dec.factors.get(img)
+    if factors is None:
+        rec = dec.representative_for(img)
+        part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
+        k = part.transversal[img]                # k(rep vertex) = g(v)
+        ka = compose(k, rec.element)
+        factors = dec.factors[img] = (k, rec, ka, invert(ka))
+    k, rec, ka, ka_inv = factors
+    k_prime = compose(ka_inv, g)
     if k_prime.images[v] != v:
         raise CertificationError("residual factor does not fix the base vertex")
-    product = compose(k, compose(rec.element, k_prime))
-    if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
-        raise AssertionError("factorization product disagrees with g on the ball")
+    word_of = dec.group.world.word_of
+    inside = [u for u, gu in enumerate(g.images) if gu >= 0]
+    for u, p in zip(inside, product_addresses(ka, k_prime, word_of, inside)):
+        if p is not None and p != word_of[g.images[u]]:
+            raise AssertionError("factorization product disagrees with g on the ball")
     return Factorization(k, rec, k_prime)
 
 
@@ -178,8 +199,10 @@ def certify_partition(dec: CartanDecomposition, radius: int,
     restrictions to it.  Each k2 in K fixes the base and so permutes those
     ids, and the key of k1 a k2 is the key of k1 a read through k2.images[:N]
     (None where that is -1); one product per (k1, a) thus gives |K| keys.  The
-    cosets are disjoint iff their sizes sum to the size of their union.  The
-    |K|^2 |A| keys are checked against the guard before the first product.
+    key of k1 a is read off k1 and a by product_addresses, since only its
+    addresses on B(base, radius) are read: no closed-form product is built.
+    The cosets are disjoint iff their sizes sum to the size of their union.
+    The |K|^2 |A| keys are checked against the guard before the first product.
     """
     world = dec.group.world
     if dec.vertex != world.ball.base:
@@ -195,7 +218,7 @@ def certify_partition(dec: CartanDecomposition, radius: int,
         keys = set()
         for k1 in dec.stabilizer:
             # the appended None is what an unknown image (-1) indexes
-            key = restriction_key(compose(k1, rec.element), world, radius) + (None,)
+            key = product_addresses(k1, rec.element, world.word_of, range(size)) + (None,)
             keys.update(tuple(map(key.__getitem__, perm)) for perm in perms)
         cosets.append(keys)
     union = set().union(*cosets)
@@ -306,23 +329,22 @@ def is_bounded(seq: Sequence[FiniteTreeAutomorphism], v: int, bound: int) -> boo
     return all(g.images[v] >= 0 and distance(g.ball, v, g.images[v]) < bound for g in seq)
 
 
-def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef,
-                              guard: int | None = None) -> FiniteTreeAutomorphism | None:
+def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomorphism | None:
     """A nontrivial gb element fixing the chosen half pointwise, or None.
 
     With a U1 context the witness is built directly: plant a nontrivial color
     permutation fixing the parent color at a vertex whose moved branches stay
     off the fixed side.  None certifies exhaustion of that search at ball
-    depth (for U1 this means every point stabilizer of F is trivial).  <F> is
-    listed for that search, so its order is checked against the guard first.
+    depth (for U1 this means every point stabilizer of F is trivial).  The
+    permutation is the lexicographically least non-identity element of <F>
+    fixing that color, read off a stabilizer chain (LocalGroup.least_fixing),
+    so <F> is not listed.
     """
     world = gb.world
     ball = gb.ball
     fixed_side = half_tree_vertices(ball, h)
     if gb.local_group is not None:
-        check_guard(gb.local_group.order(), guard, "local group closure")
-        group = sorted(gb.local_group.closure())
-        ident = perm_identity(world.degree)
+        least = {}  # color -> LocalGroup.least_fixing(color)
         # With the base on the moving side, avoid the cone of h.side.
         anc = None if ball.base in fixed_side else world.word_of[h.side]
         moving = [u for u in ball.vertices() if u not in fixed_side]
@@ -338,9 +360,10 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef,
                 continue  # ancestors/descendants of the fixed cone
             else:
                 locked = wu[-1]  # the parent color
-            for tau in group:
-                if tau != ident and tau[locked - 1] == locked:
-                    return Portrait._trusted(world, (), {wu: tau}).restrict()
+            if locked not in least:
+                least[locked] = gb.local_group.least_fixing(locked)
+            if least[locked] is not None:
+                return Portrait._trusted(world, (), {wu: least[locked]}).restrict()
         return None
     ident_key = identity_aut(world).restrict().key()
     for g in gb:
@@ -368,7 +391,7 @@ class NoWitness:
 
 
 def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupBall,
-                               v: int, guard: int | None = None) -> ContractionCertificate | NoWitness:
+                               v: int) -> ContractionCertificate | NoWitness:
     """Run the half-tree witness construction along an unbounded family.
 
     Deterministic version of the subsequence argument: group the family by
@@ -425,7 +448,7 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
         return NoWitness("no usable subfamily after the case split")
 
     href = HalfTreeRef((v, w_vertex), side)
-    x = half_tree_fixator_witness(gb, href, guard)
+    x = half_tree_fixator_witness(gb, href)
     if x is None:
         return NoWitness("no half-tree fixator witness at this depth")
 

@@ -17,8 +17,11 @@ entries whose images leave the ball:
   PARTIAL: an exact evaluator never holds a partial part.
 
 An evaluator answers `address(v)` (the address of g(v), None when unknown),
-`locate(v)` (the ball id of g(v), -1 when outside or unknown), `compose`
-and `inverse`.
+`locate(v)` (the ball id of g(v), -1 when outside or unknown),
+`image_word(w)` (the address of g(w), None when unknown), `compose` and
+`inverse`.  compose builds the closed-form product of the evaluators, for
+callers that read the product beyond the ball; product_addresses reads the
+addresses of a product on a set of ball vertices from its two factors.
 
 Every claim made from a portrait is capped by the radius that certifies it.
 """
@@ -134,6 +137,32 @@ def compose(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism) -> FiniteTreeA
     gi = g.images
     images = tuple(gi[m] if m >= 0 else exact.locate(u) for u, m in enumerate(h.images))
     return FiniteTreeAutomorphism(g.ball, images, exact)
+
+
+def product_addresses(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism,
+                      word_of: Sequence, vertices) -> tuple:
+    """Addresses of g(h(u)) for u in `vertices` (word_of maps ball ids to
+    addresses), as compose(g, h) gives them, with no closed-form product.
+
+    Where h(u) and then g(h(u)) are ball ids the tuples give the address.
+    Anywhere else h's evaluator gives the address of h(u) and g's evaluator
+    the image of that word: a walk from the base of each.  With PARTIAL on
+    either side that address is unknown (None), as it is for compose(g, h),
+    whose evaluator is then PARTIAL.
+    """
+    if g.ball != h.ball:
+        raise ValueError("portraits live on different balls")
+    gi, hi = g.images, h.images
+    out = []
+    for u in vertices:
+        m = hi[u]
+        n = gi[m] if m >= 0 else -1
+        if n >= 0:
+            out.append(word_of[n])
+        else:
+            w = h.exact.address(u)
+            out.append(None if w is None else g.exact.image_word(w))
+    return tuple(out)
 
 
 def invert(g: FiniteTreeAutomorphism) -> FiniteTreeAutomorphism:

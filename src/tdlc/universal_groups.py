@@ -383,7 +383,7 @@ def _sift(p: Perm, base, trans, start: int = 0) -> tuple[Perm, int]:
     return p, len(base)
 
 
-def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, tuple[Perm, Perm]]]]:
+def _schreier_sims(degree: int, generators, base=()) -> tuple[list[int], list[dict[int, tuple[Perm, Perm]]]]:
     """Base points and transversals of a stabilizer chain of <generators>.
 
     Deterministic Schreier-Sims (C. Sims 1970; Seress, Permutation Group
@@ -393,12 +393,14 @@ def _schreier_sims(degree: int, generators) -> tuple[list[int], list[dict[int, t
     Then, level by level from the deepest one it joined up to level 0, every
     Schreier generator u(g x)^-1 g u(x) of a level must sift to the identity
     through the levels below it; one that does not is kept the same way, and
-    the check resumes at the deepest level that one joined.
+    the check resumes at the deepest level that one joined.  The chain's base
+    begins with the points of `base`, in that order (a level may be trivial);
+    further points are the first point a kept generator moves.
     """
     ident = perm_identity(degree)
-    base: list[int] = []
-    strong: list[list[Perm]] = []
-    trans: list[dict[int, tuple[Perm, Perm]]] = []
+    base = list(base)
+    strong: list[list[Perm]] = [[] for _ in base]
+    trans: list[dict[int, tuple[Perm, Perm]]] = [{b: (ident, ident)} for b in base]
 
     def keep(h: Perm, top: int, level: int) -> None:
         # h fixes base[:level], so it is a strong generator on levels top..level
@@ -491,6 +493,27 @@ class LocalGroup:
         """Membership by sifting p through the stabilizer chain."""
         return is_perm(p, self.degree) and \
             _sift(p, self._base, self._transversals)[0] == perm_identity(self.degree)
+
+    def least_fixing(self, point: int) -> Perm | None:
+        """The lexicographically least non-identity element of <F> fixing
+        `point`, or None when only the identity fixes it; <F> is not listed.
+
+        Below its first level, a chain of <F> with base (point, 1, ..., d) is
+        a chain of Stab(point) with base 1, ..., d (point skipped).  An element
+        of Stab(point) fixing every colour below j and moving j sends j to a
+        larger colour, so the least non-identity one moves its first colour
+        as late as any does: it lies in the deepest nontrivial level, all of
+        whose non-identity elements move that level's base point b.  The
+        level below is trivial, so exactly one element sends b to each point
+        of its basic orbit: the transversal element of the least point other
+        than b.
+        """
+        d = self.degree
+        base, trans = _schreier_sims(d, self.generators, [point, *(x for x in range(1, d + 1) if x != point)])
+        for b, level in zip(reversed(base[1:]), reversed(trans[1:])):
+            if len(level) > 1:
+                return level[min(y for y in level if y != b)][0]
+        return None
 
     def closure(self) -> frozenset[Perm]:
         """Every element, once: the products u_0 u_1 ... of one transversal element per level."""

@@ -317,10 +317,17 @@ def test_building_contract_on_free3_refuses_quickly(tmp_path, capsys):
     assert capsys.readouterr().err == "infeasible: root chambers not represented in the ball\n"
 
 
-def test_contract_tree_checks_the_local_group_order_before_listing_it(tmp_path, capsys):
-    # |Sym(9)| = 362880; a bounded family returns before the group is listed.
-    assert run(["contract-tree", "--degree", "9", "--radius", "3", "--guard", "1000"]) == 2
-    assert capsys.readouterr().err == "infeasible: local group closure: 362880 objects exceeds guard 1000\n"
+def test_contract_tree_reads_the_witness_without_listing_the_local_group(tmp_path, monkeypatch):
+    # |Sym(9)| = 362880 is over the guard, but the witness is read off a stabilizer chain.
+    def unlisted(self):
+        raise AssertionError("the local group was listed")
+
+    monkeypatch.setattr(ug.LocalGroup, "closure", unlisted)
+    rep = run_json(["contract-tree", "--degree", "9", "--radius", "3", "--guard", "1000"], tmp_path)
+    assert rep["side"] == {"edge": [0, 1], "side": 0}
+    # planted at (1,), fixing its parent colour 1: the least such element of Sym(9) swaps 8 and 9
+    planted = ug.Portrait(ug.ColorBall(9, 3), (), {(1,): (1, 2, 3, 4, 5, 6, 7, 9, 8)})
+    assert rep["witness"] == planted.restrict().to_json(include_ball=False)
     rep = run_json(["contract-tree", "--degree", "9", "--radius", "3", "--powers", "1", "--guard", "1000"],
                    tmp_path)
     assert rep["reason"] == "bounded"
@@ -501,6 +508,17 @@ def test_kak_tree_partition_guard(capsys):
     # group ball 4 x 6 = 24 fits the guard; |K|^2 |A| = 6^2 x 2 = 72 does not
     assert run(["kak-tree", "--radius", "1", "--max-sphere", "1", "--guard", "50"]) == 2
     assert capsys.readouterr().err == "infeasible: KAK partition products: 72 objects exceeds guard 50\n"
+
+
+def test_kak_tree_partition_guard_refuses_before_the_ball_is_listed(capsys, monkeypatch):
+    # 5 x 31,104 = 155,520 U1 portraits fit the default guard; |K|^2 x 2 keys do not
+    def unlisted(*args, **kwargs):
+        raise AssertionError("the U1 ball was listed")
+
+    monkeypatch.setattr(ug, "enumerate_u1_ball", unlisted)
+    assert run(["kak-tree", "--degree", "4", "--radius", "2", "--max-sphere", "1"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: KAK partition products: 1934917632 objects exceeds guard 1000000\n"
 
 
 def src_env():

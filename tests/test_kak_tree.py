@@ -108,6 +108,114 @@ def test_factorize_rejects_out_of_range():
         kt.factorize(far, dec)
 
 
+@st.composite
+def local_groups(draw):
+    d = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.permutations(range(1, d + 1)).map(tuple), max_size=2))
+    return ug.LocalGroup.create(d, gens)
+
+
+def four_product_factorize(g, dec):
+    """Oracle: factorize with its four products and two inverses per element."""
+    v = dec.vertex
+    img = g.images[v]
+    if img < 0:
+        raise CertificationError(f"g moves vertex {v} outside the certified ball")
+    rec = dec.representative_for(img)
+    part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
+    k = part.transversal[img]                    # k(rep vertex) = g(v)
+    k_prime = ta.compose(ta.invert(rec.element), ta.compose(ta.invert(k), g))
+    if k_prime.images[v] != v:
+        raise CertificationError("residual factor does not fix the base vertex")
+    product = ta.compose(k, ta.compose(rec.element, k_prime))
+    if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
+        raise AssertionError("factorization product disagrees with g on the ball")
+    return kt.Factorization(k, rec, k_prime)
+
+
+def factorize_outcome(factorize, g, dec):
+    try:
+        f = factorize(g, dec)
+    except CertificationError as exc:
+        return str(exc)
+    return f.k, f.k.exact, f.a, f.k_prime.images, f.k_prime.exact
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(local_groups(), st.integers(1, 2), st.integers(1, 2))
+@example(S3, 2, 2)
+@example(FLIP, 2, 1)
+@example(KLEIN, 1, 2)
+def test_factorize_matches_the_four_product_oracle(F, support, max_sphere):
+    move = max_sphere + 1            # the outer sphere lies beyond the decomposition
+    assume(len(ug.reduced_words(F.degree, move)) * ug.stabilizer_ball_count(F, support) <= 1500)
+    world = ug.ColorBall(F.degree, move + support)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    last = world.word_of[-1]
+    far = ug.translation(world, last + (1 if last[-1] != 1 else 2,)).restrict()   # leaves the ball
+    partial = [ta.FiniteTreeAutomorphism(world.ball, g.images) for g in gb.elements[::7]]
+    for v in (0, world.id_of[(1,)]):
+        dec = kt.enumerate_representatives(gb, v, max_sphere)
+        for g in [*gb, far]:
+            assert factorize_outcome(kt.factorize, g, dec) == factorize_outcome(four_product_factorize, g, dec)
+        # For a PARTIAL g the oracle's chain loses an image wherever k^-1 leaves
+        # the ball and a^-1 comes back; the exact (k a)^-1 keeps it.
+        for g in partial:
+            new = factorize_outcome(kt.factorize, g, dec)
+            old = factorize_outcome(four_product_factorize, g, dec)
+            if isinstance(old, str):
+                assert new == old
+                continue
+            assert new[:3] == old[:3] and new[4] is old[4] is ta.PARTIAL
+            assert all(o < 0 or n == o for n, o in zip(new[3], old[3]))
+
+
+def test_factorize_makes_one_product_per_element_once_the_memo_is_full(monkeypatch):
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    for g in gb:
+        kt.factorize(g, dec)
+    assert len(dec.factors) == 10             # one entry per target g(base)
+    calls = []
+
+    def counted(g, h):
+        calls.append(1)
+        return ta.compose(g, h)
+
+    def no_inverse(g):
+        raise AssertionError("an inverse was built with the memo full")
+
+    monkeypatch.setattr(kt, "compose", counted)
+    monkeypatch.setattr(kt, "invert", no_inverse)
+    for g in gb:
+        kt.factorize(g, dec)
+    assert len(calls) == len(gb)
+
+
+def test_factorize_checks_the_memoized_product():
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    g, h = dec.representatives[2].element, dec.representatives[1].element
+    kt.factorize(g, dec)
+    kt.factorize(h, dec)
+    k, rec, ka, ka_inv = dec.factors[g.images[0]]
+    # k a swapped for another target's: k' = (k a)^-1 g still fixes the base,
+    # but the checked product sends the base to h(base)
+    dec.factors[g.images[0]] = (k, rec, dec.factors[h.images[0]][2], ka_inv)
+    with pytest.raises(AssertionError, match="factorization product disagrees with g on the ball"):
+        kt.factorize(g, dec)
+
+
+def test_a_replaced_decomposition_starts_an_empty_memo():
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    kt.factorize(gb.elements[-1], dec)
+    assert dec.factors
+    assert dataclasses.replace(dec, representatives=dec.representatives[:2]).factors == {}
+    fresh = dataclasses.replace(dec)
+    assert fresh.factors == {} and fresh == dec     # the memo is not part of equality
+
+
 def test_certify_partition():
     gb = full_ball_s3()
     dec = kt.enumerate_representatives(gb, 0, 2)
@@ -135,13 +243,6 @@ def product_certificate(dec, radius):
     covers = set(all_keys) == union
     return kt.DisjointnessCertificate(radius, disjoint, covers,
                                       {i: len(ks) for i, ks in keys_by_rep.items()})
-
-
-@st.composite
-def local_groups(draw):
-    d = draw(st.integers(2, 4))
-    gens = draw(st.lists(st.permutations(range(1, d + 1)).map(tuple), max_size=2))
-    return ug.LocalGroup.create(d, gens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,6 +303,7 @@ def test_certify_partition_guard_before_products(monkeypatch):
         raise AssertionError("a product was made before the guard")
 
     monkeypatch.setattr(kt, "compose", no_products)
+    monkeypatch.setattr(kt, "product_addresses", no_products)
     with pytest.raises(GuardExceeded, match=f"KAK partition products: {products} objects exceeds guard 100"):
         kt.certify_partition(dec, 2, guard=100)
 

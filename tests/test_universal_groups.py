@@ -222,6 +222,19 @@ def test_product_restrict_is_the_ball_product_of_restrictions(parts):
     assert ball_product.exact == product(parts)
 
 
+@settings(max_examples=100, deadline=None)
+@given(chains(length=(2, 2)), st.booleans(), st.booleans())
+def test_product_addresses_are_the_addresses_of_the_composed_portrait(parts, g_partial, h_partial):
+    g, h = (p.restrict() for p in parts)
+    world = parts[0].world
+    g = ta.FiniteTreeAutomorphism(world.ball, g.images) if g_partial else g
+    h = ta.FiniteTreeAutomorphism(world.ball, h.images) if h_partial else h
+    vertices = range(world.ball.vertex_count)
+    composed = ta.compose(g, h)
+    assert ta.product_addresses(g, h, world.word_of, vertices) == \
+        tuple(ug.image_address(composed, world, u) for u in vertices)
+
+
 @settings(max_examples=200, deadline=None)
 @given(chains(length=(3, 3)))
 def test_product_is_associative(parts):
@@ -548,6 +561,18 @@ def test_power_guard_refuses_as_the_built_total_does(c, b, e, guard):
         guard_outcome(check_guard, c * b**e, guard, "count")
 
 
+@pytest.mark.parametrize("k", range(64, 71))
+def test_power_guard_at_totals_just_below_a_power_of_two(k):
+    # The float log2 of 2^k - 1 rounds to k: only the margin keeps the total
+    # from being refused as if it were 2^k.
+    total = 2**k - 1
+    for c, b in ((total, 1), (1, total)):
+        assert guard_outcome(check_power_guard, c, b, 1, total, "count") is None
+        refused = guard_outcome(check_power_guard, c, b, 1, total - 1, "count")
+        assert refused is not None
+        assert refused == guard_outcome(check_guard, total, total - 1, "count")
+
+
 def test_power_guard_does_not_build_a_total_it_can_refuse():
     # 6 * 8^(2^40) = 2^(3 * 2^40 + 2) * 1.5: the total would take 3 * 2^40 + 3 bits
     with pytest.raises(GuardExceeded, match=r"^count: over 10\^992957941626 objects exceeds guard 100$"):
@@ -741,6 +766,31 @@ def test_closure_and_sifting_match_bfs(F, rng):
         rng.shuffle(points)
         assert (tuple(points) in F) == (tuple(points) in oracle)
     assert (0,) * F.degree not in F
+
+
+def subgroups_of_sym(d):
+    """Every subgroup of Sym(d) generated by two cyclic subgroups, once each."""
+    cyclic = {}
+    for p in itertools.permutations(range(1, d + 1)):
+        cyclic.setdefault(ug.LocalGroup(d, (p,)).closure(), p)
+    gens = list(cyclic.values())
+    groups = {}
+    for i, a in enumerate(gens):
+        for b in gens[i:]:
+            F = ug.LocalGroup(d, (a, b))
+            groups.setdefault(F.closure(), F)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("d, count", [(1, 1), (2, 2), (3, 6), (4, 30), (5, 156)])
+def test_least_fixing_is_the_first_fixing_element_of_the_sorted_listing(d, count):
+    groups = subgroups_of_sym(d)
+    assert len(groups) == count    # all subgroups of Sym(d) (OEIS A005432)
+    for F in groups:
+        listing = sorted(F.closure())
+        for c in range(1, d + 1):
+            oracle = next((t for t in listing if t != ug.perm_identity(d) and t[c - 1] == c), None)
+            assert F.least_fixing(c) == oracle
 
 
 @settings(max_examples=40, deadline=None)
