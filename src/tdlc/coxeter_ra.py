@@ -283,31 +283,6 @@ def root_contains(s: str, w: CoxElement) -> bool:
     return initial_position(system._comm, w.word, 1 << system.index_of(s)) is None
 
 
-def cayley_distance(u: CoxElement, v: CoxElement, guard: int | None = None) -> int:
-    """BFS distance in the Cayley graph (right multiplication by generators).
-
-    Independent of the length function; used as an oracle against l(u^-1 v).
-    """
-    system = u.system
-    frontier = {u.word: u}
-    seen = {u.word}
-    dist = 0
-    while v.word not in frontier:
-        nxt = {}
-        for w in frontier.values():
-            for s in range(system.rank):
-                x = multiply_generator(w, s)
-                if x.word not in seen:
-                    check_guard(len(seen) + 1, guard, "cayley BFS")
-                    seen.add(x.word)
-                    nxt[x.word] = x
-        if not nxt:
-            raise RuntimeError("BFS exhausted without reaching target")
-        frontier = nxt
-        dist += 1
-    return dist
-
-
 def dist_to_root(w: CoxElement, s: str) -> int:
     """Gallery distance from chamber w to the root alpha_s, read off the normal form.
 

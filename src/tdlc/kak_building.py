@@ -6,7 +6,9 @@ standard apartment setwise and sends the base chamber to the apartment
 chamber of w.  Factorisation aligns an arbitrary automorphism back to the
 standard apartment with panel rotations along a minimal gallery; the
 contraction pipeline chains the root-growth search with wing-fixator
-witnesses and reports exact fixed-ball radii.
+witnesses and reports exact fixed-ball radii.  It takes the distances to the
+translated roots from the search, which reads them off normal forms, and
+refuses before it lists the chamber ball when the farthest root lies outside.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass
 
 from .coxeter_ra import (
     CoxElement,
+    enumerate_elements,
+    identity,
     is_irreducible,
     is_spherical,
     root_growth_search,
@@ -34,7 +38,6 @@ from .rab import (
     apartment_chamber,
     chamber_inverse,
     chamber_times,
-    dist_chamber_to_root,
     identity_chamber,
     transposition,
     wing_split,
@@ -69,7 +72,6 @@ class BuildingCartan:
 def representatives(spec: BuildingSpec, max_length: int,
                     guard: int | None = None) -> BuildingCartan:
     """a_w for every l(w) <= max_length, with delta(C, a_w C) = w certified."""
-    from .coxeter_ra import enumerate_elements
     ap = ApartmentRef.default(spec)
     base = identity_chamber(spec)
     reps: dict[tuple[int, ...], BuildingAut] = {}
@@ -178,7 +180,8 @@ class BuildingContractionCertificate:
 
     For each w_k in the chain: the conjugate a_{w_k} x a_{w_k}^-1 lies in the
     wing fixator of the translated opposite root (checked pointwise on the
-    ball) and fixes B(C, d_k - 1) pointwise, where d_k = d(C, w_k(alpha)).
+    ball) and fixes B(C, d_k - 1) pointwise, where d_k = d(C, w_k(alpha)) is
+    the distance root_growth_search read off the normal form of w_k.
     """
 
     witness: FiniteBuildingAutomorphism
@@ -205,7 +208,8 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
     """Chain the root-growth search with a wing-fixator witness and verify radii.
 
     Steps: (1) find a generator s and a subfamily w_k with
-    d(C, w_k(alpha_s)) strictly increasing; (2) take a nontrivial panel
+    d(C, w_k(alpha_s)) strictly increasing, and refuse unless the farthest
+    of these roots lies in B(C, max_length); (2) take a nontrivial panel
     rotation fixing the wing on the far side of the base s-panel; (3) for
     each k, certify on the ball that the conjugated witness lies in the
     translated root's wing fixator and fixes B(C, d_k - 1) pointwise.
@@ -218,31 +222,26 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
         return NoBuildingWitness("trivial wing fixator: some panel has only two chambers")
 
     chain = root_growth_search(ws)
+    if chain.distances[-1] > max_length:
+        raise CertificationError("root chambers not represented in the ball")
     s = spec.system.index_of(chain.generator)
     ap = ApartmentRef.default(spec)
     ball = ChamberBall(spec, max_length, guard=guard)
-    base = identity_chamber(spec)
 
-    # x fixes the wing of the opposite wall chamber of alpha_s and rotates the rest.
-    opposite = apartment_chamber(spec, ap, CoxElement(spec.system, (s,)))
+    # x fixes the wing of the opposite wall chamber of alpha_s and rotates the
+    # rest.  It moves the base chamber C to (s, q_s - 1), which lies in the
+    # ball: the chain's distances are >= 1 and strictly increasing, so
+    # max_length >= 2, and x is nontrivial on the ball.
+    _, opposite = RootRef(ap, identity(spec.system), s).wall_chambers(spec)
     x_exact = PanelRotation(spec, opposite, s, _witness_sigma(spec.q(s)))
     x = x_exact.restrict(ball)
-    if x.is_identity_on_ball():
-        return NoBuildingWitness("wing fixator witness is trivial on the ball")
 
-    distances = []
-    radii = []
-    for w_k, d_expected in zip(chain.chain, chain.distances):
+    radii = tuple(d_k - 1 for d_k in chain.distances)
+    for w_k, radius in zip(chain.chain, radii):
         a = representative_aut(spec, ap, w_k)
         conj = a.compose(x_exact).compose(a.inverse())
-        root_k = RootRef(ap, w_k, s)
-        d_k = dist_chamber_to_root(base, root_k, ball)
-        if d_k != d_expected:
-            raise AssertionError(
-                f"ball distance {d_k} to the translated root disagrees with the Coxeter oracle {d_expected}")
-        _, opp_k = root_k.wall_chambers(spec)
+        _, opp_k = RootRef(ap, w_k, s).wall_chambers(spec)
         opp_k_inverse = chamber_inverse(opp_k)
-        radius = d_k - 1
         for C in ball.chambers:
             if conj.image(C) == C:
                 continue
@@ -251,13 +250,11 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
             if len(C.syllables) <= radius:
                 raise AssertionError(
                     f"conjugated witness moves B(C,{radius}) at distance {len(C.syllables)}")
-        distances.append(d_k)
-        radii.append(radius)
     return BuildingContractionCertificate(
         witness=x,
         generator=chain.generator,
         chain_words=tuple(w.names() for w in chain.chain),
-        distances=tuple(distances),
-        fixed_ball_radii=tuple(radii),
+        distances=chain.distances,
+        fixed_ball_radii=radii,
         certified_radius=max_length,
     )

@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 from .coxeter_ra import (
     CoxElement,
     RACoxeterSystem,
+    dist_to_root,
+    enumerate_elements,
     initial_position,
     invert as cox_invert,
     multiply as cox_multiply,
@@ -280,7 +282,6 @@ class ChamberBall:
 
 def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
     """Independent count: sum over reduced type words of prod (q_s - 1)."""
-    from .coxeter_ra import enumerate_elements
     total = 0
     for w in enumerate_elements(spec.system, radius):
         prod = 1
@@ -290,28 +291,18 @@ def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
     return total
 
 
-def dist_chamber_to_root(C: Chamber, r: RootRef, ball: ChamberBall) -> int:
-    """BFS gallery distance within the ball from C to the root's apartment chambers."""
-    spec = ball.spec
-    if r.contains(spec, C):
-        return 0
-    frontier = [C]
-    seen = {C.syllables}
-    dist = 0
-    while frontier:
-        nxt = []
-        for Ch in frontier:
-            for s in range(spec.system.rank):
-                for c in range(1, spec.q(s)):
-                    D = chamber_times(Ch, ((s, c),))
-                    if D in ball and D.syllables not in seen:
-                        seen.add(D.syllables)
-                        nxt.append(D)
-        dist += 1
-        if any(r.contains(spec, D) for D in nxt):
-            return dist
-        frontier = nxt
-    raise CertificationError("root chambers not represented in the ball")
+def dist_base_to_root(r: RootRef, ball: ChamberBall) -> int:
+    """Gallery distance from the base chamber to the root's chambers, read off the normal form.
+
+    The base chamber lies in the root's apartment, and apartments are convex,
+    so this is the Coxeter distance from 1 to u.alpha_s, that is from u^-1 to
+    alpha_s.  A minimal gallery to the root stays in B(base, d), so the ball
+    represents the root exactly when d <= ball.radius; otherwise it refuses.
+    """
+    d = dist_to_root(cox_invert(r.base_translate), ball.spec.system.generators[r.stype])
+    if d > ball.radius:
+        raise CertificationError("root chambers not represented in the ball")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +492,7 @@ def check_root_fixes_ball(ball: ChamberBall, r: RootRef, n: int) -> bool | str:
     at distance > n from the base chamber.
     """
     spec = ball.spec
-    d = dist_chamber_to_root(ball.base(), r, ball)
+    d = dist_base_to_root(r, ball)
     if d <= n:
         return "inapplicable"
     _, opposite = r.wall_chambers(spec)

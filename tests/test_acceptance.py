@@ -318,7 +318,6 @@ def test_ac9_root_fixes_ball():
         spec = _dinf_q3()
         ball = rab.ChamberBall(spec, 3)
         ap = rab.ApartmentRef.default(spec)
-        base = rab.identity_chamber(spec)
         roots = {}
         for w in cox.enumerate_elements(spec.system, 3):
             for s in range(2):
@@ -330,7 +329,7 @@ def test_ac9_root_fixes_ball():
         at_distance_2 = []
         for r in roots.values():
             try:
-                d = rab.dist_chamber_to_root(base, r, ball)
+                d = rab.dist_base_to_root(r, ball)
             except Exception:
                 continue
             if d == 2:

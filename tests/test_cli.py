@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdlc import kak_building as kb
 from tdlc import universal_groups as ug
 from tdlc.cli import run
 
@@ -315,6 +316,30 @@ def test_building_contract_on_free3_refuses_quickly(tmp_path, capsys):
     assert run(["building", "contract", "--spec", spec, "--L", "5", "--ws-file", ws]) == 2
     assert time.perf_counter() - start < 2
     assert capsys.readouterr().err == "infeasible: root chambers not represented in the ball\n"
+
+
+def test_building_contract_refuses_before_listing_the_ball(tmp_path, capsys, monkeypatch):
+    # The farthest root is at distance 24 > 7; the ball of radius 7 holds 32,767 chambers.
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the chamber ball was listed")
+
+    monkeypatch.setattr(kb, "ChamberBall", no_ball)
+    spec = write_json(tmp_path, "free3_q3.json", {"coxeter": FREE3, "parameters": {"a": 3, "b": 3, "c": 3}})
+    ws = write_json(tmp_path, "ws.json", FREE3_WORDS)
+    assert run(["building", "contract", "--spec", spec, "--L", "7", "--ws-file", ws]) == 2
+    assert capsys.readouterr().err == "infeasible: root chambers not represented in the ball\n"
+
+
+@pytest.mark.parametrize("L, message", [
+    ("3", "root chambers not represented in the ball"),
+    ("4", "chamber ball enumeration: 6 objects exceeds guard 5"),
+])
+def test_building_contract_checks_the_roots_before_the_ball_guard(tmp_path, capsys, L, message):
+    # distances 2 and 4: the root refusal wins over the guard while the farthest root is outside
+    spec = dinf_q3_spec(tmp_path)
+    ws = write_json(tmp_path, "ws.json", ["t s", "t s t s"])
+    assert run(["building", "contract", "--spec", spec, "--L", L, "--ws-file", ws, "--guard", "5"]) == 2
+    assert capsys.readouterr().err == f"infeasible: {message}\n"
 
 
 def test_contract_tree_reads_the_witness_without_listing_the_local_group(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
-from tdlc.errors import GuardExceeded
+from tdlc.errors import GuardExceeded, check_guard
 
 
 def dinf():
@@ -104,7 +104,7 @@ def test_wall_distance_is_cayley_distance_to_sw():
         for w in cox.enumerate_elements(system, 4):
             for s in system.generators:
                 sw = cox.multiply(cox.word_from_names(system, s), w)
-                wait = cox.cayley_distance(w, sw)
+                wait = cayley_distance(w, sw)
                 assert wait == 2 * cox.wall_distance(w, s) + 1
                 assert wait % 2 == 1
 
@@ -156,6 +156,31 @@ def bfs_dist_to_root(w, s):
                     seen.add(x.word)
                     nxt.append(x)
         assert nxt, "BFS exhausted without reaching the root"
+        frontier = nxt
+        dist += 1
+    return dist
+
+
+def cayley_distance(u, v, guard=None):
+    """BFS distance in the Cayley graph (right multiplication by generators).
+
+    Independent of the length function; used as an oracle against l(u^-1 v).
+    """
+    system = u.system
+    frontier = {u.word: u}
+    seen = {u.word}
+    dist = 0
+    while v.word not in frontier:
+        nxt = {}
+        for w in frontier.values():
+            for s in range(system.rank):
+                x = cox.multiply_generator(w, s)
+                if x.word not in seen:
+                    check_guard(len(seen) + 1, guard, "cayley BFS")
+                    seen.add(x.word)
+                    nxt[x.word] = x
+        if not nxt:
+            raise RuntimeError("BFS exhausted without reaching target")
         frontier = nxt
         dist += 1
     return dist

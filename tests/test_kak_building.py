@@ -132,6 +132,23 @@ def test_building_contraction_witness():
     assert not cert.witness.is_identity_on_ball()
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_building_contraction_refuses_a_root_beyond_the_ball_unlisted(q, monkeypatch):
+    spec = dinf_spec(q, q)
+    ws = [cox.word_from_names(spec.system, "t s " * k) for k in range(1, 3)]   # distances 2 and 4
+    # At L = 4, the least radius that holds both roots, the witness moves the base chamber.
+    cert = kb.building_contraction_witness(ws, spec, 4)
+    assert cert.distances == (2, 4) and not cert.witness.is_identity_on_ball()
+
+    def no_ball(*args, **kwargs):
+        raise AssertionError("the chamber ball was listed")
+
+    monkeypatch.setattr(kb, "ChamberBall", no_ball)
+    for L in (0, 3):
+        with pytest.raises(CertificationError, match="root chambers not represented in the ball"):
+            kb.building_contraction_witness(ws, spec, L)
+
+
 @pytest.mark.parametrize("q", range(3, 9))
 def test_witness_sigma_is_the_first_nontrivial_wing_sigma(q):
     assert kb._witness_sigma(q) == nontrivial_wing_sigmas(q)[0]

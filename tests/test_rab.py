@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import coxeter_ra as cox
 from tdlc import rab
 from tdlc.errors import CertificationError, GuardExceeded
-from test_coxeter import pair_commutes
+from test_coxeter import all_systems, pair_commutes
 
 
 def dinf_spec(qs=3, qt=3):
@@ -180,30 +180,69 @@ def test_panels_partition_ball():
         assert complete and len(members) == 3
 
 
-def test_dist_chamber_to_root():
+def bfs_dist_chamber_to_root(C, r, ball):
+    """BFS gallery distance within the ball from C to the root's apartment chambers:
+    the oracle for the closed form in rab.dist_base_to_root."""
+    spec = ball.spec
+    if r.contains(spec, C):
+        return 0
+    frontier = [C]
+    seen = {C.syllables}
+    dist = 0
+    while frontier:
+        nxt = []
+        for Ch in frontier:
+            for s in range(spec.system.rank):
+                for c in range(1, spec.q(s)):
+                    D = rab.chamber_times(Ch, ((s, c),))
+                    if D in ball and D.syllables not in seen:
+                        seen.add(D.syllables)
+                        nxt.append(D)
+        dist += 1
+        if any(r.contains(spec, D) for D in nxt):
+            return dist
+        frontier = nxt
+    raise CertificationError("root chambers not represented in the ball")
+
+
+def test_dist_base_to_root():
     spec = dinf_spec()
     ball = rab.ChamberBall(spec, 4)
     ap = rab.ApartmentRef.default(spec)
     sys_ = spec.system
     alpha_s = rab.RootRef(ap, cox.identity(sys_), 0)
-    assert rab.dist_chamber_to_root(rab.identity_chamber(spec), alpha_s, ball) == 0
+    assert rab.dist_base_to_root(alpha_s, ball) == 0
     ts = cox.word_from_names(sys_, "t s")
     translated = rab.RootRef(ap, ts, 0)
-    assert rab.dist_chamber_to_root(rab.identity_chamber(spec), translated, ball) == 2
-    assert rab.dist_chamber_to_root(ch(spec, ("s", 1)), alpha_s, ball) == 1
+    assert rab.dist_base_to_root(translated, ball) == 2
+    assert bfs_dist_chamber_to_root(ch(spec, ("s", 1)), alpha_s, ball) == 1
 
 
-def test_dist_chamber_to_root_matches_coxeter():
-    spec = dinf_spec()
-    ball = rab.ChamberBall(spec, 5)
-    ap = rab.ApartmentRef.default(spec)
-    sys_ = spec.system
-    for w in cox.enumerate_elements(sys_, 2):
-        for s in ("s", "t"):
-            root = rab.RootRef(ap, w, sys_.index_of(s))
-            d_ball = rab.dist_chamber_to_root(rab.identity_chamber(spec), root, ball)
-            d_cox = cox.dist_to_root(cox.invert(w), s)
-            assert d_ball == d_cox
+def test_dist_base_to_root_matches_the_in_ball_bfs():
+    # Every labelled right-angled system with 2-4 generators, uniform q in {2, 3},
+    # balls of every radius up to L, and every root u.alpha_s with l(u) <= L + 2,
+    # so that roots beyond the ball are refused by both sides.
+    cases = refusals = 0
+    for n, L in ((2, 3), (3, 2), (4, 1)):
+        for system in all_systems(n):
+            roots = [(u, s) for u in cox.enumerate_elements(system, L + 2) for s in range(n)]
+            for q in (2, 3):
+                spec = rab.BuildingSpec(system, {g: q for g in system.generators})
+                ap = rab.ApartmentRef.default(spec)
+                for radius in range(L + 1):
+                    ball = rab.ChamberBall(spec, radius)
+                    for u, s in roots:
+                        r = rab.RootRef(ap, u, s)
+                        try:
+                            want = bfs_dist_chamber_to_root(ball.base(), r, ball)
+                        except CertificationError:
+                            with pytest.raises(CertificationError, match="not represented"):
+                                rab.dist_base_to_root(r, ball)
+                            refusals += 1
+                        else:
+                            assert rab.dist_base_to_root(r, ball) == want, (system, q, radius, u, s)
+                        cases += 1
+    assert (cases, refusals) == (36976, 9438)
 
 
 def test_panel_rotation_basics():
@@ -637,7 +676,7 @@ def test_check_root_fixes_ball_matches_the_listed_sigmas(ball):
         for s in range(spec.system.rank):
             r = rab.RootRef(ap, w, s)
             try:
-                d = rab.dist_chamber_to_root(ball.base(), r, ball)
+                d = rab.dist_base_to_root(r, ball)
             except CertificationError:
                 continue
             kept = listed_wing_sigmas(ball, supports, r.wall_chambers(spec)[1], s)
