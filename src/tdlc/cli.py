@@ -171,10 +171,11 @@ def _cmd_kak_tree(args) -> dict:
     ug.check_u1_guard(F, args.radius, args.guard, args.max_sphere)
     _check_tree_ball(args.degree, args.max_sphere + args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.max_sphere + args.radius)
-    # The certificate's |K|^2 |A| keys, refused before the U1 ball is listed: |K|
-    # is the stabilizer count, and each sphere up to max_sphere has a representative.
+    # A lower bound on the certificate's |K|^2 |A| keys, refused before the U1 ball
+    # is listed: |K| is the stabilizer count, and each sphere up to max_sphere has
+    # at least one representative; certify_partition checks the exact total.
     check_guard(ug.stabilizer_ball_count(F, args.radius) ** 2 * (args.max_sphere + 1),
-                args.guard, "KAK partition products")
+                args.guard, "KAK partition products (lower bound)")
     gb = ug.enumerate_u1_ball(F, world, args.max_sphere, args.radius, guard=args.guard)
     dec = kt.enumerate_representatives(gb, 0, args.max_sphere)
     cert = kt.certify_partition(dec, args.max_sphere, guard=args.guard)
@@ -225,6 +226,9 @@ def _cmd_padic(args) -> dict:
     p, n_max = args.p, args.n_max
     if args.matrices < 0:
         raise ValueError(f"--matrices must be nonnegative, got {args.matrices}")
+    if n_max < 1:
+        raise ValueError(f"--n-max must be positive, got {n_max}")
+    check_guard(args.matrices * n_max, args.guard, "padic formula checks")
     rng = random.Random(args.seed)
     matrices = [pp.random_matrix(rng, p) for _ in range(args.matrices)]
     formula_ok = all(pp.conjugation_formula_check(h, n)

@@ -3,8 +3,16 @@
 Reproduces the rank-one example: the double coset ladder K g^n K with
 g = diag(p, 1) over K = PGL2(Z_p), the unipotent element contracted by the
 powers g^n, and the perturbed representatives h_n = g^n k_n whose
-conjugates provably do not return to the identity.  Everything is computed
-with fractions.Fraction, so every reported valuation is exact.
+conjugates provably do not return to the identity.  Matrix entries are
+fractions.Fraction, so every reported valuation is exact.
+
+The conjugation formula for h_n h h_n^-1 is checked in integers: with L the
+lcm of the denominators of h's canonical entries, L h has integer entries,
+p^n h_n^-1 = adj(h_n) is integral, and p^n is the only denominator of the
+closed form.  Scaling both sides by the nonzero integer L p^n therefore maps
+the rational identity to an integer one that holds exactly when it does, so
+the check compares integers with zero tolerance and builds no Fraction
+(the fraction-free idea of Bareiss, Math. Comp. 22 (1968)).
 """
 
 from __future__ import annotations
@@ -53,11 +61,12 @@ def valuation(x, p: int):
 
 
 def _valuation(x, p: int):
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):   # float, str, ...: read as Fraction does
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if num == 0:
         return INF
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -186,36 +195,47 @@ def conjugate(g: ProjMatrix, h: ProjMatrix) -> ProjMatrix:
     return g * h * g.inverse()
 
 
+def _cleared(h: ProjMatrix) -> tuple[tuple[int, int, int, int], int]:
+    """h's canonical entries times the lcm L of their denominators, and L."""
+    lcm = math.lcm(*(x.denominator for x in h.entries))
+    return tuple(x.numerator * (lcm // x.denominator) for x in h.entries), lcm
+
+
+def _conjugate_product(A: int, B: int, C: int, D: int, q: int, pn: int) -> tuple[int, int, int, int]:
+    """The literal integer product h_n (A B; C D) adj(h_n), where
+    h_n = [[pn, 0], [q, 1]] and adj(h_n) = [[1, 0], [-q, pn]] = pn h_n^-1."""
+    m11, m12 = pn * A, pn * B   # h_n (A B; C D)
+    m21, m22 = q * A + C, q * B + D
+    return (m11 - q * m12, pn * m12, m21 - q * m22, pn * m22)
+
+
 def perturbed_conjugate_raw(h: ProjMatrix, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The literal matrix product h_n h h_n^-1 (true inverse, no projective rescaling).
 
     Projective canonicalization would absorb the diverging denominators this
-    matrix is used to exhibit, so the raw entries are kept.
+    matrix is used to exhibit, so the raw entries are kept.  The product is
+    taken in integers, L h and adj(h_n), and divided by L p^n at the end.
     """
-    p, (a, b, c, d) = h.p, h.entries
-    q = Fraction(p) ** ((n + 2) // 3)
-    pn = Fraction(p) ** n
-    # h_n = [[pn, 0], [q, 1]], h_n^-1 = (1/pn) [[1, 0], [-q, pn]]
-    m11, m12 = pn * a, pn * b
-    m21, m22 = q * a + c, q * b + d
-    return ((m11 - q * m12) / pn, m12,
-            (m21 - q * m22) / pn, m22)
+    cleared, lcm = _cleared(h)
+    q, pn = h.p ** ((n + 2) // 3), h.p ** n
+    return tuple(Fraction(m, lcm * pn) for m in _conjugate_product(*cleared, q, pn))
 
 
 def conjugation_formula_check(h: ProjMatrix, n: int) -> bool:
     """Exact entrywise comparison of h_n h h_n^-1 against the closed form.
 
     The closed form for entries (a b; c d) is
-      [[a - b q, b p^n], [(a-d) q p^-n + c p^-n - b q^2 p^-n, b q + d]]
-    with q = p^ceil(n/3); equality is exact with zero tolerance.
+      [[a - b q, b p^n], [((a-d) q + c - b q^2) p^-n, b q + d]]
+    with q = p^ceil(n/3).  Both sides are compared times L p^n, L the lcm of
+    the denominators of a, b, c, d: the left side is then the integer product
+    h_n (L h) adj(h_n) and the right side the closed form in A = L a, ...,
+    D = L d with its p^-n cleared.  L p^n is nonzero, so the integers agree
+    exactly when the rationals do; equality is exact with zero tolerance.
     """
-    p = h.p
-    q = Fraction(p) ** ((n + 2) // 3)
-    pn = Fraction(p) ** n
-    a, b, c, d = h.entries
-    expected = (a - b * q, b * pn,
-                (a - d) * q / pn + c / pn - b * q * q / pn, b * q + d)
-    return perturbed_conjugate_raw(h, n) == expected
+    (A, B, C, D), _ = _cleared(h)
+    q, pn = h.p ** ((n + 2) // 3), h.p ** n
+    expected = (pn * (A - B * q), B * pn * pn, (A - D) * q + C - B * q * q, pn * (B * q + D))
+    return _conjugate_product(A, B, C, D, q, pn) == expected
 
 
 def distance_to_identity(m: ProjMatrix):

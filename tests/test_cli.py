@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc import kak_building as kb
+from tdlc import padic_pgl2 as pp
 from tdlc import universal_groups as ug
 from tdlc.cli import run
 
@@ -532,7 +533,8 @@ def test_ugroup_plus_k_without_a_certified_edge_refuses(capsys, argv):
 def test_kak_tree_partition_guard(capsys):
     # group ball 4 x 6 = 24 fits the guard; |K|^2 |A| = 6^2 x 2 = 72 does not
     assert run(["kak-tree", "--radius", "1", "--max-sphere", "1", "--guard", "50"]) == 2
-    assert capsys.readouterr().err == "infeasible: KAK partition products: 72 objects exceeds guard 50\n"
+    assert capsys.readouterr().err == \
+        "infeasible: KAK partition products (lower bound): 72 objects exceeds guard 50\n"
 
 
 def test_kak_tree_partition_guard_refuses_before_the_ball_is_listed(capsys, monkeypatch):
@@ -543,7 +545,39 @@ def test_kak_tree_partition_guard_refuses_before_the_ball_is_listed(capsys, monk
     monkeypatch.setattr(ug, "enumerate_u1_ball", unlisted)
     assert run(["kak-tree", "--degree", "4", "--radius", "2", "--max-sphere", "1"]) == 2
     assert capsys.readouterr().err == \
-        "infeasible: KAK partition products: 1934917632 objects exceeds guard 1000000\n"
+        "infeasible: KAK partition products (lower bound): 1934917632 objects exceeds guard 1000000\n"
+
+
+def test_kak_tree_partition_pre_check_is_a_lower_bound(capsys):
+    # |K| = 4 over 2 spheres: 32 keys at least; the certificate has 48, since
+    # K has two orbits on sphere 1 and each gets its own representative
+    argv = ["kak-tree", "--generators", "[[2,1,3]]", "--radius", "2", "--max-sphere", "1"]
+    assert run(argv + ["--guard", "20"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: KAK partition products (lower bound): 32 objects exceeds guard 20\n"
+    assert run(argv + ["--guard", "47"]) == 2
+    assert capsys.readouterr().err == "infeasible: KAK partition products: 48 objects exceeds guard 47\n"
+
+
+def test_padic_guard_refuses_before_a_matrix_is_drawn(capsys, monkeypatch):
+    def undrawn(*args, **kwargs):
+        raise AssertionError("a test matrix was drawn")
+
+    monkeypatch.setattr(pp, "random_matrix", undrawn)
+    assert run(["padic", "verify", "--p", "3", "--n-max", "30", "--matrices", str(10**8)]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: padic formula checks: 3000000000 objects exceeds guard 1000000\n"
+    # the default 100 matrices x n_max checks, one over the guard
+    assert run(["padic", "verify", "--p", "3", "--n-max", "30", "--guard", "2999"]) == 2
+    assert capsys.readouterr().err == "infeasible: padic formula checks: 3000 objects exceeds guard 2999\n"
+    # a negative n_max makes the count negative: it is invalid input, refused before the draw too
+    assert run(["padic", "verify", "--p", "3", "--n-max", "-1", "--matrices", str(10**8)]) == 1
+    assert capsys.readouterr().err == "error: --n-max must be positive, got -1\n"
+
+
+def test_padic_guard_admits_the_checks_it_counts(tmp_path):
+    rep = run_json(["padic", "verify", "--p", "3", "--n-max", "30", "--guard", "3000"], tmp_path)
+    assert rep["conjugation_formula"] == {"matrices": 100, "all_match": True}
 
 
 def src_env():

@@ -2,9 +2,62 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import padic_pgl2 as pp
 from tdlc.errors import CertificationError
+
+
+# Oracles: the Fraction versions of the valuation, the raw conjugate and the
+# conjugation check, from before padic_pgl2 read numerators directly and
+# checked the formula in integers scaled by den(h) p^n.
+
+def fraction_valuation(x, p: int):
+    x = Fraction(x)
+    if x == 0:
+        return pp.INF
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def fraction_perturbed_conjugate_raw(h, n):
+    p, (a, b, c, d) = h.p, h.entries
+    q = Fraction(p) ** ((n + 2) // 3)
+    pn = Fraction(p) ** n
+    # h_n = [[pn, 0], [q, 1]], h_n^-1 = (1/pn) [[1, 0], [-q, pn]]
+    m11, m12 = pn * a, pn * b
+    m21, m22 = q * a + c, q * b + d
+    return ((m11 - q * m12) / pn, m12,
+            (m21 - q * m22) / pn, m22)
+
+
+def fraction_conjugation_formula_check(h, n):
+    p = h.p
+    q = Fraction(p) ** ((n + 2) // 3)
+    pn = Fraction(p) ** n
+    a, b, c, d = h.entries
+    expected = (a - b * q, b * pn,
+                (a - d) * q / pn + c / pn - b * q * q / pn, b * q + d)
+    return fraction_perturbed_conjugate_raw(h, n) == expected
+
+
+PRIMES = st.sampled_from([2, 3, 5, 7, 11])
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+NONZERO = RATIONALS.filter(bool)
+MATRICES = st.one_of(
+    st.just((1, 0, 0, 1)),
+    st.builds(lambda x: (1, x, 0, 1), RATIONALS),   # upper unipotent
+    st.builds(lambda x: (1, 0, x, 1), RATIONALS),   # lower unipotent
+    st.builds(lambda x, y: (x, 0, 0, y), NONZERO, NONZERO),   # diagonal
+    st.tuples(RATIONALS, RATIONALS, RATIONALS, RATIONALS).filter(lambda e: e[0] * e[3] != e[1] * e[2]),
+)
 
 
 def test_valuation_examples():
@@ -27,6 +80,15 @@ def test_valuation_ultrametric_laws():
         assert pp.valuation(x + y, p) >= min(vx, vy)
         if vx != vy:
             assert pp.valuation(x + y, p) == min(vx, vy)
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=PRIMES, x=st.one_of(
+    st.just(0), st.just(Fraction(0)), st.integers(-10**12, 10**12), RATIONALS,
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.floats(allow_nan=False, allow_infinity=False), st.builds(str, RATIONALS)))
+def test_valuation_matches_the_fraction_copy(p, x):
+    assert pp.valuation(x, p) == fraction_valuation(x, p)
 
 
 def test_canonicalization():
@@ -79,6 +141,46 @@ def test_conjugation_formula_check_grid():
         assert pp.conjugation_formula_check(ident, n)
     h = pp.ProjMatrix((1, 1, 0, 1), 2)
     assert pp.conjugation_formula_check(h, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PRIMES, n=st.integers(0, 60), entries=MATRICES)
+def test_integer_conjugation_check_agrees_with_the_fraction_oracle(p, n, entries):
+    h = pp.ProjMatrix(entries, p)
+    assert pp.conjugation_formula_check(h, n) == fraction_conjugation_formula_check(h, n)
+    assert pp.perturbed_conjugate_raw(h, n) == fraction_perturbed_conjugate_raw(h, n)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("entry", range(4))
+def test_conjugation_check_refuses_a_product_off_by_one(monkeypatch, entry, delta):
+    real = pp._conjugate_product
+
+    def off_by_one(*args):
+        product = list(real(*args))
+        product[entry] += delta
+        return tuple(product)
+
+    rng = random.Random(5)
+    cases = [(pp.random_matrix(rng, p), p) for p in (2, 3, 5) for _ in range(5)]
+    cases += [(pp.identity_matrix(p), p) for p in (2, 3)]
+    monkeypatch.setattr(pp, "_conjugate_product", off_by_one)
+    for h, p in cases:
+        for n in (1, 2, 3, 7, 30):
+            assert not pp.conjugation_formula_check(h, n)
+
+
+def test_conjugation_check_builds_no_fraction(monkeypatch):
+    rng = random.Random(13)
+    matrices = [pp.random_matrix(rng, p) for p in (2, 3, 5) for _ in range(5)]
+
+    def built(*args, **kwargs):
+        raise AssertionError("a Fraction was built or combined")
+
+    for name in ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__"):
+        monkeypatch.setattr(Fraction, name, built)
+    assert all(pp.conjugation_formula_check(h, n) for h in matrices for n in range(1, 31))
 
 
 def test_distance_to_identity():
