@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import CertificationError, GuardExceeded, check_guard
+from .errors import CertificationError, GuardExceeded, check_guard, check_power_guard
 
 SCHEMA_VERSION = "1"
 
@@ -106,9 +106,11 @@ def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list
 
 
 def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
-    """Refuse on the outer sphere of the ball before it is built."""
-    sphere = degree * max(1, degree - 1) ** (radius - 1) if radius > 0 else 1
-    check_guard(sphere, guard, "tree ball")
+    """Refuse on the outer sphere d(d-1)^(r-1) of the ball before it, or that integer, is built."""
+    if degree >= 2 and radius > 0:
+        check_power_guard(degree, degree - 1, radius - 1, guard, "tree ball")
+    else:   # the base vertex at r = 0; d < 2 and r < 0 go on to the builder's ValueError
+        check_guard(degree if radius > 0 else 1, guard, "tree ball")
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +121,7 @@ def _cmd_tree(args) -> dict:
     if args.label_config:
         with open(args.label_config) as fh:
             lv = tc.LabelVector.from_json(_read_json(fh.read()))
-        max_deg = max(lv.degree_of.values())
-        _check_tree_ball(max_deg, args.radius, args.guard)
+        _check_tree_ball(max(lv.degree_of.values()), args.radius, args.guard)
         ball = tc.build_label_regular_ball(lv, args.root_label, args.radius)
     else:
         _check_tree_ball(args.degree, args.radius, args.guard)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import check_guard
 
@@ -205,6 +205,23 @@ def length(u: CoxElement) -> int:
     return len(u.word)
 
 
+def iter_elements(system: RACoxeterSystem, max_length: int) -> Iterator[CoxElement]:
+    """Each element of length <= max_length once, lazily: the identity, then level by level.
+
+    A prefix of a ShortLex normal form is one, so an element of length k + 1
+    is u s for the one u of length k whose normal form, then s, is its own."""
+    frontier = [identity(system)]
+    yield frontier[0]
+    for _ in range(max_length):
+        level, frontier = frontier, []
+        for u in level:
+            for s in range(system.rank):
+                w = multiply_generator(u, s)
+                if w.word == u.word + (s,):
+                    frontier.append(w)
+                    yield w
+
+
 def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | None = None) -> list[CoxElement]:
     """All elements of length <= max_length, each once, in ShortLex order.
 
@@ -213,19 +230,12 @@ def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | No
     """
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
-    seen: dict[tuple[int, ...], CoxElement] = {(): identity(system)}
-    frontier = [identity(system)]
-    for _ in range(max_length):
-        nxt = []
-        for u in frontier:
-            for s in range(system.rank):
-                w = multiply_generator(u, s)
-                if len(w.word) > len(u.word) and w.word not in seen:
-                    check_guard(len(seen) + 1, guard, "coxeter element enumeration")
-                    seen[w.word] = w
-                    nxt.append(w)
-        frontier = nxt
-    return [seen[k] for k in sorted(seen, key=lambda w: (len(w), w))]
+    elements: list[CoxElement] = []
+    for w in iter_elements(system, max_length):
+        if elements:
+            check_guard(len(elements) + 1, guard, "coxeter element enumeration")
+        elements.append(w)
+    return sorted(elements, key=lambda w: (len(w), w.word))
 
 
 def is_spherical(system: RACoxeterSystem, subset: Iterable[str]) -> bool:
@@ -267,11 +277,8 @@ def wall_distance(w: CoxElement, s: str) -> int:
 def profile_bounded_set(system: RACoxeterSystem, max_length: int, bound: int,
                         guard: int | None = None) -> list[CoxElement]:
     """Elements w with l(w) <= max_length whose conjugates w^-1 s w all have length <= bound."""
-    out = []
-    for w in enumerate_elements(system, max_length, guard=guard):
-        if all(2 * wall_distance(w, s) + 1 <= bound for s in system.generators):
-            out.append(w)
-    return out
+    return [w for w in enumerate_elements(system, max_length, guard=guard)
+            if all(2 * wall_distance(w, s) + 1 <= bound for s in system.generators)]
 
 
 def root_contains(s: str, w: CoxElement) -> bool:

@@ -1,13 +1,13 @@
 """Semi-regular right-angled buildings as graph products of finite cyclic groups.
 
 Chambers are normal-form words of colored syllables (s, c) with c in
-Z/q_s - {0}; the type word (colors forgotten) is the ShortLex reduced word of
-the underlying right-angled Coxeter system.  This is the standard model of
-the unique semi-regular right-angled building with parameters (q_s): panels
-are cosets of the cyclic factors, the Weyl distance is the type word of
-C^-1 D, and apartments arise from fixing one color per generator.  Normal
-forms come from the graph-product kernel of coxeter_ra, the one that also
-normalises Coxeter words.
+Z/q_s - {0}: exactly the colourings of the ShortLex reduced words (type
+words) of the underlying right-angled Coxeter system (see ChamberBall).
+This is the standard model of the unique semi-regular right-angled building
+with parameters (q_s): panels are cosets of the cyclic factors, the Weyl
+distance is the type word of C^-1 D, and apartments arise from fixing one
+color per generator.  Normal forms come from the graph-product kernel of
+coxeter_ra, the one that also normalises Coxeter words.
 
 Automorphisms are evaluated exactly on chambers (panel rotations, base-panel
 permutations and their composites); ball objects only certify and serialize.
@@ -27,6 +27,7 @@ from .coxeter_ra import (
     enumerate_elements,
     initial_position,
     invert as cox_invert,
+    iter_elements,
     multiply as cox_multiply,
     multiply_generator,
     right_multiply,
@@ -225,31 +226,26 @@ class RootRef:
 
 
 class ChamberBall:
-    """All chambers at gallery distance <= radius from the identity chamber."""
+    """All chambers at gallery distance <= radius from the identity chamber.
+
+    They are the colourings of the Coxeter ball's ShortLex words, a colour in
+    1..q_s - 1 per letter s.  The kernel orders syllables by generator alone, and
+    only syllables of one generator merge, so a syllable word is a reduced normal
+    form exactly when its type word is; its length is the distance to 1.
+    The guard is checked before each chamber after the identity.
+    """
 
     def __init__(self, spec: BuildingSpec, radius: int, guard: int | None = None):
         if radius < 0:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         self.spec = spec
         self.radius = radius
-        chambers = [identity_chamber(spec)]
-        seen = {chambers[0].syllables}
-        frontier = chambers[:]
-        for _ in range(radius):
-            nxt = []
-            for C in frontier:
-                for s in range(spec.system.rank):
-                    for c in range(1, spec.q(s)):
-                        D = chamber_times(C, ((s, c),))
-                        if len(D.syllables) <= len(C.syllables):
-                            break   # C ends in an s-syllable, so no colour of s leads outward
-                        if D.syllables not in seen:
-                            # Guard before keeping: refusal stops at the first chamber over the cap.
-                            check_guard(len(seen) + 1, guard, "chamber ball enumeration")
-                            seen.add(D.syllables)
-                            nxt.append(D)
-            chambers.extend(nxt)
-            frontier = nxt
+        chambers: list[Chamber] = []
+        for w in iter_elements(spec.system, radius):
+            for colours in itertools.product(*(range(1, spec.q(s)) for s in w.word)):
+                if chambers:
+                    check_guard(len(chambers) + 1, guard, "chamber ball enumeration")
+                chambers.append(Chamber(spec, tuple(zip(w.word, colours))))
         self.chambers: tuple[Chamber, ...] = tuple(
             sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
         self.index: dict[tuple[Syllable, ...], int] = {
@@ -281,14 +277,10 @@ class ChamberBall:
 
 
 def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
-    """Independent count: sum over reduced type words of prod (q_s - 1)."""
-    total = 0
-    for w in enumerate_elements(spec.system, radius):
-        prod = 1
-        for s in w.word:
-            prod *= spec.q(s) - 1
-        total += prod
-    return total
+    """The sum over reduced type words of prod (q_s - 1): the count ChamberBall lists,
+    in closed form per word (the independent checks are a BFS in the tests and
+    perfbench's own sphere sizes)."""
+    return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in enumerate_elements(spec.system, radius))
 
 
 def dist_base_to_root(r: RootRef, ball: ChamberBall) -> int:

@@ -586,6 +586,14 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
 
 
+def test_tree_ball_guard_refuses_a_huge_radius_without_building_the_sphere():
+    # 4 * 3^(10^8 - 1) has about 1.6 * 10^8 bits; the guard refuses from a bound on its log2.
+    proc = subprocess.run([sys.executable, "-m", "tdlc.cli", "tree", "--degree", "4", "--radius", "100000000"],
+                          capture_output=True, text=True, env=src_env(), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("infeasible: tree ball: over 10^")
+
+
 def test_python_m_entry_point(tmp_path):
     env = src_env()
     config = dinf_config(tmp_path)

@@ -403,6 +403,29 @@ def test_enumerate_elements_guard_fires_before_layer_completes():
         cox.enumerate_elements(free3(), 3, guard=21)
 
 
+def test_enumerate_elements_guard_edges():
+    # The identity is never guard-checked; the first element after it is the second object.
+    assert cox.enumerate_elements(dinf(), 0, guard=0) == [cox.identity(dinf())]
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 2 objects exceeds guard 0$"):
+        cox.enumerate_elements(dinf(), 1, guard=0)
+    # 3 * 2^39 elements of length 40: the listing is lazy, so the guard stops it at the 5,001st.
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 5001 objects exceeds guard 5000$"):
+        cox.enumerate_elements(free3(), 40, guard=5000)
+
+
+@pytest.mark.parametrize("n, max_length", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_iter_elements_lists_each_element_once_level_by_level(n, max_length):
+    # Oracle: the normal forms of all words of length <= max_length.
+    for system in all_systems(n):
+        words = [w.word for w in cox.iter_elements(system, max_length)]
+        assert words[0] == ()
+        assert [len(w) for w in words] == sorted(len(w) for w in words)
+        assert len(set(words)) == len(words)
+        assert set(words) == {cox.normal_form(system, w).word for k in range(max_length + 1)
+                              for w in itertools.product(range(n), repeat=k)}
+        assert [w.word for w in cox.enumerate_elements(system, max_length)] == sorted(words, key=lambda w: (len(w), w))
+
+
 def test_enumerate_elements_rejects_negative_length():
     with pytest.raises(ValueError, match="max_length"):
         cox.enumerate_elements(dinf(), -3)

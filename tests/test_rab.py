@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
 from tdlc import rab
-from tdlc.errors import CertificationError, GuardExceeded
+from tdlc.errors import CertificationError, GuardExceeded, check_guard
 from test_coxeter import all_systems, pair_commutes
 
 
@@ -470,6 +470,89 @@ def test_chamber_ball_guard_fires_before_layer_completes():
     assert len(rab.ChamberBall(spec, 3, guard=29)) == 29
     with pytest.raises(GuardExceeded):
         rab.ChamberBall(spec, 3, guard=28)
+    # free3 with q = 3 has 6^40 > 10^31 elements up to length 40: the listing is
+    # lazy, so the guard stops it at the 5,001st chamber.
+    free3 = rab.BuildingSpec(cox.RACoxeterSystem.create(["a", "b", "c"]), {"a": 3, "b": 3, "c": 3})
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 5001 objects exceeds guard 5000$"):
+        rab.ChamberBall(free3, 40, guard=5000)
+
+
+def test_chamber_ball_guard_edges():
+    # The identity is never guard-checked; the first chamber after it is the second object.
+    spec = dinf_spec()
+    assert rab.ChamberBall(spec, 0, guard=0).chambers == (rab.identity_chamber(spec),)
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 2 objects exceeds guard 0$"):
+        rab.ChamberBall(spec, 1, guard=0)
+
+
+def bfs_chamber_ball(spec, radius, guard):
+    """The chambers of B(1, radius) by breadth-first search over the chamber graph,
+    one kernel step per (chamber, generator, colour), in the ball's order."""
+    chambers = [rab.identity_chamber(spec)]
+    seen = {chambers[0].syllables}
+    frontier = chambers[:]
+    for _ in range(radius):
+        nxt = []
+        for C in frontier:
+            for s in range(spec.system.rank):
+                for c in range(1, spec.q(s)):
+                    D = rab.chamber_times(C, ((s, c),))
+                    if len(D.syllables) <= len(C.syllables):
+                        break   # C ends in an s-syllable, so no colour of s leads outward
+                    if D.syllables not in seen:
+                        # Guard before keeping: refusal stops at the first chamber over the cap.
+                        check_guard(len(seen) + 1, guard, "chamber ball enumeration")
+                        seen.add(D.syllables)
+                        nxt.append(D)
+        chambers.extend(nxt)
+        frontier = nxt
+    return tuple(sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
+
+
+def ball_or_refusal(build):
+    try:
+        return build()
+    except GuardExceeded as exc:
+        return str(exc)
+
+
+def test_chamber_ball_matches_the_bfs_oracle():
+    # Every labelled right-angled system with 2-4 generators, q uniform 2, uniform 3
+    # and mixed (3, 4, 2, 5), every radius up to 4, 3 and 2: the colourings of the
+    # ShortLex words are the chambers the breadth-first search reaches.
+    cases = refusals = 0
+    for n, L in ((2, 4), (3, 3), (4, 2)):
+        for system in all_systems(n):
+            for qs in ((2,) * n, (3,) * n, (3, 4, 2, 5)[:n]):
+                spec = rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+                for radius in range(L + 1):
+                    ball = rab.ChamberBall(spec, radius)
+                    want = bfs_chamber_ball(spec, radius, None)
+                    assert ball.chambers == want, (system, qs, radius)
+                    assert ball.index == {C.syllables: i for i, C in enumerate(want)}
+                    sizes = [sum(len(C.syllables) == k for C in want) for k in range(radius + 1)]
+                    assert ball.sphere_sizes() == sizes
+                    assert len(ball) == rab.chamber_count_oracle(spec, radius)
+                    for guard in (0, 1, 3, 7, 20):
+                        got = ball_or_refusal(lambda: rab.ChamberBall(spec, radius, guard=guard).chambers)
+                        assert got == ball_or_refusal(lambda: bfs_chamber_ball(spec, radius, guard)), \
+                            (system, qs, radius, guard)
+                        refusals += isinstance(got, str)
+                    cases += 1
+    assert (cases, refusals) == (702, 1980)
+
+
+def test_chamber_ball_builds_and_refuses_without_the_chamber_kernel(monkeypatch):
+    spec = dinf_spec(2, 3)
+    want = bfs_chamber_ball(spec, 4, None)
+
+    def no_kernel(*args):
+        raise AssertionError("chamber_times was called")
+
+    monkeypatch.setattr(rab, "chamber_times", no_kernel)
+    assert rab.ChamberBall(spec, 4).chambers == want
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 8 objects exceeds guard 7$"):
+        rab.ChamberBall(spec, 4, guard=7)
 
 
 def test_chamber_ball_rejects_negative_radius():
