@@ -127,7 +127,7 @@ def _cmd_tree(args) -> dict:
         _check_tree_ball(args.degree, args.radius, args.guard)
         ball = tc.build_regular_ball(args.degree, args.radius)
     check_guard(ball.vertex_count, args.guard, "tree ball")
-    spheres = [len(tc.sphere(ball, ball.base, n)) for n in range(args.radius + 1)]
+    spheres = [len(layer) for layer in tc.layers(ball, ball.base, args.radius)]
     return {
         "ball": ball.to_json(),
         "vertex_count": ball.vertex_count,

@@ -153,17 +153,21 @@ def right_multiply(comm: Sequence[int], q: Sequence[int], gens: list[int], exps:
             exps.insert(pos, e)
 
 
-def initial_position(comm: Sequence[int], gens: Sequence[int], types: int) -> int | None:
+def initial_position(comm: Sequence[int], gens: Iterable[int], types: int) -> int | None:
     """First position whose generator is in the bitmask `types` and commutes with every earlier one.
 
     That letter can be moved to the front of the word: for a reduced word,
-    its generator is a left descent.
+    its generator is a left descent.  `allowed` holds the wanted types that
+    commute with every letter scanned so far (comm[t] never has bit t), so the
+    scan stops once it is empty: every later candidate is blocked.
     """
-    before = 0
+    allowed = types
     for i, t in enumerate(gens):
-        if types >> t & 1 and not before & ~comm[t]:
+        if allowed >> t & 1:
             return i
-        before |= 1 << t
+        allowed &= comm[t]
+        if not allowed:
+            break
     return None
 
 

@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coxeter_ra import (
     CoxElement,
     RACoxeterSystem,
     dist_to_root,
-    enumerate_elements,
     initial_position,
     invert as cox_invert,
     iter_elements,
@@ -152,7 +152,7 @@ def panel(C: Chamber, s: int | str) -> frozenset[Chamber]:
 
 def _initial_syllable_position(spec: BuildingSpec, syls: Sequence[Syllable], types: int) -> int | None:
     """First syllable whose type is in the bitmask `types` and that can move to the front."""
-    return initial_position(spec.system._comm, [t for t, _ in syls], types)
+    return initial_position(spec.system._comm, map(itemgetter(0), syls), types)
 
 
 def wing_split(C_inverse: Chamber, s: int, D: Chamber) -> tuple[list[Syllable], int | None]:
@@ -277,10 +277,31 @@ class ChamberBall:
 
 
 def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
-    """The sum over reduced type words of prod (q_s - 1): the count ChamberBall lists,
-    in closed form per word (the independent checks are a BFS in the tests and
-    perfbench's own sphere sizes)."""
-    return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in enumerate_elements(spec.system, radius))
+    """|B(1, radius)| from the growth series W(t) of the graph product, with no enumeration.
+
+    A factor Z/q_s has growth series 1 + x_s, x_s = (q_s - 1) t, and the graph
+    product's satisfies 1/W(t) = sum over cliques T of prod_{s in T}
+    (1/(1 + x_s) - 1) (Chiswell), each factor the integer series
+    sum_{k >= 1} (-(q_s - 1) t)^k.  The sum is inverted as a power series up
+    to degree radius; the chambers at distance k are its k-th coefficient.
+    """
+    comm = spec.system._comm
+    factors = [[0] + [(1 - q) ** k for k in range(1, radius + 1)] for q in spec._q]
+    inverse = [0] * (radius + 1)
+    stack = [([1] + [0] * radius, (1 << spec.system.rank) - 1, 0)]   # (clique term, extensions, next type)
+    while stack:
+        term, extend, first = stack.pop()
+        for k, a in enumerate(term):
+            inverse[k] += a
+        for s in range(first, spec.system.rank):
+            if extend >> s & 1:
+                f = factors[s]
+                product = [sum(term[j] * f[k - j] for j in range(k + 1)) for k in range(radius + 1)]
+                stack.append((product, extend & comm[s], s + 1))
+    series = [1] + [0] * radius
+    for k in range(1, radius + 1):
+        series[k] = -sum(inverse[j] * series[k - j] for j in range(1, k + 1))
+    return sum(series)
 
 
 def dist_base_to_root(r: RootRef, ball: ChamberBall) -> int:
@@ -386,18 +407,46 @@ class BasePanelPermutation(BuildingAut):
         self.rho = tuple(rho)
 
     def image(self, C: Chamber) -> Chamber:
+        """(s, rho(c)) x for C = (s, c) x, multiplied on the left into C's normal form.
+
+        c is the colour of C's initial s-syllable, at position p, and 0 if C
+        has none (then x = C).  Normal forms are ShortLex-least reduced words,
+        ordered by generator alone, and the cases are:
+
+        - rho(c) = c: the image is C.
+        - c and rho(c) nonzero: recolour position p.  The type word is
+          unchanged, so the word is still reduced and ShortLex-least.
+        - rho(c) = 0 and p = 0: the image is the suffix after position 0.  A
+          suffix v of a ShortLex-least word (s, c) v is ShortLex-least: a
+          smaller word v' for it would give the smaller word (s, c) v'.
+        - c = 0 and no initial syllable of C has a type that commutes with s
+          and is smaller than s: the image is (s, rho(0)) C.  It is reduced,
+          as s is not initial in C, and the ShortLex-least word of a trace is
+          the greedy one, which takes the smallest letter that can come first
+          (Anisimov & Knuth 1979).  The letters that can start s C are s and
+          the initial letters of C that commute with s, so greedy takes s
+          first, and then C, which is already greedy.
+        - otherwise the kernel takes over from the untouched prefix, a normal
+          form as a prefix of one: the syllables before position p, or the
+          new head (s, rho(0)).
+        """
+        spec = self.spec
         s = self.stype
-        x = list(C.syllables)
-        pos = _initial_syllable_position(self.spec, x, 1 << s)
-        c = 0 if pos is None else x[pos][1]
+        syls = C.syllables
+        pos = _initial_syllable_position(spec, syls, 1 << s)
+        c = 0 if pos is None else syls[pos][1]
         new_c = self.rho[c]
+        if new_c == c:
+            return C
         if c and new_c:
-            x[pos] = (s, new_c)   # recoloured in place: still a normal form
-            return Chamber(self.spec, tuple(x))
+            return Chamber(spec, syls[:pos] + ((s, new_c),) + syls[pos + 1:])
+        if pos == 0:
+            return Chamber(spec, syls[1:])
         if c:
-            del x[pos]
-        head = Chamber(self.spec, ((s, new_c),) if new_c else ())
-        return chamber_times(head, x)
+            return chamber_times(Chamber(spec, syls[:pos]), syls[pos + 1:])
+        if _initial_syllable_position(spec, syls, spec.system._comm[s] & ((1 << s) - 1)) is None:
+            return Chamber(spec, ((s, new_c),) + syls)
+        return chamber_times(Chamber(spec, ((s, new_c),)), syls)
 
     def inverse(self) -> BuildingAut:
         return BasePanelPermutation(self.spec, self.stype, _inverse_permutation(self.rho))

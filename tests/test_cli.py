@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc import kak_building as kb
 from tdlc import padic_pgl2 as pp
+from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.cli import run
 
@@ -44,6 +45,10 @@ def test_tree_command(tmp_path):
     assert rep["vertex_count"] == 10
     assert rep["sphere_sizes"] == [1, 3, 6]
     assert run_json(["tree", "--radius", "0", "--guard", "1"], tmp_path)["vertex_count"] == 1
+    for degree, radius in ((2, 6), (3, 0), (3, 5), (5, 3)):
+        rep = run_json(["tree", "--degree", str(degree), "--radius", str(radius)], tmp_path)
+        ball = tc.build_regular_ball(degree, radius)
+        assert rep["sphere_sizes"] == [len(tc.sphere(ball, ball.base, n)) for n in range(radius + 1)]
 
 
 def test_tree_label_regular_command(tmp_path):
@@ -59,6 +64,10 @@ def test_tree_label_regular_command(tmp_path):
     assert rep["vertex_count"] == 3
     labels = [v["label"] for v in rep["ball"]["vertices"]]
     assert labels == ["A", "B", "B"]
+    rep = run_json(["tree", "--label-config", str(config), "--root-label", "A",
+                    "--radius", "5"], tmp_path)
+    ball = tc.build_label_regular_ball(tc.LabelVector.from_json(json.loads(config.read_text())), "A", 5)
+    assert rep["sphere_sizes"] == [len(tc.sphere(ball, ball.base, n)) for n in range(6)]
 
 
 def test_ugroup_command(tmp_path):

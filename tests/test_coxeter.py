@@ -380,6 +380,44 @@ def test_multiply_generator_matches_whole_word(system):
             assert got == oracle_normal_form(system, u.word + (s,)), (u, s)
 
 
+def full_scan_initial_position(comm, gens, types):
+    """initial_position before its early exit: every letter is scanned."""
+    before = 0
+    for i, t in enumerate(gens):
+        if types >> t & 1 and not before & ~comm[t]:
+            return i
+        before |= 1 << t
+    return None
+
+
+@pytest.mark.parametrize("system, radius", [(system, 4) for system in all_systems(3)] + [(path4(), 3)])
+def test_initial_position_matches_the_full_scan(system, radius):
+    # Every mask of wanted types on every type word of the chamber balls whose
+    # base-panel images tests/test_rab.py checks.
+    for w in cox.iter_elements(system, radius):
+        for types in range(1 << system.rank):
+            got = cox.initial_position(system._comm, w.word, types)
+            assert got == full_scan_initial_position(system._comm, w.word, types), (w, types)
+
+
+@st.composite
+def commuting_graph_word_and_types(draw):
+    rank = draw(st.integers(1, 5))
+    names = [f"g{i}" for i in range(rank)]
+    system = cox.RACoxeterSystem.create(
+        names, [p for p in itertools.combinations(names, 2) if draw(st.booleans())])
+    word = draw(st.lists(st.integers(0, rank - 1), max_size=24))
+    return system, word, draw(st.integers(0, (1 << rank) - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(commuting_graph_word_and_types())
+def test_initial_position_matches_the_full_scan_on_any_word(case):
+    system, word, types = case
+    assert cox.initial_position(system._comm, word, types) == \
+        full_scan_initial_position(system._comm, word, types)
+
+
 def test_multiply_generator_rejects_bad_index():
     with pytest.raises(ValueError):
         cox.multiply_generator(cox.identity(dinf()), 2)

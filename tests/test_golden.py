@@ -3,7 +3,9 @@
 Each case runs one subcommand through tdlc.cli.run and compares the report
 with its golden file byte for byte, so a refactor that changes any report
 (ordering, a number, a trailing newline) fails here.  The building_*_L*
-cases use the D_inf spec with q = 3 on both generators.  The
+cases use the D_inf spec with q = 3 on both generators; at L = 10 the
+contraction check reaches every case of the base-panel permutations' left
+multiplication that D_inf has.  The
 building_*_path4_q34_L4 cases use the path4 system, where a-b, b-c and c-d
 commute, with panel sizes q = 3, 4, 3, 4 on a, b, c, d: there the s-wing
 test looks past commuting letters, and the panels differ in size.  The
@@ -45,6 +47,8 @@ CASES = {
     "building_kak_L4": ["building", "kak", "--spec", "{spec}", "--L", "4"],
     "building_contract_L6": ["building", "contract", "--spec", "{spec}", "--L", "6",
                              "--ws-file", "{ws}"],
+    "building_contract_L10": ["building", "contract", "--spec", "{spec}", "--L", "10",
+                              "--ws-file", "{ws}"],
     "ugroup_r3_z2_pk1": ["ugroup", "--radius", "3", "--generators", "[[2,1,3]]", "--pk-k", "1"],
     "ugroup_d4_r2_c4_pk1": ["ugroup", "--degree", "4", "--radius", "2",
                             "--generators", "[[2,3,4,1]]", "--pk-k", "1"],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 
 import pytest
@@ -436,6 +437,76 @@ def path4_spec():
     return rab.BuildingSpec(system, {"a": 3, "b": 4, "c": 3, "d": 4})
 
 
+def renormalising_base_panel_image(perm, C):
+    """BasePanelPermutation.image before its left-multiplication rule: every image
+    except a recolouring is re-normalised from the new head by the kernel."""
+    s = perm.stype
+    x = list(C.syllables)
+    pos = rab._initial_syllable_position(perm.spec, x, 1 << s)
+    c = 0 if pos is None else x[pos][1]
+    new_c = perm.rho[c]
+    if c and new_c:
+        x[pos] = (s, new_c)   # recoloured in place: still a normal form
+        return rab.Chamber(perm.spec, tuple(x))
+    if c:
+        del x[pos]
+    head = rab.Chamber(perm.spec, ((s, new_c),) if new_c else ())
+    return rab.chamber_times(head, x)
+
+
+def left_rule_case(spec, s, rho, C):
+    """The case of BasePanelPermutation.image that C falls in, by its docstring's
+    conditions, with initial letters read off pair_commutes."""
+    x = C.syllables
+    initial = [i for i, (t, _) in enumerate(x)
+               if all(pair_commutes(spec.system, x[j][0], t) for j in range(i))]
+    pos = next((i for i in initial if x[i][0] == s), None)
+    c = 0 if pos is None else x[pos][1]
+    if rho[c] == c:
+        return "fixed"
+    if c and rho[c]:
+        return "recolour"
+    if pos == 0:
+        return "suffix"
+    if not c and not any(x[i][0] < s and pair_commutes(spec.system, x[i][0], s) for i in initial):
+        return "prepend"
+    return "kernel"
+
+
+LEFT_RULE_BALLS = [rab.ChamberBall(spec, 4) for qs in ((2, 2, 2), (3, 3, 3), (2, 3, 3))
+                   for spec in specs3(qs)] + [rab.ChamberBall(path4_spec(), 3)]
+
+
+def test_base_panel_images_match_the_renormalising_oracle(monkeypatch):
+    # Every chamber, generator and colour permutation rho of every labelled
+    # 3-generator system (q = 2, q = 3 and q = 2, 3, 3; radius 4) and of path4
+    # (q = 3, 4, 3, 4; radius 3).  The kernel runs exactly in the fallback case,
+    # and every case is taken.
+    kernel = rab.chamber_times
+    calls = []
+
+    def counted(C, syllables):
+        calls.append(1)
+        return kernel(C, syllables)
+
+    monkeypatch.setattr(rab, "chamber_times", counted)
+    cases = dict.fromkeys(("fixed", "recolour", "suffix", "prepend", "kernel"), 0)
+    for ball in LEFT_RULE_BALLS:
+        spec = ball.spec
+        for s in range(spec.system.rank):
+            for rho in itertools.permutations(range(spec.q(s))):
+                perm = rab.BasePanelPermutation(spec, s, rho)
+                for C in ball.chambers:
+                    want = renormalising_base_panel_image(perm, C)
+                    case = left_rule_case(spec, s, rho, C)
+                    calls.clear()
+                    got = perm.image(C)
+                    assert got == want, (spec.system, s, rho, C)
+                    assert len(calls) == (case == "kernel"), (spec.system, s, rho, C, case)
+                    cases[case] += 1
+    assert all(cases.values()), cases
+
+
 @pytest.mark.parametrize("spec", [dinf_spec(2, 2), dinf_spec(), klein_spec(), path4_spec()],
                          ids=["dinf_q2", "dinf_q3", "klein_q3", "path4_q3434"])
 def test_chamber_facts_match_distance_and_gate_oracles(spec):
@@ -540,6 +611,25 @@ def test_chamber_ball_matches_the_bfs_oracle():
                         refusals += isinstance(got, str)
                     cases += 1
     assert (cases, refusals) == (702, 1980)
+
+
+def per_word_chamber_count(spec, radius):
+    """The sum over the reduced type words of prod (q_s - 1), one element BFS."""
+    return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in cox.enumerate_elements(spec.system, radius))
+
+
+def test_chamber_count_oracle_matches_the_listed_balls():
+    # The growth series against the listed ball, the per-word sum and the chamber BFS,
+    # on every labelled system with 2-4 generators and mixed panel sizes.
+    for n, L in ((2, 6), (3, 4), (4, 3)):
+        for system in all_systems(n):
+            for qs in ((3, 4, 2, 5)[:n], (5, 2, 4, 3)[:n]):
+                spec = rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+                for radius in range(L + 1):
+                    count = rab.chamber_count_oracle(spec, radius)
+                    assert count == len(rab.ChamberBall(spec, radius)), (system, qs, radius)
+                    assert count == per_word_chamber_count(spec, radius), (system, qs, radius)
+                assert count == len(bfs_chamber_ball(spec, L, None)), (system, qs)
 
 
 def test_chamber_ball_builds_and_refuses_without_the_chamber_kernel(monkeypatch):
