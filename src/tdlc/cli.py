@@ -106,9 +106,12 @@ def _word_list(path: str | None, flag: str, system: cox.RACoxeterSystem) -> list
 
 
 def _check_tree_ball(degree: int, radius: int, guard: int | None) -> None:
-    """Refuse on the outer sphere d(d-1)^(r-1) of the ball before it, or that integer, is built."""
+    """Refuse on the outer sphere d(d-1)^(r-1) of the ball before it, or that integer, is built,
+    then on 2r + 1: every degree is >= 2, so a geodesic through the base has that
+    many vertices in the ball, all of it at d = 2, whose outer sphere is only 2."""
     if degree >= 2 and radius > 0:
         check_power_guard(degree, degree - 1, radius - 1, guard, "tree ball")
+        check_guard(2 * radius + 1, guard, "tree ball")
     else:   # the base vertex at r = 0; d < 2 and r < 0 go on to the builder's ValueError
         check_guard(degree if radius > 0 else 1, guard, "tree ball")
 

@@ -8,7 +8,11 @@ same group element iff their normal forms are equal.
 The normal form is that of a graph product of cyclic groups (Green 1990;
 Hermiller & Meier, J. Algebra 171, 1995): here every factor is Z/2, while the
 chambers of right-angled buildings (rab.py) use the same kernel,
-`right_multiply`, with factors Z/q_s.
+`right_multiply`, with factors Z/q_s.  The normal forms are a regular
+language (Epstein et al., Word Processing in Groups, 1992): `shortlex_walk`
+lists them breadth first in ShortLex order through a finite automaton, one
+bitmask per word and no kernel call, for elements (every factor Z/2) and for
+chamber balls alike.
 """
 
 from __future__ import annotations
@@ -209,37 +213,73 @@ def length(u: CoxElement) -> int:
     return len(u.word)
 
 
-def iter_elements(system: RACoxeterSystem, max_length: int) -> Iterator[CoxElement]:
-    """Each element of length <= max_length once, lazily: the identity, then level by level.
+def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int, guard: int | None,
+                  what: str) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The graph-product normal forms of length <= radius, lazily, in (length, syllables) order.
 
-    A prefix of a ShortLex normal form is one, so an element of length k + 1
-    is u s for the one u of length k whose normal form, then s, is its own."""
-    frontier = [identity(system)]
-    yield frontier[0]
-    for _ in range(max_length):
-        level, frontier = frontier, []
-        for u in level:
-            for s in range(system.rank):
-                w = multiply_generator(u, s)
-                if w.word == u.word + (s,):
-                    frontier.append(w)
-                    yield w
+    Each is a tuple of syllables (t, c), c in 1..q[t]-1; comm[t] has bit s set
+    iff s and t commute.  The guard is checked, as `what`, before each word
+    after the empty one is built, so a walk that would exceed it stops at the
+    first word over the cap.  Breadth first: each node of a level carries the
+    bitmask Z(u) of the generators t for which u (t, c) is not a normal form,
+
+        Z(empty) = {},  Z(u t) = {t} | {s < t : s commutes with t} | (Z(u) & comm[t])
+                               = {t} | (comm[t] & ({s < t} | Z(u))).
+
+    The automaton.  Colours play no part: only syllables of one generator
+    merge and the kernel orders syllables by generator alone, so a syllable
+    word is a normal form exactly when its type word is a ShortLex-least
+    reduced word (see rab.ChamberBall).  A word is the ShortLex-least word of
+    its trace exactly when no letter s is followed by a letter t < s that
+    commutes with s and with every letter between them (Anisimov & Knuth
+    1979), and reduced exactly when no letter s is followed by an s that
+    commutes with every letter between them.  So for a normal form u, u t is
+    one exactly when no letter s of u, all of whose successors in u commute
+    with t, is t or a larger generator commuting with t.  Z(u) is that set of
+    t: for the last letter of u t, the successors are none, which gives t
+    and the s < t commuting with t; for a letter of u, its successors in u t
+    are its successors in u and t, which keeps Z(u) & comm[t] (t itself is
+    already in).  Every prefix of a normal form is one (those conditions
+    only look inside the word), so each normal form of length k + 1 is the
+    child u (t, c) of exactly one node u of level k.
+
+    The order.  Children are emitted in increasing (t, c), parents in their
+    level's order.  If level k is in increasing lexicographic order, so is
+    level k + 1: two words of one length compare by their prefixes first,
+    then by their last syllables.  Levels come in increasing length, so the
+    walk is in (length, syllables) order and no sort is needed.
+
+    A child is its parent's tuple plus one shared (t, c) pair; the last
+    level is not kept as a frontier.
+    """
+    letters = [[(t, c) for c in range(1, qt)] for t, qt in enumerate(q)]
+    count = 1
+    yield ()
+    level = [((), 0)]
+    for left in reversed(range(radius)):   # levels left after this one
+        frontier = []
+        for u, z in level:
+            for t, syllables in enumerate(letters):
+                if not z >> t & 1:
+                    zt = 1 << t | comm[t] & ((1 << t) - 1 | z)
+                    for x in syllables:
+                        count += 1
+                        check_guard(count, guard, what)
+                        w = u + (x,)
+                        yield w
+                        if left:
+                            frontier.append((w, zt))
+        level = frontier
 
 
 def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | None = None) -> list[CoxElement]:
-    """All elements of length <= max_length, each once, in ShortLex order.
-
-    The guard is checked before each new element is kept, so an enumeration
-    that would exceed it stops at the first element over the cap.
-    """
+    """All elements of length <= max_length, each once, in ShortLex order:
+    shortlex_walk with every factor Z/2, guard-checked before each element
+    after the identity."""
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
-    elements: list[CoxElement] = []
-    for w in iter_elements(system, max_length):
-        if elements:
-            check_guard(len(elements) + 1, guard, "coxeter element enumeration")
-        elements.append(w)
-    return sorted(elements, key=lambda w: (len(w), w.word))
+    walk = shortlex_walk(system._comm, system._order, max_length, guard, "coxeter element enumeration")
+    return [CoxElement(system, tuple(s for s, _ in syllables)) for syllables in walk]
 
 
 def is_spherical(system: RACoxeterSystem, subset: Iterable[str]) -> bool:

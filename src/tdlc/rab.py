@@ -7,7 +7,8 @@ This is the standard model of the unique semi-regular right-angled building
 with parameters (q_s): panels are cosets of the cyclic factors, the Weyl
 distance is the type word of C^-1 D, and apartments arise from fixing one
 color per generator.  Normal forms come from the graph-product kernel of
-coxeter_ra, the one that also normalises Coxeter words.
+coxeter_ra, the one that also normalises Coxeter words, and the chamber ball
+from coxeter_ra's ShortLex walk, the one that also lists Coxeter elements.
 
 Automorphisms are evaluated exactly on chambers (panel rotations, base-panel
 permutations and their composites); ball objects only certify and serialize.
@@ -27,11 +28,11 @@ from .coxeter_ra import (
     dist_to_root,
     initial_position,
     invert as cox_invert,
-    iter_elements,
     multiply as cox_multiply,
     multiply_generator,
     right_multiply,
     root_contains,
+    shortlex_walk,
 )
 from .errors import CertificationError, check_guard
 
@@ -226,13 +227,15 @@ class RootRef:
 
 
 class ChamberBall:
-    """All chambers at gallery distance <= radius from the identity chamber.
+    """All chambers at gallery distance <= radius from the identity chamber, in (length, syllables) order.
 
     They are the colourings of the Coxeter ball's ShortLex words, a colour in
     1..q_s - 1 per letter s.  The kernel orders syllables by generator alone, and
     only syllables of one generator merge, so a syllable word is a reduced normal
-    form exactly when its type word is; its length is the distance to 1.
-    The guard is checked before each chamber after the identity.
+    form exactly when its type word is; its length is the distance to 1.  They
+    are read off coxeter_ra.shortlex_walk, already in order, each chamber's
+    syllables its parent's plus one, and the walk checks the guard before
+    each chamber after the identity.
     """
 
     def __init__(self, spec: BuildingSpec, radius: int, guard: int | None = None):
@@ -240,14 +243,8 @@ class ChamberBall:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         self.spec = spec
         self.radius = radius
-        chambers: list[Chamber] = []
-        for w in iter_elements(spec.system, radius):
-            for colours in itertools.product(*(range(1, spec.q(s)) for s in w.word)):
-                if chambers:
-                    check_guard(len(chambers) + 1, guard, "chamber ball enumeration")
-                chambers.append(Chamber(spec, tuple(zip(w.word, colours))))
-        self.chambers: tuple[Chamber, ...] = tuple(
-            sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
+        walk = shortlex_walk(spec.system._comm, spec._q, radius, guard, "chamber ball enumeration")
+        self.chambers: tuple[Chamber, ...] = tuple(Chamber(spec, syllables) for syllables in walk)
         self.index: dict[tuple[Syllable, ...], int] = {
             C.syllables: i for i, C in enumerate(self.chambers)}
 

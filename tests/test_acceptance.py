@@ -19,7 +19,7 @@ from tdlc import padic_pgl2 as pp
 from tdlc import rab
 from tdlc import tree_aut as ta
 from tdlc import universal_groups as ug
-from test_coxeter import pair_commutes
+from oracles import pair_commutes
 
 S3 = ug.LocalGroup.symmetric(3)
 

@@ -601,6 +601,11 @@ def test_tree_ball_guard_refuses_a_huge_radius_without_building_the_sphere():
                           capture_output=True, text=True, env=src_env(), timeout=10)
     assert proc.returncode == 2
     assert proc.stderr.startswith("infeasible: tree ball: over 10^")
+    # At degree 2 the outer sphere has 2 vertices; the 2r + 1 of a geodesic through the base refuses.
+    proc = subprocess.run([sys.executable, "-m", "tdlc.cli", "tree", "--degree", "2", "--radius", "100000000"],
+                          capture_output=True, text=True, env=src_env(), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stderr == "infeasible: tree ball: 200000001 objects exceeds guard 1000000\n"
 
 
 def test_python_m_entry_point(tmp_path):

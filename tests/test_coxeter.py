@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
 from tdlc.errors import GuardExceeded, check_guard
+from oracles import all_systems, kernel_bfs_elements, pair_commutes
 
 
 def dinf():
@@ -233,19 +234,6 @@ def test_deletion_property():
                 assert abs(cox.length(prod) - cox.length(u)) == 1
 
 
-def pair_commutes(system, i, j):
-    """Commutation read off commuting_pairs, sharing nothing with the kernel's bitmask."""
-    return frozenset((system.generators[i], system.generators[j])) in system.commuting_pairs
-
-
-def all_systems(n):
-    names = ["a", "b", "c", "d"][:n]
-    pairs = list(itertools.combinations(names, 2))
-    for mask in range(2 ** len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield cox.RACoxeterSystem.create(names, chosen)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_commutes_matches_commuting_pairs(n):
     for system in all_systems(n):
@@ -394,7 +382,7 @@ def full_scan_initial_position(comm, gens, types):
 def test_initial_position_matches_the_full_scan(system, radius):
     # Every mask of wanted types on every type word of the chamber balls whose
     # base-panel images tests/test_rab.py checks.
-    for w in cox.iter_elements(system, radius):
+    for w in cox.enumerate_elements(system, radius):
         for types in range(1 << system.rank):
             got = cox.initial_position(system._comm, w.word, types)
             assert got == full_scan_initial_position(system._comm, w.word, types), (w, types)
@@ -455,13 +443,25 @@ def test_enumerate_elements_guard_edges():
 def test_iter_elements_lists_each_element_once_level_by_level(n, max_length):
     # Oracle: the normal forms of all words of length <= max_length.
     for system in all_systems(n):
-        words = [w.word for w in cox.iter_elements(system, max_length)]
+        words = [w.word for w in cox.enumerate_elements(system, max_length)]
         assert words[0] == ()
         assert [len(w) for w in words] == sorted(len(w) for w in words)
         assert len(set(words)) == len(words)
         assert set(words) == {cox.normal_form(system, w).word for k in range(max_length + 1)
                               for w in itertools.product(range(n), repeat=k)}
-        assert [w.word for w in cox.enumerate_elements(system, max_length)] == sorted(words, key=lambda w: (len(w), w))
+        assert words == sorted(words, key=lambda w: (len(w), w))
+
+
+@pytest.mark.parametrize("n, max_length", [(1, 6), (2, 7), (3, 6), (4, 5)])
+def test_shortlex_walk_matches_the_kernel_bfs(n, max_length):
+    # All 75 labelled systems with 1-4 generators: the automaton lists the words
+    # the kernel BFS keeps, in the same order, with no sort on either side.
+    for system in all_systems(n):
+        want = [w.word for w in kernel_bfs_elements(system, max_length)]
+        walk = list(cox.shortlex_walk(system._comm, system._order, max_length, None, "walk"))
+        assert [tuple(s for s, _ in syls) for syls in walk] == want, system
+        assert all(c == 1 for syls in walk for _, c in syls)
+        assert [w.word for w in cox.enumerate_elements(system, max_length)] == want
 
 
 def test_enumerate_elements_rejects_negative_length():

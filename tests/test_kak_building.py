@@ -4,7 +4,7 @@ from tdlc import coxeter_ra as cox
 from tdlc import kak_building as kb
 from tdlc import rab
 from tdlc.errors import CertificationError
-from test_rab import nontrivial_wing_sigmas
+from oracles import nontrivial_wing_sigmas
 
 
 def dinf_spec(qs=3, qt=3):

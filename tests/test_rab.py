@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import coxeter_ra as cox
 from tdlc import rab
 from tdlc.errors import CertificationError, GuardExceeded, check_guard
-from test_coxeter import all_systems, pair_commutes
+from oracles import all_systems, kernel_bfs_elements, nontrivial_wing_sigmas, pair_commutes
 
 
 def dinf_spec(qs=3, qt=3):
@@ -613,6 +613,21 @@ def test_chamber_ball_matches_the_bfs_oracle():
     assert (cases, refusals) == (702, 1980)
 
 
+def test_chamber_ball_is_the_bfs_ball_in_increasing_order():
+    # Every labelled system with 2-4 generators at radii 5, 4 and 3, q uniform 3 and
+    # mixed (3, 4, 2, 5), and D_inf with q = 2 at radius 200: the walk lists the
+    # chambers the chamber BFS reaches, strictly increasing in (length, syllables).
+    cases = [(rab.BuildingSpec(system, dict(zip(system.generators, qs))), L)
+             for n, L in ((2, 5), (3, 4), (4, 3)) for system in all_systems(n)
+             for qs in ((3,) * n, (3, 4, 2, 5)[:n])] + [(dinf_spec(2, 2), 200)]
+    assert len(cases) == 2 * (2 + 8 + 64) + 1
+    for spec, L in cases:
+        chambers = rab.ChamberBall(spec, L).chambers
+        assert chambers == bfs_chamber_ball(spec, L, None), (spec, L)
+        keys = [(len(C.syllables), C.syllables) for C in chambers]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (spec, L)
+
+
 def per_word_chamber_count(spec, radius):
     """The sum over the reduced type words of prod (q_s - 1), one element BFS."""
     return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in cox.enumerate_elements(spec.system, radius))
@@ -635,14 +650,21 @@ def test_chamber_count_oracle_matches_the_listed_balls():
 def test_chamber_ball_builds_and_refuses_without_the_chamber_kernel(monkeypatch):
     spec = dinf_spec(2, 3)
     want = bfs_chamber_ball(spec, 4, None)
+    free3 = cox.RACoxeterSystem.create(["a", "b", "c"])
+    elements = [w.word for w in kernel_bfs_elements(free3, 3)]
 
     def no_kernel(*args):
-        raise AssertionError("chamber_times was called")
+        raise AssertionError("chamber_times or right_multiply was called")
 
     monkeypatch.setattr(rab, "chamber_times", no_kernel)
+    monkeypatch.setattr(rab, "right_multiply", no_kernel)
+    monkeypatch.setattr(cox, "right_multiply", no_kernel)
     assert rab.ChamberBall(spec, 4).chambers == want
     with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 8 objects exceeds guard 7$"):
         rab.ChamberBall(spec, 4, guard=7)
+    assert [w.word for w in cox.enumerate_elements(free3, 3)] == elements
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 13 objects exceeds guard 12$"):
+        cox.enumerate_elements(free3, 3, guard=12)
 
 
 def test_chamber_ball_rejects_negative_radius():
@@ -764,16 +786,6 @@ def test_the_ball_view_oracle_rejects_swapped_images():
 
 # ---------------------------------------------------------------------------
 # wing-fixator transpositions against the listing of every wing permutation
-
-def nontrivial_wing_sigmas(q):
-    """All permutations of 0..q-1 fixing 0, except the identity."""
-    out = []
-    for perm in itertools.permutations(range(1, q)):
-        sigma = (0,) + perm
-        if sigma != tuple(range(q)):
-            out.append(sigma)
-    return out
-
 
 def rotation_supports(ball):
     """(D, t, sigma) -> the ball indices PanelRotation(D, t, sigma) moves, for

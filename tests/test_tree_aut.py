@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
+from oracles import valid_tree_portrait
 
 
 def t3_world(radius=2):
@@ -288,29 +289,6 @@ def test_partial_compose_matches_dict_oracle(g, h):
 
 # ---------------------------------------------------------------------------
 # the JSON boundaries: generated round-trips, and ValueError on anything else
-
-def valid_tree_portrait(g):
-    """The range, injectivity, adjacency and label checks that
-    FiniteTreeAutomorphism's constructor ran on every image tuple before
-    builders were trusted to make valid ones, kept as the oracle; raises
-    ValueError on an invalid portrait."""
-    n = g.ball.vertex_count
-    images = g.images
-    if len(images) != n or not all(-1 <= w < n for w in images):
-        raise ValueError("mapping leaves the ball")
-    inside = [w for w in images if w >= 0]
-    if len(set(inside)) != len(inside):
-        raise ValueError("mapping is not injective")
-    parent = g.ball.parent
-    for v, p in enumerate(parent):
-        iv, ip = images[v], images[p] if p >= 0 else -1
-        if iv >= 0 and ip >= 0 and parent[iv] != ip and parent[ip] != iv:
-            raise ValueError(f"edge ({p},{v}) maps to a non-edge ({ip},{iv})")
-    labels = g.ball.label_of
-    if labels is not None and any(w >= 0 and labels[v] != labels[w] for v, w in enumerate(images)):
-        raise ValueError("mapping does not preserve labels")
-    return True
-
 
 @st.composite
 def tree_balls(draw):

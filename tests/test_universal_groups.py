@@ -8,7 +8,7 @@ from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
-from test_tree_aut import valid_tree_portrait
+from oracles import valid_tree_portrait
 
 
 S3 = ug.LocalGroup.symmetric(3)
