@@ -222,7 +222,12 @@ def perturbed_conjugate_raw(h: ProjMatrix, n: int) -> tuple[Fraction, Fraction, 
 
 
 def conjugation_formula_check(h: ProjMatrix, n: int) -> bool:
-    """Exact entrywise comparison of h_n h h_n^-1 against the closed form.
+    """Exact entrywise comparison of h_n h h_n^-1 against the closed form."""
+    return conjugation_formula_checks(h, (n,))
+
+
+def conjugation_formula_checks(h: ProjMatrix, ns) -> bool:
+    """conjugation_formula_check(h, n) for every n in ns, h cleared once.
 
     The closed form for entries (a b; c d) is
       [[a - b q, b p^n], [((a-d) q + c - b q^2) p^-n, b q + d]]
@@ -233,9 +238,12 @@ def conjugation_formula_check(h: ProjMatrix, n: int) -> bool:
     exactly when the rationals do; equality is exact with zero tolerance.
     """
     (A, B, C, D), _ = _cleared(h)
-    q, pn = h.p ** ((n + 2) // 3), h.p ** n
-    expected = (pn * (A - B * q), B * pn * pn, (A - D) * q + C - B * q * q, pn * (B * q + D))
-    return _conjugate_product(A, B, C, D, q, pn) == expected
+    for n in ns:
+        q, pn = h.p ** ((n + 2) // 3), h.p ** n
+        expected = (pn * (A - B * q), B * pn * pn, (A - D) * q + C - B * q * q, pn * (B * q + D))
+        if _conjugate_product(A, B, C, D, q, pn) != expected:
+            return False
+    return True
 
 
 def distance_to_identity(m: ProjMatrix):

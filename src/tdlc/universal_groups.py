@@ -182,6 +182,14 @@ class Portrait:
         g._settle(world, base_word, acts)
         return g
 
+    @classmethod
+    def _stripped(cls, world: ColorBall, base_word: Word, acts: dict[Word, Perm]) -> "Portrait":
+        """A portrait whose table is already consistent and stripped, kept as
+        given (and possibly shared): enumerate_u1_ball's tables."""
+        g = cls.__new__(cls)
+        g.world, g.base_word, g._acts = world, base_word, acts
+        return g
+
     def _settle(self, world: ColorBall, base_word: Word, acts: dict[Word, Perm]) -> None:
         """Keep each entry that differs from its canonical action, after checking
         that they agree on the parent colour.  `full` memoizes the action at
@@ -699,40 +707,83 @@ def check_u1_guard(F: LocalGroup, radius: int, guard: int | None, move_radius: i
     check_power_guard(addresses * c, b, e, guard, "U1 ball enumeration")
 
 
-def _stabilizer_tables(F: LocalGroup, world: ColorBall, radius: int,
-                       guard: int | None, move_radius: int = 0) -> list[dict[Word, Perm]]:
-    """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
+def _stabilizer_walk(F: LocalGroup, world: ColorBall,
+                     radius: int) -> list[tuple[tuple[int, ...], dict[Word, Perm]]]:
+    """The base-fixing portraits of depth `radius` with actions in <F>, each
+    as its ball images and its stripped table, in the order of the tables.
 
-    Assignments run over the vertices of depth < radius in BFS order, by a
-    depth-first search with one iterator of candidate actions per vertex.
-    check_u1_guard refuses on the exact count before <F> is listed.
+    A depth-first search assigns an action to each inner vertex (depth <
+    radius) in BFS order.  It carries, per vertex v with last colour c:
+    sent[v], the colour the parent's action sends v's edge to; img[v], the
+    ball id of v's image; and v's stripped entry.  v takes the actions of
+    sending[(c, sent[v])] in group order, and assigning v sets only its
+    children's sent and img, so every prefix of assignments is shared by
+    the tables that extend it.  At the last inner vertex the canonical
+    extension fills the deeper images, and the table is emitted.
+
+    The stripped entries are Portrait._settle's.  It keeps an entry that
+    differs from the transposition (c t), t the colour the full action at
+    the parent sends c to, and from the identity at the base.  Every inner
+    vertex's parent is inner, so that full action is the parent's entry,
+    and t is sent[v].  Each candidate sends c to sent[v], which is
+    _settle's parent-edge check, made once per key of `sending`.
+
+    img never leaves the ball: the base-fixing part preserves depth.  Every
+    action at v, a candidate or the canonical (c sent[v]), sends c to
+    sent[v], the last colour of v's image, so a child's colour (not c) goes
+    to some t != sent[v], and the child's image is img[v] one letter
+    longer: step[img[v]][t], a child of img[v] in the ball.
     """
-    check_u1_guard(F, radius, guard, move_radius)
     ball = world.ball
-    inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
-    if not inner:
-        return [{}]
+    word_of, parent, children = world.word_of, ball.parent, ball.children
+    n = len(word_of)
+    if radius == 0:
+        return [(tuple(range(n)), {})]
+    d = world.degree
+    colour = [w[-1] if w else 0 for w in word_of]
+    inner = sum(1 for k in ball.depth if k < radius)
+    outer = [(x, parent[x], colour[x], colour[parent[x]])
+             for x in range(n) if ball.depth[x] > radius]
+    # step[v][t]: the child of v across the colour-t edge
+    step = [[-1] * (d + 1) for _ in range(n)]
+    for v, kids in enumerate(children):
+        for x in kids:
+            step[v][colour[x]] = x
     group = sorted(F.closure())
-    # sending[c, t]: the actions that send color c to color t, in group order
-    sending: dict[tuple[int, int], list[Perm]] = {}
-    tables: list[dict[Word, Perm]] = []
-    acts: dict[Word, Perm] = {}
+    # sending[c, t]: the actions that send colour c to colour t, in group
+    # order, and the canonical action (c t) among them
+    sending: dict[tuple[int, int], tuple[list[Perm], Perm]] = {}
+    sent, img = [0] * n, [0] * n
+    kept: list[tuple[Word, Perm]] = []
+    mark, canonical = [0] * inner, [perm_identity(d)] * inner
+    tables = []
     stack = [iter(group)]
     while stack:
         sigma = next(stack[-1], None)
         if sigma is None:
             stack.pop()
             continue
-        idx = len(stack) - 1
-        acts[inner[idx]] = sigma
-        if idx + 1 == len(inner):
-            tables.append(dict(acts))
+        v = len(stack) - 1
+        del kept[mark[v]:]
+        if sigma != canonical[v]:
+            kept.append((word_of[v], sigma))
+        row = step[img[v]]
+        for x in children[v]:
+            t = sent[x] = sigma[colour[x] - 1]
+            img[x] = row[t]
+        if v + 1 < inner:
+            key = (colour[v + 1], sent[v + 1])
+            if key not in sending:
+                sending[key] = ([tau for tau in group if tau[key[0] - 1] == key[1]],
+                                perm_transposition(d, *key))
+            candidates, canonical[v + 1] = sending[key]
+            mark[v + 1] = len(kept)
+            stack.append(iter(candidates))
             continue
-        w = inner[idx + 1]
-        key = (w[-1], acts[w[:-1]][w[-1] - 1])
-        if key not in sending:
-            sending[key] = [tau for tau in group if tau[key[0] - 1] == key[1]]
-        stack.append(iter(sending[key]))
+        for x, p, c, a in outer:
+            ip = img[p]
+            img[x] = step[ip][a if c == colour[ip] else c]
+        tables.append((tuple(img), dict(kept)))
     return tables
 
 
@@ -751,18 +802,31 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     <= move_radius (left translations have identity local actions, so every
     address is reachable whatever F is), local actions chosen like the
     stabilizer enumeration on depths < support_radius.  Count is
-    (#addresses) x (stabilizer count), checked against the guard first.
-    Membership claims downstream are certified at ball depth; the canonical
-    extension beyond the support is a representative choice.
+    (#addresses) x (stabilizer count), checked against the guard before <F>
+    is listed.  Membership claims downstream are certified at ball depth;
+    the canonical extension beyond the support is a representative choice.
+
+    The base-fixing portraits are listed once (_stabilizer_walk), and the
+    portrait with base image w and table A is t_w after Portrait((), A):
+    Portrait._walk starts at the base image and appends letters that
+    depend on A and the address alone, and from () they never cancel, so
+    g(u) = w.(letters).  Its ball images are the walk's read through
+    trans_w, and its stripped table is the walk's, shared by every w.
     """
     if move_radius < 0 or support_radius < 0:
         raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
     if move_radius + support_radius > world.radius:
         raise CertificationError(
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
-    bases = reduced_words(world.degree, move_radius)
-    tables = _stabilizer_tables(F, world, support_radius, guard, move_radius)
-    elements = [Portrait._trusted(world, w, acts).restrict() for w in bases for acts in tables]
+    check_u1_guard(F, support_radius, guard, move_radius)
+    tables = _stabilizer_walk(F, world, support_radius)
+    ball, word_of, id_of = world.ball, world.word_of, world.id_of
+    elements = []
+    for w in reduced_words(world.degree, move_radius):
+        trans_w = [id_of.get(word_mul(w, u), -1) for u in word_of]
+        elements.extend(FiniteTreeAutomorphism(ball, tuple(map(trans_w.__getitem__, images)),
+                                               Portrait._stripped(world, w, acts))
+                        for images, acts in tables)
     return GroupBall(world, elements, closed=False, local_group=F)
 
 

@@ -7,6 +7,8 @@ kept word for word as the oracle for the one that replaced it.
 import itertools
 
 from tdlc import coxeter_ra as cox
+from tdlc import universal_groups as ug
+from tdlc.errors import CertificationError
 
 
 def pair_commutes(system, i, j):
@@ -72,3 +74,54 @@ def kernel_bfs_elements(system, max_length):
                 if w.word == u.word + (s,):
                     frontier.append(w)
                     yield w
+
+
+def table_u1_ball(F, world, move_radius, support_radius, guard=None):
+    """The U1 ball as enumerate_u1_ball listed it before its shared-prefix
+    walk: the local-action tables by a depth-first search, then each
+    element built by Portrait._trusted(...).restrict(), kept as the oracle."""
+    if move_radius < 0 or support_radius < 0:
+        raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
+    if move_radius + support_radius > world.radius:
+        raise CertificationError(
+            f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
+    bases = ug.reduced_words(world.degree, move_radius)
+    tables = _stabilizer_tables(F, world, support_radius, guard, move_radius)
+    elements = [ug.Portrait._trusted(world, w, acts).restrict() for w in bases for acts in tables]
+    return ug.GroupBall(world, elements, closed=False, local_group=F)
+
+
+def _stabilizer_tables(F, world, radius, guard, move_radius=0):
+    """Local-action tables of the base-fixing portraits of depth `radius` with actions in <F>.
+
+    Assignments run over the vertices of depth < radius in BFS order, by a
+    depth-first search with one iterator of candidate actions per vertex.
+    check_u1_guard refuses on the exact count before <F> is listed.
+    """
+    ug.check_u1_guard(F, radius, guard, move_radius)
+    ball = world.ball
+    inner = [world.word_of[v] for v in ball.vertices() if ball.depth[v] < radius]
+    if not inner:
+        return [{}]
+    group = sorted(F.closure())
+    # sending[c, t]: the actions that send color c to color t, in group order
+    sending = {}
+    tables = []
+    acts = {}
+    stack = [iter(group)]
+    while stack:
+        sigma = next(stack[-1], None)
+        if sigma is None:
+            stack.pop()
+            continue
+        idx = len(stack) - 1
+        acts[inner[idx]] = sigma
+        if idx + 1 == len(inner):
+            tables.append(dict(acts))
+            continue
+        w = inner[idx + 1]
+        key = (w[-1], acts[w[:-1]][w[-1] - 1])
+        if key not in sending:
+            sending[key] = [tau for tau in group if tau[key[0] - 1] == key[1]]
+        stack.append(iter(sending[key]))
+    return tables

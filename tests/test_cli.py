@@ -589,6 +589,21 @@ def test_padic_guard_admits_the_checks_it_counts(tmp_path):
     assert rep["conjugation_formula"] == {"matrices": 100, "all_match": True}
 
 
+def test_padic_guard_counts_the_p_power_products(capsys, monkeypatch):
+    # with no test matrix there is no formula check, but the contraction table
+    # and the divergence reports would still make n_max products of p^n-sized integers
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a p^n product was made")
+
+    monkeypatch.setattr(pp, "unipotent_contraction_check", unbuilt)
+    monkeypatch.setattr(pp, "perturbed_triviality_evidence", unbuilt)
+    start = time.perf_counter()
+    assert run(["padic", "verify", "--p", "2", "--n-max", "3000", "--matrices", "0"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == \
+        "infeasible: padic p^n products: 9000000 objects exceeds guard 1000000\n"
+
+
 def src_env():
     """The environment of a child interpreter that imports tdlc from this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"

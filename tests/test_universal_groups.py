@@ -1,14 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tdlc import kak_tree as kt
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
-from oracles import valid_tree_portrait
+from oracles import table_u1_ball, valid_tree_portrait
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -545,6 +545,16 @@ def test_u1_ball_guard_counts_every_base_image():
     assert len(ug.enumerate_u1_ball(S3, ug.ColorBall(3, 2), 1, 1, guard=24)) == 24
 
 
+def test_u1_balls_are_listed_without_settling_or_restricting(monkeypatch):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("an element was rebuilt from its table")
+
+    monkeypatch.setattr(ug.Portrait, "_settle", rebuilt)
+    monkeypatch.setattr(ug.Portrait, "restrict", rebuilt)
+    assert len(ug.enumerate_u1_stabilizer_ball(S3, ug.ColorBall(3, 3))) == 3072
+    assert len(ug.enumerate_u1_ball(S3, ug.ColorBall(3, 4), 2, 2)) == 480
+
+
 def guard_outcome(check, *args):
     try:
         check(*args)
@@ -1027,3 +1037,22 @@ def test_u1_elements_pass_the_constructor_checks(F, sizes):
         if x is not None:
             assert valid_portrait(x.exact)
             assert_valid_view(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_groups(st.integers(2, 4)), st.integers(0, 2), st.integers(0, 3), st.integers(0, 1))
+@example(S3, 2, 2, 0)
+@example(S3, 0, 3, 0)
+@example(FLIP, 1, 2, 1)
+@example(ug.LocalGroup.symmetric(4), 1, 1, 1)
+def test_u1_ball_matches_the_table_oracle(F, move, support, extra):
+    assume(len(ug.reduced_words(F.degree, move)) * ug.stabilizer_ball_count(F, support) <= 20000)
+    world = ug.ColorBall(F.degree, move + support + extra)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    oracle = table_u1_ball(F, world, move, support)
+    assert (gb.closed, gb.local_group) == (oracle.closed, oracle.local_group)
+    assert len(gb) == len(oracle)
+    for g, h in zip(gb, oracle):
+        assert g.images == h.images
+        assert g.exact.base_word == h.exact.base_word
+        assert list(g.exact._acts.items()) == list(h.exact._acts.items())
