@@ -8,7 +8,10 @@ standard apartment with panel rotations along a minimal gallery; the
 contraction pipeline chains the root-growth search with wing-fixator
 witnesses and reports exact fixed-ball radii.  It takes the distances to the
 translated roots from the search, which reads them off normal forms, and
-refuses before it lists the chamber ball when the farthest root lies outside.
+refuses when the farthest root lies outside B(C, L).  It certifies each
+conjugated witness with one image and one wing distance per moved wing, also
+read off normal forms, and lists no chamber ball beyond B(C, 1), where the
+witness is shown to be nontrivial.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .rab import (
     apartment_chamber,
     chamber_inverse,
     chamber_times,
+    dist_base_to_wing,
     identity_chamber,
     transposition,
     wing_split,
@@ -179,9 +183,11 @@ class BuildingContractionCertificate:
     """Witness x plus, per chain element, the translated-root data and radii.
 
     For each w_k in the chain: the conjugate a_{w_k} x a_{w_k}^-1 lies in the
-    wing fixator of the translated opposite root (checked pointwise on the
-    ball) and fixes B(C, d_k - 1) pointwise, where d_k = d(C, w_k(alpha)) is
-    the distance root_growth_search read off the normal form of w_k.
+    wing fixator of the translated opposite root and fixes B(C, d_k - 1)
+    pointwise, where d_k = d(C, w_k(alpha)) is the distance
+    root_growth_search read off the normal form of w_k.  Both are certified
+    off normal forms, for every chamber, by building_contraction_witness.
+    witness is x's view on B(C, 1), which x moves.
     """
 
     witness: FiniteBuildingAutomorphism
@@ -205,14 +211,23 @@ def _witness_sigma(q: int) -> tuple[int, ...]:
 
 def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
                                  guard: int | None = None):
-    """Chain the root-growth search with a wing-fixator witness and verify radii.
+    """Chain the root-growth search with a wing-fixator witness and certify radii.
 
     Steps: (1) find a generator s and a subfamily w_k with
     d(C, w_k(alpha_s)) strictly increasing, and refuse unless the farthest
     of these roots lies in B(C, max_length); (2) take a nontrivial panel
-    rotation fixing the wing on the far side of the base s-panel; (3) for
-    each k, certify on the ball that the conjugated witness lies in the
+    rotation x fixing the wing on the far side of the base s-panel; (3) for
+    each k, certify off normal forms that a x a^-1 (a = a_{w_k}) lies in the
     translated root's wing fixator and fixes B(C, d_k - 1) pointwise.
+
+    x = PanelRotation(opposite, s, sigma) moves exactly the wings
+    W(Y, s) of the chambers Y = opposite.(s, c) with sigma(c) != c, the other
+    chambers of opposite's s-panel.  a is type-preserving, so a x a^-1 moves
+    exactly the wings W(a Y, s).  Wing claim: when a(opposite) = opp_k, the
+    a Y are the other chambers of opp_k's s-panel, and wings of distinct
+    chambers of one panel are disjoint, so W(opp_k, s) is fixed.  Radius
+    claim: the moved chambers nearest C lie min_Y dist_base_to_wing(a Y, s)
+    from it, which must be >= d_k.
     """
     if not is_irreducible(spec.system):
         raise ValueError("system must be irreducible")
@@ -226,35 +241,28 @@ def building_contraction_witness(ws, spec: BuildingSpec, max_length: int,
         raise CertificationError("root chambers not represented in the ball")
     s = spec.system.index_of(chain.generator)
     ap = ApartmentRef.default(spec)
-    ball = ChamberBall(spec, max_length, guard=guard)
 
-    # x fixes the wing of the opposite wall chamber of alpha_s and rotates the
-    # rest.  It moves the base chamber C to (s, q_s - 1), which lies in the
-    # ball: the chain's distances are >= 1 and strictly increasing, so
-    # max_length >= 2, and x is nontrivial on the ball.
+    # x moves the base chamber C to (s, q_s - 1), so its view on B(C, 1) is
+    # nontrivial; that ball lies in B(C, max_length), as the chain's
+    # distances are >= 1 and strictly increasing, so max_length >= 2.
     _, opposite = RootRef(ap, identity(spec.system), s).wall_chambers(spec)
-    x_exact = PanelRotation(spec, opposite, s, _witness_sigma(spec.q(s)))
-    x = x_exact.restrict(ball)
+    sigma = _witness_sigma(spec.q(s))
+    x = PanelRotation(spec, opposite, s, sigma).restrict(ChamberBall(spec, 1, guard=guard))
+    moved = [chamber_times(opposite, ((s, c),)) for c in range(spec.q(s)) if sigma[c] != c]
 
-    radii = tuple(d_k - 1 for d_k in chain.distances)
-    for w_k, radius in zip(chain.chain, radii):
+    for w_k, d_k in zip(chain.chain, chain.distances):
         a = representative_aut(spec, ap, w_k)
-        conj = a.compose(x_exact).compose(a.inverse())
         _, opp_k = RootRef(ap, w_k, s).wall_chambers(spec)
-        opp_k_inverse = chamber_inverse(opp_k)
-        for C in ball.chambers:
-            if conj.image(C) == C:
-                continue
-            if wing_split(opp_k_inverse, s, C)[1] is None:
-                raise AssertionError("conjugated witness moves the translated opposite wing")
-            if len(C.syllables) <= radius:
-                raise AssertionError(
-                    f"conjugated witness moves B(C,{radius}) at distance {len(C.syllables)}")
+        if a.image(opposite) != opp_k:
+            raise AssertionError("conjugated witness moves the translated opposite wing")
+        d = min(dist_base_to_wing(a.image(Y), s) for Y in moved)
+        if d < d_k:
+            raise AssertionError(f"conjugated witness moves B(C,{d_k - 1}) at distance {d}")
     return BuildingContractionCertificate(
         witness=x,
         generator=chain.generator,
         chain_words=tuple(w.names() for w in chain.chain),
         distances=chain.distances,
-        fixed_ball_radii=radii,
+        fixed_ball_radii=tuple(d_k - 1 for d_k in chain.distances),
         certified_radius=max_length,
     )

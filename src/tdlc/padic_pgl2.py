@@ -293,15 +293,26 @@ class DivergenceReport:
 
 
 def perturbed_triviality_evidence(h: ProjMatrix, n_max: int) -> DivergenceReport:
+    """The report for n = 1..n_max, read off integers with h cleared once.
+
+    The raw conjugate h_n h h_n^-1 is the integer product M = h_n (L h)
+    adj(h_n) divided by L p^n (perturbed_conjugate_raw), and a - 1 =
+    (m11 - L p^n)/(L p^n), likewise d - 1.  h's canonical entries are
+    p-integral, so p does not divide L, and an entry m/(L p^n) has valuation
+    v(m) - n.  No Fraction is built.
+    """
     if h.b == 0 and h.c == 0 and h.a == h.d:
         raise ValueError("h is projectively the identity; divergence evidence is inapplicable")
     p = h.p
+    (A, B, C, D), lcm = _cleared(h)
     vals = []
     dists = []
     for n in range(1, n_max + 1):
-        a, b, c, d = perturbed_conjugate_raw(h, n)
-        vals.append(_valuation(c, p))
-        dists.append(min(_valuation(x, p) for x in (a - 1, b, c, d - 1)))
+        q, pn = p ** ((n + 2) // 3), p ** n
+        m11, m12, m21, m22 = _conjugate_product(A, B, C, D, q, pn)
+        scale = lcm * pn   # the raw entries are the m's over scale, and 1 is scale over scale
+        vals.append(_valuation(m21, p) - n)
+        dists.append(min(_valuation(m, p) for m in (m11 - scale, m12, m21, m22 - scale)) - n)
     diverges = n_max >= 4 and all(vals[i + 3] < vals[i] for i in range(n_max - 3))
     return DivergenceReport(p, tuple(vals), tuple(dists), diverges)
 

@@ -315,6 +315,24 @@ def dist_base_to_root(r: RootRef, ball: ChamberBall) -> int:
     return d
 
 
+def dist_base_to_wing(X: Chamber, s: int) -> int:
+    """Gallery distance from the base chamber C to the s-wing W(X, s), read off the normal form.
+
+    It is dist_to_root(type(X^-1), s).  Whether D lies in W(X, s) depends on
+    delta(X, D) alone: D projects onto X on X's s-panel exactly when s is not
+    a first letter of delta(X, D).  Take an apartment Sigma through X and C.
+    The retraction rho onto Sigma centred at X fixes Sigma, keeps
+    delta(X, .) and does not increase gallery distances.  So rho sends
+    W(X, s) into the root W(X, s) ∩ Sigma and, as it fixes C, sends a wing
+    chamber D to one at most d(C, D) from C.  That root lies inside the
+    wing, so the minimum over the wing is the minimum over the root.
+    Apartments are convex, so that is the distance inside Sigma, and the
+    type-preserving isomorphism of Sigma onto the Coxeter complex that sends
+    X to 1 sends C to delta(X, C) = type(X^-1) and the root to alpha_s.
+    """
+    return dist_to_root(cox_invert(X.type_word()), X.spec.system.generators[s])
+
+
 # ---------------------------------------------------------------------------
 # exact building automorphisms
 

@@ -131,7 +131,7 @@ def identity_automorphism(ball: TreeBall) -> FiniteTreeAutomorphism:
 
 def compose(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism) -> FiniteTreeAutomorphism:
     """g after h.  Only entries that h sends out of the ball ask the evaluator."""
-    if g.ball != h.ball:
+    if g.ball is not h.ball and g.ball != h.ball:
         raise ValueError("portraits live on different balls")
     exact = g.exact.compose(h.exact)
     gi = g.images
@@ -150,7 +150,7 @@ def product_addresses(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism,
     either side that address is unknown (None), as it is for compose(g, h),
     whose evaluator is then PARTIAL.
     """
-    if g.ball != h.ball:
+    if g.ball is not h.ball and g.ball != h.ball:
         raise ValueError("portraits live on different balls")
     gi, hi = g.images, h.images
     out = []
@@ -262,7 +262,7 @@ def agreement_depth(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism, v: int
     ball the evaluators compare them on the infinite tree; an unknown image
     ends the agreement.
     """
-    if g.ball != h.ball:
+    if g.ball is not h.ball and g.ball != h.ball:
         raise ValueError("portraits live on different balls")
     depth = -1
     for k, shell in enumerate(layers(g.ball, v, agreement_cap(g, h, v))):

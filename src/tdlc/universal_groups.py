@@ -657,7 +657,7 @@ class GroupBall:
         self.local_group = local_group
         self._keys: frozenset | None = None
         for el in self.elements:
-            if el.ball != self.ball:
+            if el.ball is not self.ball and el.ball != self.ball:
                 raise ValueError("element lives on a different ball")
 
     def __len__(self) -> int:

@@ -5,10 +5,14 @@ kept word for word as the oracle for the one that replaced it.
 """
 
 import itertools
+import math
 
 from tdlc import coxeter_ra as cox
+from tdlc import kak_building as kb
+from tdlc import padic_pgl2 as pp
+from tdlc import rab
 from tdlc import universal_groups as ug
-from tdlc.errors import CertificationError
+from tdlc.errors import CertificationError, check_guard
 
 
 def pair_commutes(system, i, j):
@@ -74,6 +78,200 @@ def kernel_bfs_elements(system, max_length):
                 if w.word == u.word + (s,):
                     frontier.append(w)
                     yield w
+
+
+def cayley_distance(u, v, guard=None):
+    """BFS distance in the Cayley graph (right multiplication by generators).
+
+    Independent of the length function; used as an oracle against l(u^-1 v).
+    """
+    system = u.system
+    frontier = {u.word: u}
+    seen = {u.word}
+    dist = 0
+    while v.word not in frontier:
+        nxt = {}
+        for w in frontier.values():
+            for s in range(system.rank):
+                x = cox.multiply_generator(w, s)
+                if x.word not in seen:
+                    check_guard(len(seen) + 1, guard, "cayley BFS")
+                    seen.add(x.word)
+                    nxt[x.word] = x
+        if not nxt:
+            raise RuntimeError("BFS exhausted without reaching target")
+        frontier = nxt
+        dist += 1
+    return dist
+
+
+def bfs_dist_to_root(w, s):
+    """Gallery distance from w to the root alpha_s by breadth-first search in the
+    Cayley graph: the oracle for the closed form in cox.dist_to_root."""
+    frontier = [w]
+    seen = {w.word}
+    dist = 0
+    while not any(cox.root_contains(s, u) for u in frontier):
+        nxt = []
+        for u in frontier:
+            for g in range(w.system.rank):
+                x = cox.multiply_generator(u, g)
+                if x.word not in seen:
+                    seen.add(x.word)
+                    nxt.append(x)
+        assert nxt, "BFS exhausted without reaching the root"
+        frontier = nxt
+        dist += 1
+    return dist
+
+
+def full_scan_initial_position(comm, gens, types):
+    """initial_position before its early exit: every letter is scanned."""
+    before = 0
+    for i, t in enumerate(gens):
+        if types >> t & 1 and not before & ~comm[t]:
+            return i
+        before |= 1 << t
+    return None
+
+
+def bfs_chamber_ball(spec, radius, guard):
+    """The chambers of B(1, radius) by breadth-first search over the chamber graph,
+    one kernel step per (chamber, generator, colour), in the ball's order."""
+    chambers = [rab.identity_chamber(spec)]
+    seen = {chambers[0].syllables}
+    frontier = chambers[:]
+    for _ in range(radius):
+        nxt = []
+        for C in frontier:
+            for s in range(spec.system.rank):
+                for c in range(1, spec.q(s)):
+                    D = rab.chamber_times(C, ((s, c),))
+                    if len(D.syllables) <= len(C.syllables):
+                        break   # C ends in an s-syllable, so no colour of s leads outward
+                    if D.syllables not in seen:
+                        # Guard before keeping: refusal stops at the first chamber over the cap.
+                        check_guard(len(seen) + 1, guard, "chamber ball enumeration")
+                        seen.add(D.syllables)
+                        nxt.append(D)
+        chambers.extend(nxt)
+        frontier = nxt
+    return tuple(sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
+
+
+def bfs_dist_chamber_to_root(C, r, ball):
+    """BFS gallery distance within the ball from C to the root's apartment chambers:
+    the oracle for the closed form in rab.dist_base_to_root."""
+    spec = ball.spec
+    if r.contains(spec, C):
+        return 0
+    frontier = [C]
+    seen = {C.syllables}
+    dist = 0
+    while frontier:
+        nxt = []
+        for Ch in frontier:
+            for s in range(spec.system.rank):
+                for c in range(1, spec.q(s)):
+                    D = rab.chamber_times(Ch, ((s, c),))
+                    if D in ball and D.syllables not in seen:
+                        seen.add(D.syllables)
+                        nxt.append(D)
+        dist += 1
+        if any(r.contains(spec, D) for D in nxt):
+            return dist
+        frontier = nxt
+    raise CertificationError("root chambers not represented in the ball")
+
+
+def renormalising_base_panel_image(perm, C):
+    """BasePanelPermutation.image before its left-multiplication rule: every image
+    except a recolouring is re-normalised from the new head by the kernel."""
+    s = perm.stype
+    x = list(C.syllables)
+    pos = rab._initial_syllable_position(perm.spec, x, 1 << s)
+    c = 0 if pos is None else x[pos][1]
+    new_c = perm.rho[c]
+    if c and new_c:
+        x[pos] = (s, new_c)   # recoloured in place: still a normal form
+        return rab.Chamber(perm.spec, tuple(x))
+    if c:
+        del x[pos]
+    head = rab.Chamber(perm.spec, ((s, new_c),) if new_c else ())
+    return rab.chamber_times(head, x)
+
+
+def per_word_chamber_count(spec, radius):
+    """The sum over the reduced type words of prod (q_s - 1), one element BFS."""
+    return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in cox.enumerate_elements(spec.system, radius))
+
+
+def scan_contraction_witness(ws, spec, max_length, guard=None):
+    """building_contraction_witness as it was before it read both claims off
+    normal forms: the chamber ball B(C, max_length) is listed and a x a^-1 is
+    evaluated on every chamber of it, once per chain element, kept as the
+    oracle."""
+    if not cox.is_irreducible(spec.system):
+        raise ValueError("system must be irreducible")
+    if cox.is_spherical(spec.system, spec.system.generators):
+        raise ValueError("system must be non-spherical")
+    if not spec.is_thick():
+        return kb.NoBuildingWitness("trivial wing fixator: some panel has only two chambers")
+
+    chain = cox.root_growth_search(ws)
+    if chain.distances[-1] > max_length:
+        raise CertificationError("root chambers not represented in the ball")
+    s = spec.system.index_of(chain.generator)
+    ap = rab.ApartmentRef.default(spec)
+    ball = rab.ChamberBall(spec, max_length, guard=guard)
+
+    # x fixes the wing of the opposite wall chamber of alpha_s and rotates the
+    # rest.  It moves the base chamber C to (s, q_s - 1), which lies in the
+    # ball: the chain's distances are >= 1 and strictly increasing, so
+    # max_length >= 2, and x is nontrivial on the ball.
+    _, opposite = rab.RootRef(ap, cox.identity(spec.system), s).wall_chambers(spec)
+    x_exact = rab.PanelRotation(spec, opposite, s, kb._witness_sigma(spec.q(s)))
+    x = x_exact.restrict(ball)
+
+    radii = tuple(d_k - 1 for d_k in chain.distances)
+    for w_k, radius in zip(chain.chain, radii):
+        a = kb.representative_aut(spec, ap, w_k)
+        conj = a.compose(x_exact).compose(a.inverse())
+        _, opp_k = rab.RootRef(ap, w_k, s).wall_chambers(spec)
+        opp_k_inverse = rab.chamber_inverse(opp_k)
+        for C in ball.chambers:
+            if conj.image(C) == C:
+                continue
+            if rab.wing_split(opp_k_inverse, s, C)[1] is None:
+                raise AssertionError("conjugated witness moves the translated opposite wing")
+            if len(C.syllables) <= radius:
+                raise AssertionError(
+                    f"conjugated witness moves B(C,{radius}) at distance {len(C.syllables)}")
+    return kb.BuildingContractionCertificate(
+        witness=x,
+        generator=chain.generator,
+        chain_words=tuple(w.names() for w in chain.chain),
+        distances=chain.distances,
+        fixed_ball_radii=radii,
+        certified_radius=max_length,
+    )
+
+
+def fraction_triviality_evidence(h, n_max):
+    """perturbed_triviality_evidence as it was before it read the valuations
+    off the integer product: each n's raw conjugate is built as Fractions by
+    perturbed_conjugate_raw, kept as the oracle."""
+    if h.b == 0 and h.c == 0 and h.a == h.d:
+        raise ValueError("h is projectively the identity; divergence evidence is inapplicable")
+    p = h.p
+    vals = []
+    dists = []
+    for n in range(1, n_max + 1):
+        a, b, c, d = pp.perturbed_conjugate_raw(h, n)
+        vals.append(pp._valuation(c, p))
+        dists.append(min(pp._valuation(x, p) for x in (a - 1, b, c, d - 1)))
+    diverges = n_max >= 4 and all(vals[i + 3] < vals[i] for i in range(n_max - 3))
+    return pp.DivergenceReport(p, tuple(vals), tuple(dists), diverges)
 
 
 def table_u1_ball(F, world, move_radius, support_radius, guard=None):

@@ -342,14 +342,35 @@ def test_building_contract_refuses_before_listing_the_ball(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("L, message", [
     ("3", "root chambers not represented in the ball"),
-    ("4", "chamber ball enumeration: 6 objects exceeds guard 5"),
+    ("4", "chamber ball enumeration: 5 objects exceeds guard 4"),
 ])
 def test_building_contract_checks_the_roots_before_the_ball_guard(tmp_path, capsys, L, message):
-    # distances 2 and 4: the root refusal wins over the guard while the farthest root is outside
+    # distances 2 and 4: the root refusal wins over the guard while the farthest root is
+    # outside; inside, the one ball listed is B(C, 1), with 5 chambers
     spec = dinf_q3_spec(tmp_path)
     ws = write_json(tmp_path, "ws.json", ["t s", "t s t s"])
-    assert run(["building", "contract", "--spec", spec, "--L", L, "--ws-file", ws, "--guard", "5"]) == 2
+    assert run(["building", "contract", "--spec", spec, "--L", L, "--ws-file", ws, "--guard", "4"]) == 2
     assert capsys.readouterr().err == f"infeasible: {message}\n"
+
+
+def test_building_contract_at_L40_lists_no_ball_beyond_radius_1(tmp_path, monkeypatch):
+    # B(C, 40) on D_inf with q = 3 holds 4 * 2^40 - 3 chambers; the certificate reads
+    # both claims off normal forms and lists B(C, 1) alone, for the witness view.
+    real = kb.ChamberBall
+
+    def unit_ball(spec, radius, guard=None):
+        assert radius <= 1, f"a chamber ball of radius {radius} was listed"
+        return real(spec, radius, guard=guard)
+
+    monkeypatch.setattr(kb, "ChamberBall", unit_ball)
+    spec = dinf_q3_spec(tmp_path)
+    ws = write_json(tmp_path, "ws.json", [" ".join(["t s"] * k) for k in range(1, 21)])
+    start = time.perf_counter()
+    rep = run_json(["building", "contract", "--spec", spec, "--L", "40", "--ws-file", ws], tmp_path)
+    assert time.perf_counter() - start < 1
+    assert rep["distances"] == list(range(2, 41, 2))
+    assert rep["fixed_ball_radii"] == list(range(1, 40, 2))
+    assert rep["witness_nontrivial"] is True
 
 
 def test_contract_tree_reads_the_witness_without_listing_the_local_group(tmp_path, monkeypatch):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
-from tdlc.errors import GuardExceeded, check_guard
-from oracles import all_systems, kernel_bfs_elements, pair_commutes
+from tdlc.errors import GuardExceeded
+from oracles import (all_systems, bfs_dist_to_root, cayley_distance, full_scan_initial_position,
+                     kernel_bfs_elements, pair_commutes)
 
 
 def dinf():
@@ -140,51 +141,6 @@ def test_dist_to_root():
     assert cox.dist_to_root(e, "s") == 0
     assert cox.dist_to_root(cox.word_from_names(system, "s t"), "s") == 2
     assert cox.dist_to_root(cox.word_from_names(system, "s"), "s") == 1
-
-
-def bfs_dist_to_root(w, s):
-    """Gallery distance from w to the root alpha_s by breadth-first search in the
-    Cayley graph: the oracle for the closed form in cox.dist_to_root."""
-    frontier = [w]
-    seen = {w.word}
-    dist = 0
-    while not any(cox.root_contains(s, u) for u in frontier):
-        nxt = []
-        for u in frontier:
-            for g in range(w.system.rank):
-                x = cox.multiply_generator(u, g)
-                if x.word not in seen:
-                    seen.add(x.word)
-                    nxt.append(x)
-        assert nxt, "BFS exhausted without reaching the root"
-        frontier = nxt
-        dist += 1
-    return dist
-
-
-def cayley_distance(u, v, guard=None):
-    """BFS distance in the Cayley graph (right multiplication by generators).
-
-    Independent of the length function; used as an oracle against l(u^-1 v).
-    """
-    system = u.system
-    frontier = {u.word: u}
-    seen = {u.word}
-    dist = 0
-    while v.word not in frontier:
-        nxt = {}
-        for w in frontier.values():
-            for s in range(system.rank):
-                x = cox.multiply_generator(w, s)
-                if x.word not in seen:
-                    check_guard(len(seen) + 1, guard, "cayley BFS")
-                    seen.add(x.word)
-                    nxt[x.word] = x
-        if not nxt:
-            raise RuntimeError("BFS exhausted without reaching target")
-        frontier = nxt
-        dist += 1
-    return dist
 
 
 def test_dist_to_root_closed_form():
@@ -366,16 +322,6 @@ def test_multiply_generator_matches_whole_word(system):
             got = cox.multiply_generator(u, s).word
             assert got == cox.normal_form(system, u.word + (s,)).word
             assert got == oracle_normal_form(system, u.word + (s,)), (u, s)
-
-
-def full_scan_initial_position(comm, gens, types):
-    """initial_position before its early exit: every letter is scanned."""
-    before = 0
-    for i, t in enumerate(gens):
-        if types >> t & 1 and not before & ~comm[t]:
-            return i
-        before |= 1 << t
-    return None
 
 
 @pytest.mark.parametrize("system, radius", [(system, 4) for system in all_systems(3)] + [(path4(), 3)])

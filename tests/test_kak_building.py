@@ -4,7 +4,7 @@ from tdlc import coxeter_ra as cox
 from tdlc import kak_building as kb
 from tdlc import rab
 from tdlc.errors import CertificationError
-from oracles import nontrivial_wing_sigmas
+from oracles import all_systems, nontrivial_wing_sigmas, scan_contraction_witness
 
 
 def dinf_spec(qs=3, qt=3):
@@ -173,3 +173,76 @@ def test_building_contraction_witness_errors():
         [cox.word_from_names(system, "t s " * k) for k in range(1, 3)], thin, 4)
     assert isinstance(res, kb.NoBuildingWitness)
     assert "trivial wing fixator" in res.reason
+
+
+def sweep_spec(system, qs):
+    return rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+
+
+def contraction_sweep():
+    """(id, spec, L, ws): D_inf with q = 3 at L = 4, 7 and 10 and with
+    q = (5, 4) at L = 6, ws = (t s)^k up to length L; path4 with
+    q = (3, 4, 3, 4) at L = 5, ws = a, aca and abcda; and every irreducible,
+    non-spherical labelled 3-generator system at L = 4 with q = (3, 3, 3) and
+    (4, 3, 5), ws every element of length <= 4."""
+    dinf = cox.RACoxeterSystem.create(["s", "t"])
+    for qs, L in (((3, 3), 4), ((3, 3), 7), ((3, 3), 10), ((5, 4), 6)):
+        yield f"dinf_q{qs[0]}{qs[1]}_L{L}", sweep_spec(dinf, qs), L, \
+            [cox.word_from_names(dinf, "t s " * k) for k in range(1, L // 2 + 1)]
+    path4 = cox.RACoxeterSystem.create(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    yield "path4_q3434_L5", sweep_spec(path4, (3, 4, 3, 4)), 5, \
+        [cox.word_from_names(path4, w) for w in ("a", "a c a", "a b c d a")]
+    systems = [system for system in all_systems(3)
+               if cox.is_irreducible(system) and not cox.is_spherical(system, system.generators)]
+    assert len(systems) == 4   # free3 and the three labellings of one commuting pair
+    for i, system in enumerate(systems):
+        for qs in ((3, 3, 3), (4, 3, 5)):
+            yield f"sys3_{i}_q{''.join(map(str, qs))}_L4", sweep_spec(system, qs), 4, \
+                cox.enumerate_elements(system, 4)
+
+
+def outcome(build):
+    try:
+        return build()
+    except AssertionError as exc:
+        return str(exc)
+
+
+SWEEP = {name: case for name, *case in contraction_sweep()}
+
+
+@pytest.mark.parametrize("spec, L, ws", SWEEP.values(), ids=SWEEP)
+def test_contraction_claims_match_the_scan_oracle(spec, L, ws, monkeypatch):
+    cert = kb.building_contraction_witness(ws, spec, L)
+    want = scan_contraction_witness(ws, spec, L)
+    fields = ("generator", "chain_words", "distances", "fixed_ball_radii", "certified_radius")
+    assert [getattr(cert, f) for f in fields] == [getattr(want, f) for f in fields]
+    # x's view on B(C, 1), the first chambers of B(C, L), is the scan's view cut to them.
+    n = len(cert.witness.ball)
+    assert cert.witness.ball.radius == 1 and not cert.witness.is_identity_on_ball()
+    assert cert.witness.mapping == {i: j for i, j in want.witness.mapping.items() if i < n and j < n}
+    # Wing claim: a representative that sends x's moved wing W((s, q_s - 1), s)
+    # onto the translated opposite wing fails both at the first chain element.
+    s = spec.system.index_of(cert.generator)
+    real = kb.representative_aut
+    swap = rab.BasePanelPermutation(spec, s, rab.transposition(spec.q(s), 1, spec.q(s) - 1))
+    monkeypatch.setattr(kb, "representative_aut", lambda *args: real(*args).compose(swap))
+    message = "conjugated witness moves the translated opposite wing"
+    assert outcome(lambda: kb.building_contraction_witness(ws, spec, L)) == message
+    assert outcome(lambda: scan_contraction_witness(ws, spec, L)) == message
+
+
+@pytest.mark.parametrize("name", [name for name in SWEEP if "q33_" in name or "q333" in name])
+def test_contraction_radius_is_the_scans_nearest_moved_chamber(name, monkeypatch):
+    # With one chain element and its distance raised by one, both refuse at the
+    # moved chamber nearest C, which lies at distance d_k: the closed radius is
+    # the scan's.  Run where the scan is cheap, q = 3 on every panel.
+    spec, L, ws = SWEEP[name]
+    chain = cox.root_growth_search(ws)
+    for w_k, d_k in zip(chain.chain, chain.distances):
+        raised = cox.GrowthChain(chain.generator, (w_k,), (d_k + 1,))
+        for module in (kb, cox):
+            monkeypatch.setattr(module, "root_growth_search", lambda ws: raised)
+        message = f"conjugated witness moves B(C,{d_k}) at distance {d_k}"
+        assert outcome(lambda: kb.building_contraction_witness(ws, spec, d_k + 1)) == message
+        assert outcome(lambda: scan_contraction_witness(ws, spec, d_k + 1)) == message

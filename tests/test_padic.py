@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tdlc import padic_pgl2 as pp
 from tdlc.errors import CertificationError
+from oracles import fraction_triviality_evidence
 
 
 # Oracles: the Fraction versions of the valuation, the raw conjugate and the
@@ -224,6 +225,29 @@ def test_perturbed_divergence_rejects_identity():
     scalar = pp.ProjMatrix((7, 0, 0, 7), 2)
     with pytest.raises(ValueError):
         pp.perturbed_triviality_evidence(scalar, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=PRIMES, n_max=st.integers(0, 40), entries=MATRICES)
+def test_divergence_report_matches_the_fraction_oracle(p, n_max, entries):
+    h = pp.ProjMatrix(entries, p)
+    assume(not (h.b == 0 and h.c == 0 and h.a == h.d))
+    assert pp.perturbed_triviality_evidence(h, n_max) == fraction_triviality_evidence(h, n_max)
+
+
+def test_divergence_report_clears_h_once_and_builds_no_raw_conjugate(monkeypatch):
+    h = pp.ProjMatrix((Fraction(1, 6), Fraction(-5, 9), 3, 2), 3)
+    want = fraction_triviality_evidence(h, 30)
+    calls = []
+    real = pp._cleared
+
+    def raw(*args):
+        raise AssertionError("a raw conjugate was built")
+
+    monkeypatch.setattr(pp, "_cleared", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(pp, "perturbed_conjugate_raw", raw)
+    assert pp.perturbed_triviality_evidence(h, 30) == want
+    assert calls == [h]
 
 
 def test_monotone_contraction():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import time
 
 import pytest
@@ -7,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
 from tdlc import rab
-from tdlc.errors import CertificationError, GuardExceeded, check_guard
-from oracles import all_systems, kernel_bfs_elements, nontrivial_wing_sigmas, pair_commutes
+from tdlc.errors import CertificationError, GuardExceeded
+from oracles import (all_systems, bfs_chamber_ball, bfs_dist_chamber_to_root, kernel_bfs_elements,
+                     nontrivial_wing_sigmas, pair_commutes, per_word_chamber_count,
+                     renormalising_base_panel_image)
 
 
 def dinf_spec(qs=3, qt=3):
@@ -181,31 +182,6 @@ def test_panels_partition_ball():
         assert complete and len(members) == 3
 
 
-def bfs_dist_chamber_to_root(C, r, ball):
-    """BFS gallery distance within the ball from C to the root's apartment chambers:
-    the oracle for the closed form in rab.dist_base_to_root."""
-    spec = ball.spec
-    if r.contains(spec, C):
-        return 0
-    frontier = [C]
-    seen = {C.syllables}
-    dist = 0
-    while frontier:
-        nxt = []
-        for Ch in frontier:
-            for s in range(spec.system.rank):
-                for c in range(1, spec.q(s)):
-                    D = rab.chamber_times(Ch, ((s, c),))
-                    if D in ball and D.syllables not in seen:
-                        seen.add(D.syllables)
-                        nxt.append(D)
-        dist += 1
-        if any(r.contains(spec, D) for D in nxt):
-            return dist
-        frontier = nxt
-    raise CertificationError("root chambers not represented in the ball")
-
-
 def test_dist_base_to_root():
     spec = dinf_spec()
     ball = rab.ChamberBall(spec, 4)
@@ -244,6 +220,31 @@ def test_dist_base_to_root_matches_the_in_ball_bfs():
                             assert rab.dist_base_to_root(r, ball) == want, (system, q, radius, u, s)
                         cases += 1
     assert (cases, refusals) == (36976, 9438)
+
+
+WING_DISTANCE_SPECS = {
+    "free3_q345": ([], (3, 4, 5)),
+    "path3_q345": ([("a", "b"), ("b", "c")], (3, 4, 5)),
+    "path4_q3434": ([("a", "b"), ("b", "c"), ("c", "d")], (3, 4, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("pairs, qs", WING_DISTANCE_SPECS.values(), ids=WING_DISTANCE_SPECS)
+def test_dist_base_to_wing_is_the_nearest_wing_chamber(pairs, qs):
+    # For every X in B(1, 2) and every s: the minimum of d(1, D) over the chambers D
+    # of B(1, 6) whose gate on X's s-panel is X, the first such chamber in the ball's
+    # (length, syllables) order.  X lies in its own wing, so the minimum is in the ball.
+    names = "abcd"[:len(qs)]
+    spec = rab.BuildingSpec(cox.RACoxeterSystem.create(list(names), pairs), dict(zip(names, qs)))
+    ball = rab.ChamberBall(spec, 6)
+    inner = ball.chambers[:rab.chamber_count_oracle(spec, 2)]
+    seen = set()
+    for X in inner:
+        for s in range(spec.system.rank):
+            want = next(len(D.syllables) for D in ball.chambers if rab.project(X, [s], D) == X)
+            assert rab.dist_base_to_wing(X, s) == want, (X, s)
+            seen.add(want)
+    assert seen == {0, 1, 2}
 
 
 def test_panel_rotation_basics():
@@ -437,23 +438,6 @@ def path4_spec():
     return rab.BuildingSpec(system, {"a": 3, "b": 4, "c": 3, "d": 4})
 
 
-def renormalising_base_panel_image(perm, C):
-    """BasePanelPermutation.image before its left-multiplication rule: every image
-    except a recolouring is re-normalised from the new head by the kernel."""
-    s = perm.stype
-    x = list(C.syllables)
-    pos = rab._initial_syllable_position(perm.spec, x, 1 << s)
-    c = 0 if pos is None else x[pos][1]
-    new_c = perm.rho[c]
-    if c and new_c:
-        x[pos] = (s, new_c)   # recoloured in place: still a normal form
-        return rab.Chamber(perm.spec, tuple(x))
-    if c:
-        del x[pos]
-    head = rab.Chamber(perm.spec, ((s, new_c),) if new_c else ())
-    return rab.chamber_times(head, x)
-
-
 def left_rule_case(spec, s, rho, C):
     """The case of BasePanelPermutation.image that C falls in, by its docstring's
     conditions, with initial letters read off pair_commutes."""
@@ -556,30 +540,6 @@ def test_chamber_ball_guard_edges():
         rab.ChamberBall(spec, 1, guard=0)
 
 
-def bfs_chamber_ball(spec, radius, guard):
-    """The chambers of B(1, radius) by breadth-first search over the chamber graph,
-    one kernel step per (chamber, generator, colour), in the ball's order."""
-    chambers = [rab.identity_chamber(spec)]
-    seen = {chambers[0].syllables}
-    frontier = chambers[:]
-    for _ in range(radius):
-        nxt = []
-        for C in frontier:
-            for s in range(spec.system.rank):
-                for c in range(1, spec.q(s)):
-                    D = rab.chamber_times(C, ((s, c),))
-                    if len(D.syllables) <= len(C.syllables):
-                        break   # C ends in an s-syllable, so no colour of s leads outward
-                    if D.syllables not in seen:
-                        # Guard before keeping: refusal stops at the first chamber over the cap.
-                        check_guard(len(seen) + 1, guard, "chamber ball enumeration")
-                        seen.add(D.syllables)
-                        nxt.append(D)
-        chambers.extend(nxt)
-        frontier = nxt
-    return tuple(sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
-
-
 def ball_or_refusal(build):
     try:
         return build()
@@ -626,11 +586,6 @@ def test_chamber_ball_is_the_bfs_ball_in_increasing_order():
         assert chambers == bfs_chamber_ball(spec, L, None), (spec, L)
         keys = [(len(C.syllables), C.syllables) for C in chambers]
         assert all(a < b for a, b in zip(keys, keys[1:])), (spec, L)
-
-
-def per_word_chamber_count(spec, radius):
-    """The sum over the reduced type words of prod (q_s - 1), one element BFS."""
-    return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in cox.enumerate_elements(spec.system, radius))
 
 
 def test_chamber_count_oracle_matches_the_listed_balls():

@@ -555,6 +555,23 @@ def test_u1_balls_are_listed_without_settling_or_restricting(monkeypatch):
     assert len(ug.enumerate_u1_ball(S3, ug.ColorBall(3, 4), 2, 2)) == 480
 
 
+def test_one_ball_is_checked_by_identity_not_field_by_field(monkeypatch):
+    def compared(self, other):
+        raise AssertionError("a ball was compared field by field")
+
+    gb = ug.enumerate_u1_ball(S3, ug.ColorBall(3, 4), 2, 2)
+    g, h = gb.elements[1], gb.elements[-1]
+    want = (ta.compose(g, h), ta.product_addresses(g, h, gb.world.word_of, range(10)),
+            ta.agreement_depth(g, h, 0))
+    monkeypatch.setattr(tc.TreeBall, "__eq__", compared)
+    assert len(ug.GroupBall(gb.world, gb.elements)) == 480
+    assert (ta.compose(g, h), ta.product_addresses(g, h, gb.world.word_of, range(10)),
+            ta.agreement_depth(g, h, 0)) == want
+    # an equal ball built apart is still compared field by field
+    with pytest.raises(AssertionError, match="field by field"):
+        ug.GroupBall(ug.ColorBall(3, 4), gb.elements)
+
+
 def guard_outcome(check, *args):
     try:
         check(*args)
