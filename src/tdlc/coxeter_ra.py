@@ -18,7 +18,6 @@ chamber balls alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import check_guard
@@ -54,10 +53,11 @@ class RACoxeterSystem:
             comm[j] |= 1 << i
         # Derived data, not fields, so equality, hashing and to_json are unchanged.
         # _comm[s] has bit t set iff s and t commute (never bit s itself); _order is
-        # the order of each generator; _letters maps names and indices to indices.
+        # the order of each generator; _syllables maps names and indices to the
+        # kernel's syllables (index, 1).
         object.__setattr__(self, "_comm", tuple(comm))
         object.__setattr__(self, "_order", (2,) * len(names))
-        object.__setattr__(self, "_letters", {**index, **{i: i for i in range(len(names))}})
+        object.__setattr__(self, "_syllables", {x: (i, 1) for i, s in enumerate(names) for x in (s, i)})
 
     @classmethod
     def create(cls, generators: Sequence[str], commuting_pairs: Iterable[tuple[str, str]] = ()) -> "RACoxeterSystem":
@@ -76,7 +76,7 @@ class RACoxeterSystem:
     def letter_indices(self, word: Iterable[int | str]) -> list[int]:
         """Generator indices of a word given by names, indices, or both."""
         try:
-            return [self._letters[x] for x in word]
+            return [self._syllables[x][0] for x in word]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"unknown generator or index out of range: {exc}") from None
 
@@ -102,12 +102,22 @@ class RACoxeterSystem:
         return cls.create(gens, [tuple(p) for p in pairs])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoxElement:
     """A group element held as its ShortLex-minimal reduced word (generator indices)."""
 
     system: RACoxeterSystem
     word: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, system: RACoxeterSystem, word: tuple[int, ...]) -> "CoxElement":
+        """An element built in this package, whose word is a normal form by
+        construction: the object CoxElement(system, word) builds, its slots
+        written as the dataclass __init__ writes them, without that call."""
+        el = object.__new__(cls)
+        _set_system(el, system)
+        _set_word(el, word)
+        return el
 
     def __len__(self) -> int:
         return len(self.word)
@@ -117,6 +127,10 @@ class CoxElement:
 
     def __str__(self) -> str:
         return " ".join(self.names()) if self.word else "e"
+
+
+# The slot setters of a CoxElement, which write past the frozen __setattr__.
+_set_system, _set_word = CoxElement.system.__set__, CoxElement.word.__set__
 
 
 def right_multiply(comm: Sequence[int], q: Sequence[int], gens: list[int], exps: list[int],
@@ -134,27 +148,57 @@ def right_multiply(comm: Sequence[int], q: Sequence[int], gens: list[int], exps:
     - otherwise s^e is inserted before the first tail letter larger than s
       (or appended): s may stand anywhere in the tail, and this is the least
       such word.
+
+    The last letter t is read first, as it settles most syllables without
+    the loop.  comm[s] never has bit s, so the scan stops before its first
+    step when t is s, when t does not commute with s, or when the word is
+    empty; these are its outcomes there:
+
+    - t = s: the last syllable absorbs e, and is popped when the exponents
+      cancel (a prefix of a normal form is one);
+    - t does not commute with s, or there is no t: s^e is appended;
+    - t commutes with s: the scan runs as above, from its step at t.
+
+    e is reduced mod q[s] only where it is stored.  An e of 0 mod q[s]
+    changes nothing: it is dropped before a store, and at t = s the sum
+    (exps[-1] + e) mod q[s] is exps[-1].
     """
     for s, e in syllables:
-        qs = q[s]
-        e %= qs
-        if not e:
-            continue
-        cs = comm[s]
-        pos = i = len(gens)
-        while i and cs >> gens[i - 1] & 1:
-            i -= 1
-            if gens[i] > s:
-                pos = i
-        if i and gens[i - 1] == s:
-            e = (exps[i - 1] + e) % qs
-            if e:
-                exps[i - 1] = e
-            else:
-                del gens[i - 1], exps[i - 1]
-        else:
-            gens.insert(pos, s)
-            exps.insert(pos, e)
+        if gens:
+            t = gens[-1]
+            if t == s:
+                e = (exps[-1] + e) % q[s]
+                if e:
+                    exps[-1] = e
+                else:
+                    gens.pop()
+                    exps.pop()
+                continue
+            cs = comm[s]
+            if cs >> t & 1:
+                e %= q[s]
+                if not e:
+                    continue
+                i = len(gens) - 1                 # the scan's first step, at t
+                pos = i if t > s else i + 1
+                while i and cs >> gens[i - 1] & 1:
+                    i -= 1
+                    if gens[i] > s:
+                        pos = i
+                if i and gens[i - 1] == s:
+                    e = (exps[i - 1] + e) % q[s]
+                    if e:
+                        exps[i - 1] = e
+                    else:
+                        del gens[i - 1], exps[i - 1]
+                else:
+                    gens.insert(pos, s)
+                    exps.insert(pos, e)
+                continue
+        e %= q[s]
+        if e:
+            gens.append(s)
+            exps.append(e)
 
 
 def initial_position(comm: Sequence[int], gens: Iterable[int], types: int) -> int | None:
@@ -178,17 +222,28 @@ def initial_position(comm: Sequence[int], gens: Iterable[int], types: int) -> in
 def _times(system: RACoxeterSystem, nf: tuple[int, ...], letters: Iterable[int]) -> CoxElement:
     """The normal form nf times a word of generator indices."""
     gens = list(nf)
-    right_multiply(system._comm, system._order, gens, [1] * len(gens), zip(letters, repeat(1)))
-    return CoxElement(system, tuple(gens))
+    right_multiply(system._comm, system._order, gens, [1] * len(gens),
+                   map(system._syllables.__getitem__, letters))
+    return CoxElement._trusted(system, tuple(gens))
 
 
 def normal_form(system: RACoxeterSystem, word: Iterable[int | str]) -> CoxElement:
-    """Canonical form of an arbitrary word of generator names or indices."""
-    return _times(system, (), system.letter_indices(word))
+    """Canonical form of an arbitrary word of generator names or indices.
+
+    Each letter is looked up as the kernel reads it, straight to its
+    syllable (index, 1), with no list of indices; an unknown letter stops
+    the kernel part way, and the partial word is dropped with the error.
+    """
+    gens: list[int] = []
+    try:
+        right_multiply(system._comm, system._order, gens, [], map(system._syllables.__getitem__, word))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"unknown generator or index out of range: {exc}") from None
+    return CoxElement._trusted(system, tuple(gens))
 
 
 def identity(system: RACoxeterSystem) -> CoxElement:
-    return CoxElement(system, ())
+    return CoxElement._trusted(system, ())
 
 
 def multiply(u: CoxElement, v: CoxElement) -> CoxElement:
@@ -279,7 +334,8 @@ def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | No
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
     walk = shortlex_walk(system._comm, system._order, max_length, guard, "coxeter element enumeration")
-    return [CoxElement(system, tuple(s for s, _ in syllables)) for syllables in walk]
+    trusted = CoxElement._trusted
+    return [trusted(system, tuple([s for s, _ in syllables])) for syllables in walk]
 
 
 def is_spherical(system: RACoxeterSystem, subset: Iterable[str]) -> bool:
@@ -312,7 +368,7 @@ def wall_distance(w: CoxElement, s: str) -> int:
     """
     system = w.system
     si = system.index_of(s)
-    conj = normal_form(system, w.word[::-1] + (si,) + w.word)
+    conj = _times(system, (), w.word[::-1] + (si,) + w.word)
     if len(conj.word) % 2 == 0:
         raise AssertionError(f"conjugate of a generator has even length: {conj}")
     return (len(conj.word) - 1) // 2
@@ -381,13 +437,13 @@ def root_growth_search(elements: Sequence[CoxElement]) -> GrowthChain:
         raise ValueError("elements must be distinct")
 
     best: GrowthChain | None = None
+    inverses = [(w, invert(w)) for w in elements]
     for s in system.generators:
         by_dist: dict[int, CoxElement] = {}
-        for w in elements:
-            w_inv = invert(w)
+        for w, w_inv in inverses:
             if root_contains(s, w_inv):
                 continue  # need w^-1 in -alpha_s
-            d = dist_to_root(w_inv, s)
+            d = wall_distance(w_inv, s) + 1   # dist_to_root, as w^-1 lies outside alpha_s
             if d not in by_dist or w.word < by_dist[d].word:
                 by_dist[d] = w
         if len(by_dist) < 2:

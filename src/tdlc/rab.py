@@ -78,15 +78,25 @@ class BuildingSpec:
         return cls(RACoxeterSystem.from_json(data["coxeter"]), dict(data["parameters"]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chamber:
     """A chamber in graph-product normal form (ShortLex type word, nonzero colors)."""
 
     spec: BuildingSpec = field(compare=False, hash=False)
     syllables: tuple[Syllable, ...] = ()
 
+    @classmethod
+    def _trusted(cls, spec: BuildingSpec, syllables: tuple[Syllable, ...]) -> "Chamber":
+        """A chamber built in this package, whose syllables are a normal form
+        by construction: the object Chamber(spec, syllables) builds, its slots
+        written as the dataclass __init__ writes them, without that call."""
+        C = object.__new__(cls)
+        _set_spec(C, spec)
+        _set_syllables(C, syllables)
+        return C
+
     def type_word(self) -> CoxElement:
-        return CoxElement(self.spec.system, tuple(s for s, _ in self.syllables))
+        return CoxElement._trusted(self.spec.system, tuple(map(itemgetter(0), self.syllables)))
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -96,6 +106,10 @@ class Chamber:
 
     def to_json(self) -> list:
         return [[self.spec.system.generators[s], c] for s, c in self.syllables]
+
+
+# The slot setters of a Chamber, which write past the frozen __setattr__.
+_set_spec, _set_syllables = Chamber.spec.__set__, Chamber.syllables.__set__
 
 
 def chamber_times(C: Chamber, syllables: Iterable[Syllable]) -> Chamber:
@@ -108,7 +122,7 @@ def chamber_times(C: Chamber, syllables: Iterable[Syllable]) -> Chamber:
     gens = [s for s, _ in C.syllables]
     exps = [c for _, c in C.syllables]
     right_multiply(spec.system._comm, spec._q, gens, exps, syllables)
-    return Chamber(spec, tuple(zip(gens, exps)))
+    return Chamber._trusted(spec, tuple(zip(gens, exps)))
 
 
 def make_chamber(spec: BuildingSpec, syllables: Iterable[tuple[int | str, int]]) -> Chamber:
@@ -124,7 +138,7 @@ def chamber_from_json(spec: BuildingSpec, data: list) -> Chamber:
 
 
 def identity_chamber(spec: BuildingSpec) -> Chamber:
-    return Chamber(spec, ())
+    return Chamber._trusted(spec, ())
 
 
 def chamber_product(C: Chamber, D: Chamber) -> Chamber:
@@ -137,12 +151,26 @@ def chamber_inverse(C: Chamber) -> Chamber:
     return chamber_times(identity_chamber(C.spec), [(s, -c) for s, c in reversed(C.syllables)])
 
 
+def _inverse_times(C: Chamber, D: Chamber) -> tuple[list[int], list[int]]:
+    """The generators and colours of C^-1 D's normal form, by one kernel pass
+    over C^-1's syllables chained with D's: the pass reaches C^-1's normal
+    form before it reads D, so this is chamber_product(chamber_inverse(C), D)."""
+    spec = C.spec
+    if spec is not D.spec and spec != D.spec:
+        raise ValueError("chambers from different building specs")
+    gens: list[int] = []
+    exps: list[int] = []
+    right_multiply(spec.system._comm, spec._q, gens, exps,
+                   itertools.chain([(s, -c) for s, c in reversed(C.syllables)], D.syllables))
+    return gens, exps
+
+
 def weyl_distance(C: Chamber, D: Chamber) -> CoxElement:
-    return chamber_product(chamber_inverse(C), D).type_word()
+    return CoxElement._trusted(C.spec.system, tuple(_inverse_times(C, D)[0]))
 
 
 def gallery_distance(C: Chamber, D: Chamber) -> int:
-    return len(weyl_distance(C, D).word)
+    return len(_inverse_times(C, D)[0])
 
 
 def panel(C: Chamber, s: int | str) -> frozenset[Chamber]:
@@ -165,18 +193,15 @@ def wing_split(C_inverse: Chamber, s: int, D: Chamber) -> tuple[list[Syllable], 
 
 def project(C: Chamber, J: Iterable[int | str], D: Chamber) -> Chamber:
     """Gate of D onto the J-residue of C: C times the maximal J-prefix of C^-1 D."""
-    spec = C.spec
+    comm = C.spec.system._comm
     types = 0
-    for t in spec.system.letter_indices(J):
+    for t in C.spec.system.letter_indices(J):
         types |= 1 << t
-    x = list(chamber_product(chamber_inverse(C), D).syllables)
+    gens, exps = _inverse_times(C, D)
     prefix: list[Syllable] = []
-    while True:
-        pos = _initial_syllable_position(spec, x, types)
-        if pos is None:
-            break
-        prefix.append(x.pop(pos))
-    return chamber_product(C, Chamber(spec, tuple(prefix)))
+    while (pos := initial_position(comm, gens, types)) is not None:
+        prefix.append((gens.pop(pos), exps.pop(pos)))
+    return chamber_times(C, prefix)
 
 
 def wing_contains(C: Chamber, s: int | str, D: Chamber) -> bool:
@@ -244,7 +269,8 @@ class ChamberBall:
         self.spec = spec
         self.radius = radius
         walk = shortlex_walk(spec.system._comm, spec._q, radius, guard, "chamber ball enumeration")
-        self.chambers: tuple[Chamber, ...] = tuple(Chamber(spec, syllables) for syllables in walk)
+        trusted = Chamber._trusted
+        self.chambers: tuple[Chamber, ...] = tuple(trusted(spec, syllables) for syllables in walk)
         self.index: dict[tuple[Syllable, ...], int] = {
             C.syllables: i for i, C in enumerate(self.chambers)}
 
@@ -454,14 +480,14 @@ class BasePanelPermutation(BuildingAut):
         if new_c == c:
             return C
         if c and new_c:
-            return Chamber(spec, syls[:pos] + ((s, new_c),) + syls[pos + 1:])
+            return Chamber._trusted(spec, syls[:pos] + ((s, new_c),) + syls[pos + 1:])
         if pos == 0:
-            return Chamber(spec, syls[1:])
+            return Chamber._trusted(spec, syls[1:])
         if c:
-            return chamber_times(Chamber(spec, syls[:pos]), syls[pos + 1:])
+            return chamber_times(Chamber._trusted(spec, syls[:pos]), syls[pos + 1:])
         if _initial_syllable_position(spec, syls, spec.system._comm[s] & ((1 << s) - 1)) is None:
-            return Chamber(spec, ((s, new_c),) + syls)
-        return chamber_times(Chamber(spec, ((s, new_c),)), syls)
+            return Chamber._trusted(spec, ((s, new_c),) + syls)
+        return chamber_times(Chamber._trusted(spec, ((s, new_c),)), syls)
 
     def inverse(self) -> BuildingAut:
         return BasePanelPermutation(self.spec, self.stype, _inverse_permutation(self.rho))

@@ -201,6 +201,34 @@ def renormalising_base_panel_image(perm, C):
     return rab.chamber_times(head, x)
 
 
+def composed_weyl_distance(C, D):
+    """rab.weyl_distance before it ran one kernel pass: C^-1 as a chamber,
+    then its product with D, then the type word."""
+    return rab.chamber_product(rab.chamber_inverse(C), D).type_word()
+
+
+def composed_gallery_distance(C, D):
+    """rab.gallery_distance before it ran one kernel pass."""
+    return len(composed_weyl_distance(C, D).word)
+
+
+def composed_project(C, J, D):
+    """rab.project before it ran one kernel pass: the gate of D onto the
+    J-residue of C, from C^-1 D built as a chamber."""
+    spec = C.spec
+    types = 0
+    for t in spec.system.letter_indices(J):
+        types |= 1 << t
+    x = list(rab.chamber_product(rab.chamber_inverse(C), D).syllables)
+    prefix = []
+    while True:
+        pos = rab._initial_syllable_position(spec, x, types)
+        if pos is None:
+            break
+        prefix.append(x.pop(pos))
+    return rab.chamber_product(C, rab.Chamber(spec, tuple(prefix)))
+
+
 def per_word_chamber_count(spec, radius):
     """The sum over the reduced type words of prod (q_s - 1), one element BFS."""
     return sum(math.prod(spec.q(s) - 1 for s in w.word) for w in cox.enumerate_elements(spec.system, radius))

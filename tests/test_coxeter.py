@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tdlc import coxeter_ra as cox
+from tdlc import rab
 from tdlc.errors import GuardExceeded
 from oracles import (all_systems, bfs_dist_to_root, cayley_distance, full_scan_initial_position,
                      kernel_bfs_elements, pair_commutes)
@@ -363,6 +365,62 @@ def test_normal_form_rejects_unknown_letters():
     for bad in (["x"], [2], [-1], [["s"]]):
         with pytest.raises(ValueError):
             cox.normal_form(dinf(), bad)
+
+
+@pytest.mark.parametrize("bad, shown", [("x", "'x'"), (2, "2"), (-1, "-1"), (None, "None"),
+                                        (["s"], "unhashable type: 'list'")])
+def test_normal_form_validates_each_letter_as_the_kernel_reads_it(bad, shown):
+    # A bad letter after good ones, which the kernel has already multiplied in;
+    # 2 is the rank of dinf, one past its last index.
+    with pytest.raises(ValueError, match=f"^unknown generator or index out of range: {re.escape(shown)}$"):
+        cox.normal_form(dinf(), ["s", "t", bad])
+
+
+def test_normal_form_reads_bool_and_float_indices_and_one_shot_iterators():
+    system = dinf()
+    t = cox.normal_form(system, [1])
+    assert cox.normal_form(system, [True]) == t
+    assert cox.normal_form(system, [1.0]) == t
+    assert cox.normal_form(system, ["s", True, 1.0, "s", 1]).word == (1,)
+    assert cox.normal_form(system, iter(["s", "t", "t", "s", "t"])) == t
+    assert cox.normal_form(system, (x for x in "sts")).names() == ("s", "t", "s")
+
+
+def test_one_normal_form_kernel(monkeypatch):
+    """Elements and chambers are all normalised by coxeter_ra.right_multiply,
+    which rab imports: a counting wrapper put in its place in both modules
+    sees a call from each of these paths."""
+    assert rab.right_multiply is cox.right_multiply
+    kernel = cox.right_multiply
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(cox, "right_multiply", counted)
+    monkeypatch.setattr(rab, "right_multiply", counted)
+    system = dinf()
+    spec = rab.BuildingSpec(system, {"s": 3, "t": 4})
+    u = cox.normal_form(system, ["s", "t"])
+    C = rab.make_chamber(spec, [("s", 1), ("t", 3)])
+    D = rab.make_chamber(spec, [("t", 2), ("s", 2)])
+    paths = {
+        "normal_form": lambda: cox.normal_form(system, ["t", "s", "t"]),
+        "multiply": lambda: cox.multiply(u, u),
+        "invert": lambda: cox.invert(u),
+        "chamber_times": lambda: rab.chamber_times(C, ((0, 2),)),
+        "weyl_distance": lambda: rab.weyl_distance(C, D),
+        "gallery_distance": lambda: rab.gallery_distance(C, D),
+        "project": lambda: rab.project(C, ["s"], D),
+    }
+    for name, call in paths.items():
+        calls.clear()
+        call()
+        assert calls, f"{name} did not call the kernel"
+        # Z/2 factors for elements, the panel sizes for chambers.
+        assert set(calls) == ({system._order} if name in ("normal_form", "multiply", "invert")
+                              else {spec._q}), name
 
 
 def test_enumerate_elements_guard_fires_before_layer_completes():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from tdlc import coxeter_ra as cox
 from tdlc import rab
 from tdlc.errors import CertificationError, GuardExceeded
-from oracles import (all_systems, bfs_chamber_ball, bfs_dist_chamber_to_root, kernel_bfs_elements,
+from oracles import (all_systems, bfs_chamber_ball, bfs_dist_chamber_to_root, composed_gallery_distance,
+                     composed_project, composed_weyl_distance, kernel_bfs_elements,
                      nontrivial_wing_sigmas, pair_commutes, per_word_chamber_count,
                      renormalising_base_panel_image)
 
@@ -375,15 +377,64 @@ def specs3(qs):
 
 
 SPECS3 = [spec for qs in ((2, 2, 2), (3, 3, 3), (2, 3, 3)) for spec in specs3(qs)]
-syllable_words = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), max_size=24)
+SYSTEMS4 = list(all_systems(4))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(SPECS3), syllable_words)
-def test_chamber_kernel_matches_oracle(spec, syllables):
+@st.composite
+def specs(draw):
+    """A labelled 3-generator spec of SPECS3, or any labelled 4-generator
+    system with panel sizes drawn from 2..5."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SPECS3))
+    system = draw(st.sampled_from(SYSTEMS4))
+    qs = draw(st.lists(st.integers(2, 5), min_size=4, max_size=4))
+    return rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+
+
+def syllable_words(spec, max_size=24):
+    """Syllables (s, e) with e in -7..7: zero, multiples of q_s and their neighbours."""
+    return st.lists(st.tuples(st.integers(0, spec.system.rank - 1), st.integers(-7, 7)), max_size=max_size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_chamber_kernel_matches_oracle(data):
+    # Every branch of the kernel: merges and pops at the tail, appends after a
+    # non-commuting tail, and scans of a commuting one.
+    spec = data.draw(specs())
+    syllables = data.draw(syllable_words(spec))
     C = rab.make_chamber(spec, syllables)
     assert C.syllables == oracle_chamber(spec, syllables)
     assert rab.make_chamber(spec, C.syllables) == C  # idempotent
+
+
+def test_chamber_kernel_matches_oracle_on_every_4_generator_system():
+    # All 64 labelled systems, each with two seeded panel-size vectors mixing
+    # 2..5 and 25 seeded words of up to 24 syllables with e in -7..7.
+    rng = random.Random(4)
+    for system in SYSTEMS4:
+        for _ in range(2):
+            spec = rab.BuildingSpec(system, {g: rng.randint(2, 5) for g in system.generators})
+            for _ in range(25):
+                syllables = [(rng.randrange(4), rng.randint(-7, 7)) for _ in range(rng.randint(0, 24))]
+                assert rab.make_chamber(spec, syllables).syllables == oracle_chamber(spec, syllables), \
+                    (system, spec.parameters, syllables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_distances_match_the_composed_oracles(data):
+    """weyl_distance, gallery_distance and project read C^-1 D off one kernel
+    pass; the oracles build chamber_inverse(C) and its product with D."""
+    spec = data.draw(specs())
+    C = rab.make_chamber(spec, data.draw(syllable_words(spec, 12)))
+    D = rab.make_chamber(spec, data.draw(syllable_words(spec, 12)))
+    J = data.draw(st.lists(st.integers(0, spec.system.rank - 1), unique=True))
+    assert rab.weyl_distance(C, D) == composed_weyl_distance(C, D)
+    assert rab.gallery_distance(C, D) == composed_gallery_distance(C, D)
+    got = rab.project(C, J, D)
+    assert got == composed_project(C, J, D)
+    assert got.syllables == oracle_chamber(spec, got.syllables)   # a normal form
 
 
 @pytest.mark.parametrize("spec", SPECS3)
