@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import CertificationError, check_guard
 from .tree_core import HalfTreeRef, distance, half_tree_vertices, layers
-from .tree_aut import FiniteTreeAutomorphism, agreement_depth, compose, invert, product_addresses
+from .tree_aut import FiniteTreeAutomorphism, compose, invert, product_addresses
 from .universal_groups import (
     ColorBall,
     GroupBall,
@@ -22,7 +22,10 @@ from .universal_groups import (
     Word,
     identity_aut,
     image_address,
+    translation,
     word_distance,
+    word_inv,
+    word_mul,
 )
 
 
@@ -347,10 +350,11 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
         least = {}  # color -> LocalGroup.least_fixing(color)
         # With the base on the moving side, avoid the cone of h.side.
         anc = None if ball.base in fixed_side else world.word_of[h.side]
-        moving = [u for u in ball.vertices() if u not in fixed_side]
-        for u in sorted(moving, key=lambda x: (ball.depth[x], x)):
+        for u in ball.vertices():   # ids are in BFS order: depth never decreases
+            if u in fixed_side:
+                continue
             if ball.depth[u] + 1 > ball.radius:
-                continue  # moved children must stay visible in the ball
+                break  # moved children must stay visible in the ball, and every later u is as deep
             wu = world.word_of[u]
             if not wu:
                 # Plant at the base: fixing the color toward the fixed side
@@ -372,6 +376,54 @@ def half_tree_fixator_witness(gb: GroupBall, h: HalfTreeRef) -> FiniteTreeAutomo
         if all(g.images[x] == x for x in fixed_side):
             return g
     return None
+
+
+def conjugate_fixed_depths(family: Sequence[FiniteTreeAutomorphism], x: FiniteTreeAutomorphism,
+                           anchor: int, v: int) -> tuple[int, ...]:
+    """For each g in family, the agreement depth at v of g x g^-1 with the
+    identity, capped by radius = ball radius - depth(v): the largest k such
+    that g x g^-1 fixes B(v, k), and -1 when it moves v.  x fixes the ball
+    vertex `anchor`; g and x need exact evaluators.
+
+    The depths are read off closed forms, with no conjugate built.  Say x
+    fixes the base.  It moves exactly the subtrees below its moved roots R
+    (Portrait.moved_roots).  g x g^-1 fixes u exactly when x fixes g^-1(u),
+    so it moves exactly g(Moved(x)), and d(v, g(Moved(x))) = d(g^-1(v),
+    Moved(x)) since g is an isometry.  A subtree below m (never the base) is
+    left only through the edge from m to its parent, so the distance from y
+    to it is 0 when m is a prefix of y and word_distance(y, m) otherwise.
+    The scan this replaces (tests/oracles.py::scan_tree_contraction_depths)
+    restricts g x g^-1 to the ball and takes its agreement depth with the
+    identity at v.  Both are exact, so the cap is the radius, B(v, radius)
+    lies in the ball, and the conjugate fixes B(v, k) exactly when k is less
+    than the distance from v to what it moves.  So the depth is
+    min(radius, min over m in R of d(g^-1(v), subtree(m)) - 1), which is -1
+    when g x g^-1 moves v, and the radius when R is empty.
+
+    A witness that moves the base (the scan of a plain GroupBall may return
+    one) is re-based: with p the address of `anchor` and t_p the translation
+    by p, x' = t_p^-1 x t_p fixes the base, x moves exactly t_p(Moved(x')),
+    and d(g^-1(v), Moved(x)) = d(p^-1 g^-1(v), Moved(x')).  x' is one
+    product in closed form, made once for the whole family.
+    """
+    if not isinstance(x.exact, Portrait):
+        raise CertificationError("contraction search needs the images of the witness beyond the ball")
+    ball = x.ball
+    radius = ball.radius - ball.depth[v]
+    fixing = x.exact
+    world = fixing.world
+    p: Word = ()
+    if fixing.base_word:
+        p = world.word_of[anchor]
+        fixing = translation(world, word_inv(p)).compose(fixing).compose(translation(world, p))
+    roots = fixing.moved_roots()
+    word_v = world.word_of[v]
+    depths = []
+    for g in family:
+        y = word_mul(word_inv(p), g.exact.preimage_word(word_v))
+        far = min((0 if y[:len(m)] == m else word_distance(y, m) for m in roots), default=radius + 1)
+        depths.append(min(radius, far - 1))
+    return tuple(depths)
 
 
 @dataclass(frozen=True)
@@ -402,8 +454,9 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     half-tree at w.  The first step is read off the addresses: w extends v
     by the next letter of g(v) when v's word is a prefix of g(v)'s, and is
     v's parent otherwise.  Depths of agreement of g x g^-1 with the identity
-    are reported exactly, capped by the ball radius.  An empty family is
-    invalid: every claim about it would be vacuous.
+    are reported exactly, capped by the ball radius (conjugate_fixed_depths,
+    with no conjugate built).  An empty family is invalid: every claim about
+    it would be vacuous.
     """
     if not seq:
         raise ValueError("contraction search needs a nonempty family")
@@ -452,13 +505,9 @@ def contraction_witness_search(seq: Sequence[FiniteTreeAutomorphism], gb: GroupB
     if x is None:
         return NoWitness("no half-tree fixator witness at this depth")
 
-    ident = identity_aut(world).restrict()
-    depths, disps = [], []
-    for g, d in family2:
-        conj = g.exact.compose(x.exact).compose(g.exact.inverse()).restrict()
-        depths.append(agreement_depth(conj, ident, v))
-        disps.append(d)
-    cert = ContractionCertificate(x, tuple(depths), href, tuple(disps), radius)
+    depths = conjugate_fixed_depths([g for g, _ in family2], x, side, v)
+    disps = [d for _, d in family2]
+    cert = ContractionCertificate(x, depths, href, tuple(disps), radius)
     for depth, d in zip(depths, disps):
         if depth < min(d, radius):
             raise AssertionError(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import CertificationError, check_guard, check_power_guard
 from .tree_core import build_regular_ball, half_tree_vertices, HalfTreeRef, layers
@@ -259,31 +260,70 @@ class Portrait:
 
     def restrict(self) -> FiniteTreeAutomorphism:
         """Ball portrait in one BFS pass over the world ball (images outside it
-        become -1): a child's image extends its parent's image by the color
-        the parent's local action sends the child's edge to."""
-        world = self.world
-        word_of, id_of, children = world.word_of, world.id_of, world.ball.children
-        images = [self.base_word] * len(word_of)
-        sent = [0] * len(word_of)
-        for v, kids in enumerate(children):
-            if kids:
-                sigma = self._action(word_of[v], sent[v])
-                for x in kids:
-                    t = sent[x] = sigma[word_of[x][-1] - 1]
-                    images[x] = word_append(images[v], t)
-        return FiniteTreeAutomorphism(world.ball, tuple(id_of.get(w, -1) for w in images), self)
+        become -1): a child's image is its parent's image stepped across the
+        color the parent's local action sends the child's edge to.
 
-    def _base_preimage_path(self) -> list[Word]:
-        """The geodesic from the base to g^-1(base): g's image path from g(base)
-        back to the base, pulled back one colour at a time."""
+        At an unstored vertex w that color is _walk's canonical rule, inlined:
+        the child's color c (never w[-1]) goes to w[-1] when c is the color
+        `sent` that w's parent edge went to, and to c otherwise (at the base
+        nothing is sent, so every c stays).  The addresses become ball ids in
+        one pass at the end."""
+        world = self.world
+        word_of, id_of, children, acts = world.word_of, world.id_of, world.ball.children, self._acts
+        n = len(word_of)
+        images = [self.base_word] * n
+        sent = [0] * n
+        for v, kids in enumerate(children):
+            if not kids:
+                continue
+            w, img, s = word_of[v], images[v], sent[v]
+            back = img[-1] if img else 0      # stepping across `back` cancels
+            sigma = acts.get(w)
+            last = w[-1] if w else 0
+            for x in kids:
+                c = word_of[x][-1]
+                t = sigma[c - 1] if sigma is not None else (last if c == s else c)
+                sent[x] = t
+                images[x] = img[:-1] if t == back else img + (t,)
+        return FiniteTreeAutomorphism(world.ball, tuple(map(id_of.get, images, repeat(-1, n))), self)
+
+    def _pullback_path(self, target: Word = ()) -> list[Word]:
+        """The geodesic from the base to g^-1(target): g's geodesic from g(base)
+        to target, pulled back one colour at a time (g sends the edge of colour
+        e at u to the edge of colour sigma_g(u)(e) at g(u))."""
+        img = self.base_word
+        k = (len(img) + len(target) - word_distance(img, target)) // 2   # common prefix
         u: Word = ()
         path = [u]
-        img = self.base_word
-        while img:
-            u = word_append(u, perm_inv(self.local_action(u))[img[-1] - 1])
-            img = img[:-1]
+        for c in (*reversed(img[k:]), *target[k:]):
+            u = word_append(u, perm_inv(self.local_action(u))[c - 1])
             path.append(u)
         return path
+
+    def preimage_word(self, w: Word) -> Word:
+        """g^-1(w), with no inverse built."""
+        return self._pullback_path(w)[-1]
+
+    def moved_roots(self) -> list[Word]:
+        """The vertices m such that g moves exactly the subtrees below them
+        (every word with prefix m), for g fixing the base.
+
+        g fixes the base and is an isometry, so it preserves depth and sends
+        each vertex's parent to its image's parent: a vertex whose parent
+        moves moves too.  So the moved vertices are the subtrees below the
+        moved vertices m = p.c whose parent p is fixed.  g sends the edge
+        {p, p.c} to the edge of colour sigma_g(p)(c) at g(p) = p, so p.c moves
+        exactly when sigma_g(p)(c) != c.  At a fixed unstored p that action is
+        the canonical one: the identity at the base, and elsewhere the
+        transposition of p[-1] with the colour g sends p's parent edge to,
+        which is p[-1] since g fixes p and its parent: the identity again.
+        So m = p.c for the stored p that g fixes and the c their action moves.
+        """
+        if self.base_word:
+            raise ValueError(f"moved roots need a base-fixing portrait, not one sending the base to {self.base_word}")
+        d = self.world.degree
+        return [p + (c,) for p, sigma in self._acts.items() if self.image_word(p) == p
+                for c in range(1, d + 1) if sigma[c - 1] != c]
 
     def inverse(self) -> "Portrait":
         """g^-1 in closed form: the base goes to g^-1(base), and g(w) gets sigma(w)^-1.
@@ -294,7 +334,7 @@ class Portrait:
         stored vertices and the prefixes of g^-1(base) need an entry;
         _trusted strips whatever is canonical.
         """
-        path = self._base_preimage_path()
+        path = self._pullback_path()
         acts = {self.image_word(w): perm_inv(self.local_action(w)) for w in (*self._acts, *path)}
         return Portrait._trusted(self.world, path[-1], acts)
 
@@ -329,7 +369,7 @@ class Portrait:
         if other is PARTIAL:
             return PARTIAL
         g, h = self, other
-        h_prefixes = _prefixes((*h._acts, h._base_preimage_path()[-1]))
+        h_prefixes = _prefixes((*h._acts, h.preimage_word(())))
         g_prefixes = _prefixes(g._acts)
         d = g.world.degree
         acts: dict[Word, Perm] = {}

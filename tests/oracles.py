@@ -11,6 +11,7 @@ from tdlc import coxeter_ra as cox
 from tdlc import kak_building as kb
 from tdlc import padic_pgl2 as pp
 from tdlc import rab
+from tdlc import tree_aut as ta
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, check_guard
 
@@ -305,7 +306,8 @@ def fraction_triviality_evidence(h, n_max):
 def table_u1_ball(F, world, move_radius, support_radius, guard=None):
     """The U1 ball as enumerate_u1_ball listed it before its shared-prefix
     walk: the local-action tables by a depth-first search, then each
-    element built by Portrait._trusted(...).restrict(), kept as the oracle."""
+    element built by Portrait._trusted and restricted by restrict_by_actions,
+    kept as the oracle."""
     if move_radius < 0 or support_radius < 0:
         raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
     if move_radius + support_radius > world.radius:
@@ -313,7 +315,7 @@ def table_u1_ball(F, world, move_radius, support_radius, guard=None):
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
     bases = ug.reduced_words(world.degree, move_radius)
     tables = _stabilizer_tables(F, world, support_radius, guard, move_radius)
-    elements = [ug.Portrait._trusted(world, w, acts).restrict() for w in bases for acts in tables]
+    elements = [restrict_by_actions(ug.Portrait._trusted(world, w, acts)) for w in bases for acts in tables]
     return ug.GroupBall(world, elements, closed=False, local_group=F)
 
 
@@ -351,3 +353,34 @@ def _stabilizer_tables(F, world, radius, guard, move_radius=0):
             sending[key] = [tau for tau in group if tau[key[0] - 1] == key[1]]
         stack.append(iter(sending[key]))
     return tables
+
+
+def restrict_by_actions(g):
+    """Portrait.restrict before it inlined the canonical rule: one BFS pass in
+    which each vertex builds its local action (Portrait._action, a
+    transposition tuple where unstored) and each child's image is
+    word_append of its parent's, kept as the oracle."""
+    world = g.world
+    word_of, id_of, children = world.word_of, world.id_of, world.ball.children
+    images = [g.base_word] * len(word_of)
+    sent = [0] * len(word_of)
+    for v, kids in enumerate(children):
+        if kids:
+            sigma = g._action(word_of[v], sent[v])
+            for x in kids:
+                t = sent[x] = sigma[word_of[x][-1] - 1]
+                images[x] = ug.word_append(images[v], t)
+    return ta.FiniteTreeAutomorphism(world.ball, tuple(id_of.get(w, -1) for w in images), g)
+
+
+def scan_tree_contraction_depths(family, x, world, v):
+    """The depths of kak_tree.contraction_witness_search before it read them
+    off closed forms: each conjugate g x g^-1 is built, restricted to the
+    whole ball, and scanned against the identity by agreement_depth, kept
+    as the oracle for kak_tree.conjugate_fixed_depths."""
+    ident = ug.identity_aut(world).restrict()
+    depths = []
+    for g in family:
+        conj = g.exact.compose(x.exact).compose(g.exact.inverse()).restrict()
+        depths.append(ta.agreement_depth(conj, ident, v))
+    return tuple(depths)

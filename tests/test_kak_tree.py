@@ -9,6 +9,7 @@ from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded
+from oracles import scan_tree_contraction_depths
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -442,3 +443,141 @@ def test_contraction_witness_refuses_an_empty_family():
     gb = ug.GroupBall(world, [], closed=False, local_group=S3)
     with pytest.raises(ValueError, match="nonempty"):
         kt.contraction_witness_search([], gb, 0)
+
+
+def test_partial_witness_is_refused_not_crashed():
+    """A plain GroupBall of maps read from their ball images gives a witness
+    with no evaluator beyond the ball: the contraction refuses it."""
+    world = ug.ColorBall(3, 3)
+    stab = ug.enumerate_u1_stabilizer_ball(S3, world)
+    plain = ug.GroupBall(world, [ta.FiniteTreeAutomorphism.from_mapping(world.ball, g.mapping) for g in stab])
+    assert len(plain) == 3072
+    seq = [ug.translation(world, (1, 2) * i).restrict() for i in range(1, 4)]
+    with pytest.raises(CertificationError, match="needs the images of the witness beyond the ball"):
+        kt.contraction_witness_search(seq, plain, 0)
+
+
+def word_power(step, i):
+    out = ()
+    for _ in range(i):
+        out = ug.word_mul(out, step)
+    return out
+
+
+def sweep_families(world, step, powers=8):
+    """Powers of the translation by `step`, and the same powers after a
+    rotation of the colours at the base (elements with a stored action)."""
+    d = world.degree
+    rho = ug.Portrait(world, (), {(): tuple(range(2, d + 1)) + (1,)})
+    translations = [ug.translation(world, word_power(step, i)) for i in range(1, powers + 1)]
+    return [[t.restrict() for t in translations], [t.compose(rho).restrict() for t in translations]]
+
+
+def closed_form_matches_the_scan(seq, gb, v):
+    """Run the search; where it certifies, check the closed-form depths of
+    every element of seq against the scan, and the certificate's depths as a
+    subsequence of them.  True when it certified."""
+    res = kt.contraction_witness_search(seq, gb, v)
+    if not isinstance(res, kt.ContractionCertificate):
+        return False
+    x, anchor = res.witness, res.side.side
+    closed = kt.conjugate_fixed_depths(seq, x, anchor, v)
+    assert closed == scan_tree_contraction_depths(seq, x, gb.world, v)
+    rest = iter(closed)
+    assert all(depth in rest for depth in res.depths)
+    return True
+
+
+SWEEP = [(3, r) for r in range(4, 11)] + [(4, r) for r in range(4, 8)] + [(5, 4), (5, 5)]
+
+
+@pytest.mark.parametrize("degree, radius", SWEEP)
+def test_closed_form_depths_match_the_scan(degree, radius):
+    """Powers 1..8 of translations by steps of 1-3 letters (four cyclically
+    reduced, so hyperbolic, and an inversion and an elliptic one) and their
+    twisted versions, at the base and at an interior vertex off it."""
+    world = ug.ColorBall(degree, radius)
+    gb = ug.GroupBall(world, [], closed=False, local_group=ug.LocalGroup.symmetric(degree))
+    hyperbolic = [w for w in ug.reduced_words(degree, 3) if len(w) > 1 and w[0] != w[-1]]
+    steps = random.Random(100 * degree + radius).sample(hyperbolic, 4) + [(1,), (1, 2, 1)]
+    certified = 0
+    for step in steps:
+        for seq in sweep_families(world, step):
+            for v in (0, world.id_of[(2,)]):
+                certified += closed_form_matches_the_scan(seq, gb, v)
+    assert certified >= 16
+
+
+def elliptic_family(world, v_word=(), count=4):
+    """test_contraction_witness_elliptic_family's rotations, about the vertices
+    v.(1, 2, 1, ...)[:i] below v (at most 5): each swaps its parent colour
+    with another, so it moves v to distance 2i and squares to the identity."""
+    seq = []
+    for i in range(1, count + 1):
+        p = ug.word_mul(v_word, tuple([1, 2] * 5)[(1 if v_word else 0):][:i])
+        tau = (2, 1, 3) if p[-1] == 1 else (1, 3, 2)
+        t = ug.translation(world, p)
+        seq.append(t.compose(ug.Portrait(world, (), {(): tau})).compose(t.inverse()).restrict())
+    return seq
+
+
+@pytest.mark.parametrize("radius", range(4, 11))
+def test_closed_form_depths_match_the_scan_on_the_elliptic_family(radius):
+    world = ug.ColorBall(3, radius)
+    gb = ug.GroupBall(world, [], closed=False, local_group=S3)
+    for v_word in ((), (1,)):
+        seq = elliptic_family(world, v_word, (radius - len(v_word) + 1) // 2)
+        v = world.id_of[v_word]
+        cert = kt.contraction_witness_search(seq, gb, v)
+        assert cert.side.side != v       # the witness fixes the half at w
+        assert closed_form_matches_the_scan(seq, gb, v)
+
+
+def test_closed_form_depths_match_the_scan_on_a_plain_group_ball():
+    """The scan's witness: the first listed element fixing the half-tree."""
+    gb = full_ball_s3()
+    plain = ug.GroupBall(gb.world, list(gb), closed=False, local_group=None)
+    world = gb.world
+    for seq, v in (([ug.translation(world, (1, 2) * i).restrict() for i in (1, 2, 3)], 0),
+                   (elliptic_family(world, (), 3), 0),
+                   (elliptic_family(world, (1,), 2), world.id_of[(1,)])):
+        assert closed_form_matches_the_scan(seq, plain, v)
+
+
+def base_moving_witness(world):
+    """Fixes (1,) and everything below (1, 2), and swaps colours 1 and 3 at
+    (1,): it sends the base to (1, 3)."""
+    t = ug.translation(world, (1,))
+    x = t.compose(ug.Portrait(world, (), {(): (3, 2, 1)})).compose(t.inverse())
+    assert x.base_word == (1, 3)
+    return x.restrict()
+
+
+@pytest.mark.parametrize("radius", [5, 6, 8])
+def test_closed_form_depths_match_the_scan_for_a_witness_moving_the_base(radius):
+    world = ug.ColorBall(3, radius)
+    x = base_moving_witness(world)
+    plain = ug.GroupBall(world, [x], closed=False, local_group=None)
+    v = world.id_of[(1,)]
+    seq = elliptic_family(world, (1,), radius // 2)
+    cert = kt.contraction_witness_search(seq, plain, v)
+    assert cert.witness is x and cert.side.side == world.id_of[(1, 2)]
+    assert closed_form_matches_the_scan(seq, plain, v)
+    # every translation by a word of up to three letters, at the base and at v
+    family = [ug.translation(world, w).restrict() for w in ug.reduced_words(3, 3)]
+    for u in (0, v):
+        assert kt.conjugate_fixed_depths(family, x, cert.side.side, u) == \
+            scan_tree_contraction_depths(family, x, world, u)
+
+
+def test_contraction_builds_no_conjugate_and_scans_nothing(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the contraction built a product or scanned an agreement")
+
+    monkeypatch.setattr(ta, "agreement_depth", refused)
+    monkeypatch.setattr(ug.Portrait, "compose", refused)
+    world = ug.ColorBall(3, 10)
+    gb = ug.GroupBall(world, [], closed=False, local_group=S3)
+    seq = [ug.translation(world, (1, 2) * i).restrict() for i in range(1, 9)]
+    cert = kt.contraction_witness_search(seq, gb, 0)
+    assert cert.depths == (3, 5, 7, 9, 10, 10, 10, 10)

@@ -8,7 +8,7 @@ from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
-from oracles import table_u1_ball, valid_tree_portrait
+from oracles import restrict_by_actions, table_u1_ball, valid_tree_portrait
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -54,6 +54,9 @@ def test_color_ball_addresses_extend_their_parents(degree, radius):
     for v in range(1, len(word_of)):
         assert word_of[v][:-1] == word_of[parent[v]]
         assert ug.is_reduced_word(word_of[v], degree)
+    # ids are a BFS order, as half_tree_fixator_witness reads them
+    depth = world.ball.depth
+    assert all(a <= b for a, b in zip(depth, depth[1:]))
 
 
 def test_word_sphere_counts():
@@ -103,15 +106,15 @@ def pullback_image(g, u):
 
 
 @st.composite
-def portraits(draw, radius=3, degrees=(3, 4), world=None):
+def portraits(draw, radius=3, degrees=(3, 4), world=None, base_lengths=(0, 4)):
     """A Portrait on ColorBall(d, radius), or on `world` when given: a base word
-    and a table filled in BFS order, each action sending w[-1] to the colour
-    the parent's action forces."""
+    of a length in `base_lengths` and a table filled in BFS order, each action
+    sending w[-1] to the colour the parent's action forces."""
     if world is None:
         world = ug.ColorBall(draw(st.sampled_from(degrees)), radius)
     d, radius = world.degree, world.radius
     base = ()
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(*base_lengths))):
         base = ug.word_append(base, draw(st.sampled_from([c for c in range(1, d + 1)
                                                           if not base or c != base[-1]])))
     acts = {}
@@ -152,12 +155,40 @@ def per_vertex_restrict(g):
     return ta.FiniteTreeAutomorphism(world.ball, images, g)
 
 
-@settings(max_examples=150, deadline=None)
-@given(portraits())
+@settings(max_examples=200, deadline=None)
+@given(portraits(degrees=(2, 3, 4, 5), base_lengths=(1, 4)))
 def test_portrait_restrict_matches_the_per_vertex_restrict(g):
+    """Against both oracles, on portraits that move the base."""
     p = g.restrict()
-    assert p.key() == per_vertex_restrict(g).key()
+    assert p.key() == per_vertex_restrict(g).key() == restrict_by_actions(g).key()
     assert p.exact is g
+
+
+@settings(max_examples=150, deadline=None)
+@given(portraits(degrees=(2, 3, 4, 5)))
+def test_preimage_word_pulls_the_path_back(g):
+    ginv = g.inverse()
+    for w in ug.reduced_words(g.world.degree, 4):
+        u = g.preimage_word(w)
+        assert u == pullback_image(g, w) == ginv.image_word(w)
+        assert g.image_word(u) == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(portraits(degrees=(2, 3, 4, 5), base_lengths=(0, 0)))
+def test_moved_roots_are_the_tops_of_the_moved_subtrees(g):
+    """Every word up to two letters past the table moves exactly when it lies
+    below a moved root; the roots are moved, with fixed parents."""
+    roots = g.moved_roots()
+    for w in ug.reduced_words(g.world.degree, g.world.radius + 1):
+        assert (g.image_word(w) != w) == any(w[:len(m)] == m for m in roots)
+    assert all(g.image_word(m) != m and g.image_word(m[:-1]) == m[:-1] for m in roots)
+
+
+def test_moved_roots_need_a_base_fixing_portrait():
+    world = ug.ColorBall(3, 2)
+    with pytest.raises(ValueError, match="base-fixing"):
+        ug.translation(world, (1,)).moved_roots()
 
 
 @st.composite
