@@ -194,36 +194,51 @@ class DisjointnessCertificate:
     coset_sizes: dict[int, int]
 
 
+def _check_base(dec: CartanDecomposition, radius: int, what: str) -> None:
+    if dec.vertex != dec.group.world.ball.base:
+        raise CertificationError(f"{what} keys B(base, {radius}), not B({dec.vertex}, {radius})")
+
+
+def _double_coset_keys(left, a: FiniteTreeAutomorphism, right, world: ColorBall, radius: int) -> set:
+    """The keys on B(base, radius) of every k1 a k2, k1 in `left` and k2 in `right`.
+
+    B(base, radius) is the ball ids 0..N-1.  Each k2 fixes the base and so
+    permutes those ids, and the key of k1 a k2 is the key of k1 a read
+    through k2.images[:N] (None where that is -1), over the distinct
+    permutations.  The key of k1 a is read off k1 and a by
+    product_addresses: no closed-form product is built.
+
+    These keys decide membership as a residual does: rest = (k1 a)^-1 g
+    agrees with k2 on B(base, radius) exactly when g and k1 a k2 have equal
+    keys there, since (k1 a)^-1 is injective and sends g(u) to rest(u).
+    """
+    size = sum(1 for depth in world.ball.depth if depth <= radius)
+    perms = {k2.images[:size] for k2 in right}
+    if any(perm[0] != 0 or max(perm) >= size for perm in perms):
+        raise CertificationError(f"a stabilizer element does not map B(base, {radius}) into itself")
+    keys = set()
+    for k1 in left:
+        # the appended None is what an unknown image (-1) indexes
+        key = product_addresses(k1, a, world.word_of, range(size)) + (None,)
+        keys.update(tuple(map(key.__getitem__, perm)) for perm in perms)
+    return keys
+
+
 def certify_partition(dec: CartanDecomposition, radius: int,
                       guard: int | None = None) -> DisjointnessCertificate:
     """Exhaustively check that the double cosets K a K partition the group ball.
 
     Only at the base, whose B(base, radius) is the ball ids 0..N-1: keys are
-    restrictions to it.  Each k2 in K fixes the base and so permutes those
-    ids, and the key of k1 a k2 is the key of k1 a read through k2.images[:N]
-    (None where that is -1); one product per (k1, a) thus gives |K| keys.  The
-    key of k1 a is read off k1 and a by product_addresses, since only its
-    addresses on B(base, radius) are read: no closed-form product is built.
-    The cosets are disjoint iff their sizes sum to the size of their union.
-    The |K|^2 |A| keys are checked against the guard before the first product.
+    restrictions to it, read by _double_coset_keys with one product_addresses
+    per (k1, a) and no closed-form product.  The cosets are disjoint iff
+    their sizes sum to the size of their union.  The |K|^2 |A| keys are
+    checked against the guard before the first product.
     """
-    world = dec.group.world
-    if dec.vertex != world.ball.base:
-        raise CertificationError(
-            f"the partition certificate keys B(base, {radius}), not B({dec.vertex}, {radius})")
+    _check_base(dec, radius, "the partition certificate")
     check_guard(len(dec.stabilizer) ** 2 * len(dec.representatives), guard, "KAK partition products")
-    size = sum(1 for depth in world.ball.depth if depth <= radius)
-    perms = [k2.images[:size] for k2 in dec.stabilizer]
-    if any(m >= size for perm in perms for m in perm):
-        raise CertificationError(f"a stabilizer element does not map B(base, {radius}) into itself")
-    cosets: list[set] = []
-    for rec in dec.representatives:
-        keys = set()
-        for k1 in dec.stabilizer:
-            # the appended None is what an unknown image (-1) indexes
-            key = product_addresses(k1, rec.element, world.word_of, range(size)) + (None,)
-            keys.update(tuple(map(key.__getitem__, perm)) for perm in perms)
-        cosets.append(keys)
+    world = dec.group.world
+    cosets = [_double_coset_keys(dec.stabilizer, rec.element, dec.stabilizer, world, radius)
+              for rec in dec.representatives]
     union = set().union(*cosets)
     covers = {restriction_key(g, world, radius) for g in dec.group} == union
     return DisjointnessCertificate(radius, sum(map(len, cosets)) == len(union), covers,
@@ -246,14 +261,19 @@ def transport_representatives(coset_reps: Sequence[FiniteTreeAutomorphism],
                               radius: int) -> TransportResult:
     """A' = union of g_i^-1 A g_j after verifying K = disjoint union of g_i K'.
 
-    Coverage is re-certified exhaustively: every group-ball element must
-    factor as k' a' k'' with both factors in K'.
+    Only at the base: keys on B(base, radius) come from _double_coset_keys,
+    the coset g_i K' as the keys of 1 g_i K'.  Coverage is re-certified
+    exhaustively: every group-ball element must factor as k' a' k'' with
+    both factors in K', so its key must lie among those of K' a' K'; the
+    first that does not is the failed element.  Only the returned a' are
+    products.
     """
+    _check_base(dec, radius, "the transport")
     world = dec.group.world
-    kp_keys = {restriction_key(g, world, radius) for g in k_prime}
+    ident = identity_aut(world).restrict()
     seen: set = set()
     for gi in coset_reps:
-        coset = {restriction_key(compose(gi, h), world, radius) for h in k_prime}
+        coset = _double_coset_keys([ident], gi, k_prime, world, radius)
         if coset & seen:
             raise ValueError("coset representatives do not give disjoint cosets")
         seen |= coset
@@ -268,54 +288,32 @@ def transport_representatives(coset_reps: Sequence[FiniteTreeAutomorphism],
                 a2 = compose(invert(gi), compose(rec.element, gj))
                 new_reps.setdefault(restriction_key(a2, world, radius), a2)
 
-    v = dec.vertex
-    kp_by_move: dict[tuple[int, int], list[FiniteTreeAutomorphism]] = {}
-    for h in k_prime:
-        for u, iu in enumerate(h.images):
-            if iu >= 0:
-                kp_by_move.setdefault((u, iu), []).append(h)
-    for g in dec.group:
-        target = g.images[v]
-        covered = False
-        for a2 in new_reps.values():
-            av = a2.images[v]
-            if av < 0:
-                continue
-            for kp in kp_by_move.get((av, target), []):
-                rest = compose(invert(a2), compose(invert(kp), g))
-                if rest.images[v] == v and restriction_key(rest, world, radius) in kp_keys:
-                    covered = True
-                    break
-            if covered:
-                break
-        if not covered:
-            return TransportResult(tuple(new_reps.values()), False, g)
-    return TransportResult(tuple(new_reps.values()), True, None)
+    covered = set().union(*(_double_coset_keys(k_prime, a2, k_prime, world, radius)
+                            for a2 in new_reps.values()))
+    failed = next((g for g in dec.group if restriction_key(g, world, radius) not in covered), None)
+    return TransportResult(tuple(new_reps.values()), failed is None, failed)
 
 
 def greedy_subrepresentatives(dec: CartanDecomposition, k_big: GroupBall,
                               radius: int) -> list[Representative]:
-    """For K' containing K, pick A' as a subset of A by a greedy first-seen filter."""
+    """For K' containing K, pick A' as a subset of A by a greedy first-seen filter.
+
+    Only at the base: a representative is kept when its key on B(base,
+    radius) is not among those of K' a K'_v over the kept a
+    (_double_coset_keys, no product), K'_v the elements of K' fixing v.  A
+    residual (k1 a)^-1 rec that fixes v and agrees with some k2 in K' makes
+    k2 fix v too, so K'_v gives every key the residual test accepts.
+    """
+    _check_base(dec, radius, "the greedy fusion")
     world = dec.group.world
-    big_keys = {restriction_key(g, world, radius) for g in k_big}
+    v = dec.vertex
+    fixing = [k for k in k_big if k.images[v] == v]
+    fused: set = set()
     kept: list[Representative] = []
     for rec in dec.representatives:
-        duplicate = False
-        for prev in kept:
-            # same double coset iff some k1 in K' maps prev's target to rec's target
-            # and the residual lands back in K'.
-            for k1 in k_big:
-                if k1.images[prev.vertex] != rec.vertex:
-                    continue
-                rest = compose(invert(compose(k1, prev.element)), rec.element)
-                if rest.images[dec.vertex] == dec.vertex and \
-                        restriction_key(rest, world, radius) in big_keys:
-                    duplicate = True
-                    break
-            if duplicate:
-                break
-        if not duplicate:
+        if restriction_key(rec.element, world, radius) not in fused:
             kept.append(rec)
+            fused |= _double_coset_keys(k_big, rec.element, fixing, world, radius)
     return kept
 
 

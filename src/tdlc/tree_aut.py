@@ -3,9 +3,7 @@
 A portrait stores the restriction of a tree automorphism to a ball as an
 image tuple over ball ids: images[v] is the id of g(v), or -1 when g(v)
 leaves the ball or is not determined.  Movers (translations, inversions) are
-therefore representable.  Composition and inversion index into these
-tuples.  Every portrait carries an evaluator `exact`, consulted only for
-entries whose images leave the ball:
+therefore representable.  Every portrait carries an evaluator `exact`:
 
 - an exact evaluator, a universal_groups.Portrait (inverses and products
   of portraits are again portraits, in closed form), knows the address of
@@ -17,11 +15,12 @@ entries whose images leave the ball:
   PARTIAL: an exact evaluator never holds a partial part.
 
 An evaluator answers `address(v)` (the address of g(v), None when unknown),
-`locate(v)` (the ball id of g(v), -1 when outside or unknown),
 `image_word(w)` (the address of g(w), None when unknown), `compose` and
-`inverse`.  compose builds the closed-form product of the evaluators, for
-callers that read the product beyond the ball; product_addresses reads the
-addresses of a product on a set of ball vertices from its two factors.
+`inverse`.  Inversion indexes into the tuple.  compose builds the
+closed-form product of the evaluators and, when there is one, reads the
+product's images off one restrict pass of it; a PARTIAL product indexes
+the tuples.  product_addresses reads the addresses of a product on a set of
+ball vertices from its two factors, for callers that read only those.
 
 Every claim made from a portrait is capped by the radius that certifies it.
 """
@@ -40,9 +39,6 @@ class PartialMap:
 
     def address(self, v: int) -> None:
         return None
-
-    def locate(self, v: int) -> int:
-        return -1
 
     def image_word(self, word) -> None:
         return None
@@ -130,13 +126,16 @@ def identity_automorphism(ball: TreeBall) -> FiniteTreeAutomorphism:
 
 
 def compose(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism) -> FiniteTreeAutomorphism:
-    """g after h.  Only entries that h sends out of the ball ask the evaluator."""
+    """g after h.  A closed-form product gives its images in one restrict
+    pass; a PARTIAL one indexes g's images by h's, where an unknown image
+    (-1) indexes the appended -1."""
     if g.ball is not h.ball and g.ball != h.ball:
         raise ValueError("portraits live on different balls")
     exact = g.exact.compose(h.exact)
-    gi = g.images
-    images = tuple(gi[m] if m >= 0 else exact.locate(u) for u, m in enumerate(h.images))
-    return FiniteTreeAutomorphism(g.ball, images, exact)
+    if exact is PARTIAL:
+        gi = g.images + (-1,)
+        return FiniteTreeAutomorphism(g.ball, tuple(map(gi.__getitem__, h.images)), exact)
+    return FiniteTreeAutomorphism(g.ball, exact.restrict().images, exact)
 
 
 def product_addresses(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism,
@@ -148,7 +147,9 @@ def product_addresses(g: FiniteTreeAutomorphism, h: FiniteTreeAutomorphism,
     Anywhere else h's evaluator gives the address of h(u) and g's evaluator
     the image of that word: a walk from the base of each.  With PARTIAL on
     either side that address is unknown (None), as it is for compose(g, h),
-    whose evaluator is then PARTIAL.
+    whose evaluator is then PARTIAL.  kak_tree reads every key of a double
+    coset this way (_double_coset_keys) and factorize checks k a k' = g with
+    it, so neither builds the products it keys.
     """
     if g.ball is not h.ball and g.ball != h.ball:
         raise ValueError("portraits live on different balls")

@@ -160,8 +160,8 @@ class Portrait:
     take the canonical extension (identity when consistent, else the forced
     transposition), and only entries that differ from it are kept.  An empty
     table is the left translation by base_word.  Portraits are the exact
-    evaluators of tree_aut portraits: address and locate read the image of a
-    ball vertex on the infinite tree.
+    evaluators of tree_aut portraits: address reads the image of a ball
+    vertex on the infinite tree, and restrict all of them in one pass.
     """
 
     def __init__(self, world: ColorBall, base_word: Word = (), acts: dict[Word, Perm] | None = None):
@@ -253,10 +253,6 @@ class Portrait:
     def address(self, v: int) -> Word:
         """Address of the image of ball vertex v, possibly outside the ball."""
         return self.image_word(self.world.word_of[v])
-
-    def locate(self, v: int) -> int:
-        """Ball id of the image of ball vertex v; -1 when it leaves the ball."""
-        return self.world.id_of.get(self.address(v), -1)
 
     def restrict(self) -> FiniteTreeAutomorphism:
         """Ball portrait in one BFS pass over the world ball (images outside it

@@ -6,9 +6,11 @@ kept word for word as the oracle for the one that replaced it.
 
 import itertools
 import math
+from fractions import Fraction
 
 from tdlc import coxeter_ra as cox
 from tdlc import kak_building as kb
+from tdlc import kak_tree as kt
 from tdlc import padic_pgl2 as pp
 from tdlc import rab
 from tdlc import tree_aut as ta
@@ -384,3 +386,157 @@ def scan_tree_contraction_depths(family, x, world, v):
         conj = g.exact.compose(x.exact).compose(g.exact.inverse()).restrict()
         depths.append(ta.agreement_depth(conj, ident, v))
     return tuple(depths)
+
+
+def fraction_valuation(x, p: int):
+    """The valuation by Fraction division, from before padic_pgl2 read
+    numerators directly, kept as the oracle."""
+    x = Fraction(x)
+    if x == 0:
+        return pp.INF
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def fraction_perturbed_conjugate_raw(h, n):
+    """The raw conjugate in Fractions, from before padic_pgl2 formed it in
+    integers, kept as the oracle."""
+    p, (a, b, c, d) = h.p, h.entries
+    q = Fraction(p) ** ((n + 2) // 3)
+    pn = Fraction(p) ** n
+    # h_n = [[pn, 0], [q, 1]], h_n^-1 = (1/pn) [[1, 0], [-q, pn]]
+    m11, m12 = pn * a, pn * b
+    m21, m22 = q * a + c, q * b + d
+    return ((m11 - q * m12) / pn, m12,
+            (m21 - q * m22) / pn, m22)
+
+
+def fraction_conjugation_formula_check(h, n):
+    """The conjugation check in Fractions, from before padic_pgl2 checked the
+    formula in integers scaled by den(h) p^n, kept as the oracle."""
+    p = h.p
+    q = Fraction(p) ** ((n + 2) // 3)
+    pn = Fraction(p) ** n
+    a, b, c, d = h.entries
+    expected = (a - b * q, b * pn,
+                (a - d) * q / pn + c / pn - b * q * q / pn, b * q + d)
+    return fraction_perturbed_conjugate_raw(h, n) == expected
+
+
+def four_product_factorize(g, dec):
+    """Oracle: factorize with its four products and two inverses per element."""
+    v = dec.vertex
+    img = g.images[v]
+    if img < 0:
+        raise CertificationError(f"g moves vertex {v} outside the certified ball")
+    rec = dec.representative_for(img)
+    part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
+    k = part.transversal[img]                    # k(rep vertex) = g(v)
+    k_prime = ta.compose(ta.invert(rec.element), ta.compose(ta.invert(k), g))
+    if k_prime.images[v] != v:
+        raise CertificationError("residual factor does not fix the base vertex")
+    product = ta.compose(k, ta.compose(rec.element, k_prime))
+    if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
+        raise AssertionError("factorization product disagrees with g on the ball")
+    return kt.Factorization(k, rec, k_prime)
+
+
+def _locate(exact, v):
+    """The evaluators' locate, which locate_compose read: the ball id of g(v),
+    -1 when it leaves the ball or is unknown."""
+    w = exact.address(v)
+    return -1 if w is None else exact.world.id_of.get(w, -1)
+
+
+def locate_compose(g, h):
+    """tree_aut.compose before it read a closed-form product's images off one
+    restrict pass: the entries h sends out of the ball each walk the
+    product's evaluator from the base, kept as the oracle."""
+    if g.ball is not h.ball and g.ball != h.ball:
+        raise ValueError("portraits live on different balls")
+    exact = g.exact.compose(h.exact)
+    gi = g.images
+    images = tuple(gi[m] if m >= 0 else _locate(exact, u) for u, m in enumerate(h.images))
+    return ta.FiniteTreeAutomorphism(g.ball, images, exact)
+
+
+def residual_transport_representatives(coset_reps, k_prime, dec, radius):
+    """kak_tree.transport_representatives before it read keys off
+    _double_coset_keys: the cosets and every residual a'^-1 k'^-1 g are
+    products (locate_compose), kept as the oracle."""
+    world = dec.group.world
+    kp_keys = {kt.restriction_key(g, world, radius) for g in k_prime}
+    seen: set = set()
+    for gi in coset_reps:
+        coset = {kt.restriction_key(locate_compose(gi, h), world, radius) for h in k_prime}
+        if coset & seen:
+            raise ValueError("coset representatives do not give disjoint cosets")
+        seen |= coset
+    k_keys = {kt.restriction_key(g, world, radius) for g in dec.stabilizer}
+    if seen != k_keys:
+        raise ValueError("cosets of K' do not cover K")
+
+    new_reps = {}
+    for gi in coset_reps:
+        for rec in dec.representatives:
+            for gj in coset_reps:
+                a2 = locate_compose(ta.invert(gi), locate_compose(rec.element, gj))
+                new_reps.setdefault(kt.restriction_key(a2, world, radius), a2)
+
+    v = dec.vertex
+    kp_by_move = {}
+    for h in k_prime:
+        for u, iu in enumerate(h.images):
+            if iu >= 0:
+                kp_by_move.setdefault((u, iu), []).append(h)
+    for g in dec.group:
+        target = g.images[v]
+        covered = False
+        for a2 in new_reps.values():
+            av = a2.images[v]
+            if av < 0:
+                continue
+            for kp in kp_by_move.get((av, target), []):
+                rest = locate_compose(ta.invert(a2), locate_compose(ta.invert(kp), g))
+                if rest.images[v] == v and kt.restriction_key(rest, world, radius) in kp_keys:
+                    covered = True
+                    break
+            if covered:
+                break
+        if not covered:
+            return kt.TransportResult(tuple(new_reps.values()), False, g)
+    return kt.TransportResult(tuple(new_reps.values()), True, None)
+
+
+def residual_greedy_subrepresentatives(dec, k_big, radius):
+    """kak_tree.greedy_subrepresentatives before it read keys off
+    _double_coset_keys: each residual (k1 a)^-1 rec is a product
+    (locate_compose), kept as the oracle."""
+    world = dec.group.world
+    big_keys = {kt.restriction_key(g, world, radius) for g in k_big}
+    kept = []
+    for rec in dec.representatives:
+        duplicate = False
+        for prev in kept:
+            # same double coset iff some k1 in K' maps prev's target to rec's target
+            # and the residual lands back in K'.
+            for k1 in k_big:
+                if k1.images[prev.vertex] != rec.vertex:
+                    continue
+                rest = locate_compose(ta.invert(locate_compose(k1, prev.element)), rec.element)
+                if rest.images[dec.vertex] == dec.vertex and \
+                        kt.restriction_key(rest, world, radius) in big_keys:
+                    duplicate = True
+                    break
+            if duplicate:
+                break
+        if not duplicate:
+            kept.append(rec)
+    return kept

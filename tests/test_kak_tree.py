@@ -9,7 +9,8 @@ from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded
-from oracles import scan_tree_contraction_depths
+from oracles import (four_product_factorize, residual_greedy_subrepresentatives,
+                     residual_transport_representatives, scan_tree_contraction_depths)
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -114,24 +115,6 @@ def local_groups(draw):
     d = draw(st.integers(2, 4))
     gens = draw(st.lists(st.permutations(range(1, d + 1)).map(tuple), max_size=2))
     return ug.LocalGroup.create(d, gens)
-
-
-def four_product_factorize(g, dec):
-    """Oracle: factorize with its four products and two inverses per element."""
-    v = dec.vertex
-    img = g.images[v]
-    if img < 0:
-        raise CertificationError(f"g moves vertex {v} outside the certified ball")
-    rec = dec.representative_for(img)
-    part = next(p for p in dec.partitions if p.sphere_radius == rec.sphere_radius)
-    k = part.transversal[img]                    # k(rep vertex) = g(v)
-    k_prime = ta.compose(ta.invert(rec.element), ta.compose(ta.invert(k), g))
-    if k_prime.images[v] != v:
-        raise CertificationError("residual factor does not fix the base vertex")
-    product = ta.compose(k, ta.compose(rec.element, k_prime))
-    if any(pu >= 0 and gu >= 0 and pu != gu for pu, gu in zip(product.images, g.images)):
-        raise AssertionError("factorization product disagrees with g on the ball")
-    return kt.Factorization(k, rec, k_prime)
 
 
 def factorize_outcome(factorize, g, dec):
@@ -358,6 +341,168 @@ def test_greedy_subrepresentatives_fuses_orbits():
     k_big = ug.enumerate_u1_stabilizer_ball(S3, world)
     kept = kt.greedy_subrepresentatives(dec, k_big, 1)
     assert len(kept) == 2  # the two sphere-1 orbits fuse under the larger K
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except (ValueError, CertificationError) as exc:
+        return type(exc), str(exc)
+
+
+def transport_outcome(transport, coset_reps, k_prime, dec, radius):
+    res = outcome(transport, coset_reps, k_prime, dec, radius)
+    if isinstance(res, tuple):
+        return res
+    return res.coverage, res.failed_element, [a.key() for a in res.new_representatives]
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(), st.integers(1, 2), st.integers(1, 2), st.booleans(),
+       st.sampled_from(["index 2", "trivial", "whole"]), st.sampled_from(["", "drop", "repeat"]), st.data())
+@example(S3, 2, 2, False, "index 2", "", None)
+@example(S3, 2, 1, True, "index 2", "drop", None)
+@example(S3, 1, 1, False, "index 2", "repeat", None)
+@example(FLIP, 1, 2, True, "trivial", "", None)
+@example(ug.LocalGroup.create(3, [(2, 3, 1)]), 1, 2, False, "whole", "", None)   # K A K misses elements
+def test_transport_matches_the_residual_oracle(F, support, max_sphere, beyond, kind, edit, data):
+    """K' is the even part of K (sign of the action at the base) with the
+    cosets of 1 and an odd element, {1} with every element of K, or K with
+    1.  A group ball reaching one sphere beyond the decomposition (`beyond`)
+    is not covered; a dropped coset representative leaves K uncovered, and
+    a repeated one gives cosets that meet."""
+    move = max_sphere + beyond
+    assume(len(ug.reduced_words(F.degree, move)) * ug.stabilizer_ball_count(F, support) <= 600)
+    world = ug.ColorBall(F.degree, move + support)
+    gb = ug.enumerate_u1_ball(F, world, move, support)
+    dec = kt.enumerate_representatives(gb, 0, max_sphere)
+    ident = ug.identity_aut(world).restrict()
+    stab = list(dec.stabilizer)
+    odd = [k for k in stab if sign_of(k.exact.local_action(())) == -1]
+    if kind == "index 2" and odd:
+        k_prime, reps = [k for k in stab if sign_of(k.exact.local_action(())) == 1], [ident, odd[0]]
+    elif kind == "whole":
+        k_prime, reps = stab, [ident]
+    else:
+        assume(len(stab) <= 16)
+        k_prime, reps = [ident], stab
+    if edit == "drop":
+        reps = reps[:-1]
+    elif edit == "repeat":
+        reps = reps + reps[:1]
+    radius = data.draw(st.integers(1, world.radius)) if data is not None else max_sphere
+    k_prime = ug.GroupBall(world, k_prime, closed=True)
+    assert transport_outcome(kt.transport_representatives, reps, k_prime, dec, radius) == \
+        transport_outcome(residual_transport_representatives, reps, k_prime, dec, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(), st.integers(1, 2), st.integers(1, 2), st.integers(0, 1), st.data())
+@example(FLIP, 2, 1, 0, None)
+@example(FLIP, 2, 1, 1, None)
+@example(KLEIN, 1, 2, 1, None)
+def test_greedy_matches_the_residual_oracle(F, support, max_sphere, big_move, data):
+    """K' is the U1(Sym(d)) ball with movers up to big_move: its elements
+    that move the base take no part in the fusion."""
+    big = ug.LocalGroup.symmetric(F.degree)
+    assume(len(ug.reduced_words(F.degree, max(max_sphere, big_move))) * ug.stabilizer_ball_count(big, support) <= 600)
+    world = ug.ColorBall(F.degree, max_sphere + support)
+    dec = kt.enumerate_representatives(ug.enumerate_u1_ball(F, world, max_sphere, support), 0, max_sphere)
+    k_big = ug.enumerate_u1_ball(big, world, big_move, support)
+    radius = data.draw(st.integers(1, world.radius)) if data is not None else max_sphere
+    assert outcome(kt.greedy_subrepresentatives, dec, k_big, radius) == \
+        outcome(residual_greedy_subrepresentatives, dec, k_big, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(), st.integers(1, 2), st.integers(1, 2), st.data())
+@example(S3, 2, 2, None)
+def test_double_coset_keys_match_the_products(F, support, max_sphere, data):
+    """Against restriction_key of k1 a k2, with part of the domain of k1 and
+    k2 cut (every k2 keeps the base): an unknown image of k2 gives an
+    unknown entry.  B(base, radius) stays inside the ball under every a and
+    k1, so where an image is known both read the same address."""
+    assume(ug.stabilizer_ball_count(F, support) <= 200)
+    world = ug.ColorBall(F.degree, max_sphere + support)
+    gb = ug.enumerate_u1_ball(F, world, max_sphere, support)
+    dec = kt.enumerate_representatives(gb, 0, max_sphere)
+    ball = world.ball
+    if data is None:
+        radius, cut = support, {1}
+    else:
+        radius = data.draw(st.integers(0, support))
+        cut = data.draw(st.sets(st.integers(1, ball.vertex_count - 1), max_size=3))
+
+    def partial(k):
+        return ta.FiniteTreeAutomorphism.from_mapping(ball, {u: w for u, w in k.mapping.items() if u not in cut})
+
+    stab = list(dec.stabilizer)[:12]
+    for left, right in ((stab, stab), (stab, list(map(partial, stab))), (list(map(partial, stab)), stab)):
+        for rec in dec.representatives:
+            products = {kt.restriction_key(ta.compose(k1, ta.compose(rec.element, k2)), world, radius)
+                        for k1 in left for k2 in right}
+            assert kt._double_coset_keys(left, rec.element, right, world, radius) == products
+
+
+def test_transport_builds_no_product_for_a_key(monkeypatch):
+    """Only the returned a' = g_i^-1 a g_j are products: two per (g_i, a, g_j)."""
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    stab = list(dec.stabilizer)
+    even = [k for k in stab if sign_of(k.exact.local_action(())) == 1]
+    odd = next(k for k in stab if sign_of(k.exact.local_action(())) == -1)
+    reps = [ug.identity_aut(gb.world).restrict(), odd]
+    calls = []
+
+    def counted(g, h):
+        calls.append(1)
+        return ta.compose(g, h)
+
+    monkeypatch.setattr(kt, "compose", counted)
+    result = kt.transport_representatives(reps, ug.GroupBall(gb.world, even, closed=True), dec, 2)
+    assert result.coverage
+    assert 0 < len(calls) <= 2 * len(reps) ** 2 * len(dec.representatives)
+
+
+def test_greedy_builds_no_product(monkeypatch):
+    world = ug.ColorBall(3, 3)
+    dec = kt.enumerate_representatives(ug.enumerate_u1_ball(FLIP, world, 1, 2), 0, 1)
+    k_big = ug.enumerate_u1_stabilizer_ball(S3, world)
+    want = residual_greedy_subrepresentatives(dec, k_big, 1)
+
+    def refused(*args):
+        raise AssertionError("the greedy fusion built a product")
+
+    monkeypatch.setattr(kt, "compose", refused)
+    monkeypatch.setattr(ug.Portrait, "compose", refused)
+    kept = kt.greedy_subrepresentatives(dec, k_big, 1)
+    assert kept == want and len(kept) == 2
+
+
+def test_double_coset_keys_refuse_a_right_factor_that_moves_the_base():
+    """At the world radius a mover's images stay ids below N or leave the
+    ball (-1), so only its image of the base shows that it is not read
+    through as a permutation."""
+    gb = full_ball_s3()
+    world = gb.world
+    dec = kt.enumerate_representatives(gb, 0, 2)
+    mover = ug.translation(world, (1,)).restrict()
+    assert max(mover.images) < world.ball.vertex_count
+    with pytest.raises(CertificationError, match="does not map B\\(base, 4\\) into itself"):
+        kt.transport_representatives([ug.identity_aut(world).restrict()],
+                                     ug.GroupBall(world, [*dec.stabilizer, mover]), dec, 4)
+
+
+def test_transport_and_greedy_refuse_a_vertex_other_than_the_base():
+    gb = full_ball_s3()
+    dec = kt.enumerate_representatives(gb, gb.world.id_of[(1,)], 1)
+    ident = ug.identity_aut(gb.world).restrict()
+    with pytest.raises(CertificationError) as exc:
+        kt.transport_representatives([ident], dec.stabilizer, dec, 1)
+    assert str(exc.value) == "the transport keys B(base, 1), not B(1, 1)"
+    with pytest.raises(CertificationError) as exc:
+        kt.greedy_subrepresentatives(dec, dec.stabilizer, 2)
+    assert str(exc.value) == "the greedy fusion keys B(base, 2), not B(1, 2)"
 
 
 def test_is_bounded():

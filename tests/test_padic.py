@@ -6,47 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tdlc import padic_pgl2 as pp
 from tdlc.errors import CertificationError
-from oracles import fraction_triviality_evidence
-
-
-# Oracles: the Fraction versions of the valuation, the raw conjugate and the
-# conjugation check, from before padic_pgl2 read numerators directly and
-# checked the formula in integers scaled by den(h) p^n.
-
-def fraction_valuation(x, p: int):
-    x = Fraction(x)
-    if x == 0:
-        return pp.INF
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
-
-
-def fraction_perturbed_conjugate_raw(h, n):
-    p, (a, b, c, d) = h.p, h.entries
-    q = Fraction(p) ** ((n + 2) // 3)
-    pn = Fraction(p) ** n
-    # h_n = [[pn, 0], [q, 1]], h_n^-1 = (1/pn) [[1, 0], [-q, pn]]
-    m11, m12 = pn * a, pn * b
-    m21, m22 = q * a + c, q * b + d
-    return ((m11 - q * m12) / pn, m12,
-            (m21 - q * m22) / pn, m22)
-
-
-def fraction_conjugation_formula_check(h, n):
-    p = h.p
-    q = Fraction(p) ** ((n + 2) // 3)
-    pn = Fraction(p) ** n
-    a, b, c, d = h.entries
-    expected = (a - b * q, b * pn,
-                (a - d) * q / pn + c / pn - b * q * q / pn, b * q + d)
-    return fraction_perturbed_conjugate_raw(h, n) == expected
+from oracles import (fraction_conjugation_formula_check, fraction_perturbed_conjugate_raw,
+                     fraction_triviality_evidence, fraction_valuation)
 
 
 PRIMES = st.sampled_from([2, 3, 5, 7, 11])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
-from oracles import valid_tree_portrait
+from oracles import locate_compose, valid_tree_portrait
 
 
 def t3_world(radius=2):
@@ -285,6 +285,52 @@ def test_partial_compose_matches_dict_oracle(g, h):
     assert dict(ta.compose(g, h).mapping) == dict_compose(dict(g.mapping), dict(h.mapping))
     assert dict(ta.compose(h, g).mapping) == dict_compose(dict(h.mapping), dict(g.mapping))
     assert dict(ta.invert(h).mapping) == {w: u for u, w in h.mapping.items()}
+
+
+@st.composite
+def ball_elements(draw, world):
+    """A restricted Portrait on `world`: a product of up to three rotations
+    about vertices of the ball (t_p rho t_p^-1), moved by a translation of
+    up to four letters, or moved back to fix the base.  Now and then only
+    its ball images (from_mapping, PARTIAL), part of the domain cut."""
+    d = world.degree
+
+    def words(letters):
+        return st.lists(st.integers(1, d), max_size=letters).map(lambda colors: ug.word_mul((), tuple(colors)))
+
+    g = ug.identity_aut(world)
+    for _ in range(draw(st.integers(0, 3))):
+        t = ug.translation(world, draw(words(world.radius)))
+        rho = ug.Portrait(world, (), {(): draw(st.permutations(range(1, d + 1)).map(tuple))})
+        g = g.compose(t.compose(rho).compose(t.inverse()))
+    if draw(st.booleans()):
+        g = ug.translation(world, draw(words(4))).compose(g)
+    else:
+        g = ug.translation(world, g.base_word).inverse().compose(g)
+    p = g.restrict()
+    if draw(st.integers(0, 3)):
+        return p
+    return ta.FiniteTreeAutomorphism.from_mapping(world.ball, {u: w for u, w in p.mapping.items()
+                                                                if draw(st.integers(0, 3))})
+
+
+@st.composite
+def element_pairs(draw):
+    world = ug.ColorBall(draw(st.integers(2, 5)), 3)
+    return draw(ball_elements(world)), draw(ball_elements(world))
+
+
+def evaluator(g):
+    return g.exact if g.exact is ta.PARTIAL else g.exact.canonical_key()
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_pairs())
+def test_compose_matches_the_locate_oracle(pair):
+    g, h = pair
+    new, old = ta.compose(g, h), locate_compose(g, h)
+    assert new.images == old.images and new.key() == old.key() and new.ball is g.ball
+    assert evaluator(new) == evaluator(old)
 
 
 # ---------------------------------------------------------------------------
