@@ -12,7 +12,8 @@ chambers of right-angled buildings (rab.py) use the same kernel,
 language (Epstein et al., Word Processing in Groups, 1992): `shortlex_walk`
 lists them breadth first in ShortLex order through a finite automaton, one
 bitmask per word and no kernel call, for elements (every factor Z/2) and for
-chamber balls alike.
+chamber balls alike, and `shortlex_sphere_sizes` counts them per length over
+the same automaton, so every guard is checked before a word is built.
 """
 
 from __future__ import annotations
@@ -268,14 +269,12 @@ def length(u: CoxElement) -> int:
     return len(u.word)
 
 
-def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int, guard: int | None,
-                  what: str) -> Iterator[tuple[tuple[int, int], ...]]:
+def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """The graph-product normal forms of length <= radius, lazily, in (length, syllables) order.
 
     Each is a tuple of syllables (t, c), c in 1..q[t]-1; comm[t] has bit s set
-    iff s and t commute.  The guard is checked, as `what`, before each word
-    after the empty one is built, so a walk that would exceed it stops at the
-    first word over the cap.  Breadth first: each node of a level carries the
+    iff s and t commute.  No guard is checked: callers check theirs on
+    shortlex_sphere_sizes first.  Breadth first: each node of a level carries the
     bitmask Z(u) of the generators t for which u (t, c) is not a normal form,
 
         Z(empty) = {},  Z(u t) = {t} | {s < t : s commutes with t} | (Z(u) & comm[t])
@@ -308,7 +307,6 @@ def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int, guard: int
     level is not kept as a frontier.
     """
     letters = [[(t, c) for c in range(1, qt)] for t, qt in enumerate(q)]
-    count = 1
     yield ()
     level = [((), 0)]
     for left in reversed(range(radius)):   # levels left after this one
@@ -318,8 +316,6 @@ def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int, guard: int
                 if not z >> t & 1:
                     zt = 1 << t | comm[t] & ((1 << t) - 1 | z)
                     for x in syllables:
-                        count += 1
-                        check_guard(count, guard, what)
                         w = u + (x,)
                         yield w
                         if left:
@@ -327,13 +323,53 @@ def shortlex_walk(comm: Sequence[int], q: Sequence[int], radius: int, guard: int
         level = frontier
 
 
+def shortlex_sphere_sizes(comm: Sequence[int], q: Sequence[int], radius: int, guard: int | None,
+                          what: str) -> list[int]:
+    """The number of normal forms of each length k <= radius that shortlex_walk
+    lists, counted level by level over its automaton's states, with no word built.
+
+    Each normal form of length k + 1 is the child u (t, c) of exactly one
+    node u of level k, and its state depends on Z(u) and t alone (see
+    shortlex_walk), so with N_k(Z) the number of level-k nodes in state Z,
+
+        N_{k+1}(Z t) += N_k(Z) (q[t] - 1)   for each t not in Z,
+
+    and the sphere of length k has sum_Z N_k(Z) words: O(radius x states)
+    additions.  The list stops at the last nonempty sphere (every later
+    one is empty too).  The guard is checked, as `what`, after each sphere
+    of length >= 1 on the running total: the count stops at the first
+    sphere that passes it and refuses with the exact total if that sphere
+    is the last one asked for, and otherwise with the total so far, as
+    `what (lower bound)`.  A radius-0 ball, the empty word alone, is never
+    refused.
+    """
+    sizes = [1]
+    total = 1
+    level = {0: 1}
+    for k in range(1, radius + 1):
+        counts: dict[int, int] = {}
+        for z, n in level.items():
+            for t, qt in enumerate(q):
+                if not z >> t & 1:
+                    zt = 1 << t | comm[t] & ((1 << t) - 1 | z)
+                    counts[zt] = counts.get(zt, 0) + n * (qt - 1)
+        if not counts:
+            break
+        level = counts
+        sizes.append(sum(counts.values()))
+        total += sizes[-1]
+        check_guard(total, guard, what if k == radius else f"{what} (lower bound)")
+    return sizes
+
+
 def enumerate_elements(system: RACoxeterSystem, max_length: int, guard: int | None = None) -> list[CoxElement]:
     """All elements of length <= max_length, each once, in ShortLex order:
-    shortlex_walk with every factor Z/2, guard-checked before each element
-    after the identity."""
+    shortlex_walk with every factor Z/2, listed only after the guard is
+    checked on shortlex_sphere_sizes, and only up to the last nonempty sphere."""
     if max_length < 0:
         raise ValueError(f"max_length must be >= 0, got {max_length}")
-    walk = shortlex_walk(system._comm, system._order, max_length, guard, "coxeter element enumeration")
+    sizes = shortlex_sphere_sizes(system._comm, system._order, max_length, guard, "coxeter element enumeration")
+    walk = shortlex_walk(system._comm, system._order, len(sizes) - 1)
     trusted = CoxElement._trusted
     return [trusted(system, tuple([s for s, _ in syllables])) for syllables in walk]
 

@@ -8,7 +8,8 @@ with parameters (q_s): panels are cosets of the cyclic factors, the Weyl
 distance is the type word of C^-1 D, and apartments arise from fixing one
 color per generator.  Normal forms come from the graph-product kernel of
 coxeter_ra, the one that also normalises Coxeter words, and the chamber ball
-from coxeter_ra's ShortLex walk, the one that also lists Coxeter elements.
+from coxeter_ra's ShortLex walk and its sphere count, the ones that also list
+and count Coxeter elements.
 
 Automorphisms are evaluated exactly on chambers (panel rotations, base-panel
 permutations and their composites); ball objects only certify and serialize.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -32,6 +34,7 @@ from .coxeter_ra import (
     multiply_generator,
     right_multiply,
     root_contains,
+    shortlex_sphere_sizes,
     shortlex_walk,
 )
 from .errors import CertificationError, check_guard
@@ -257,10 +260,19 @@ class ChamberBall:
     They are the colourings of the Coxeter ball's ShortLex words, a colour in
     1..q_s - 1 per letter s.  The kernel orders syllables by generator alone, and
     only syllables of one generator merge, so a syllable word is a reduced normal
-    form exactly when its type word is; its length is the distance to 1.  They
-    are read off coxeter_ra.shortlex_walk, already in order, each chamber's
-    syllables its parent's plus one, and the walk checks the guard before
-    each chamber after the identity.
+    form exactly when its type word is; its length is the distance to 1.
+
+    Counts come first: the ball's sphere sizes are coxeter_ra.shortlex_sphere_sizes,
+    read off the walk's automaton with no chamber built, and the guard is
+    checked on them in the constructor.  A refusal reports the exact total
+    (`chamber ball enumeration: 29 objects exceeds guard 14`) when the count
+    reached the radius, and otherwise the total up to the first sphere that
+    passed the guard (`chamber ball enumeration (lower bound): 101 objects
+    exceeds guard 100`); a radius-0 ball is never refused.  len, sphere_sizes
+    and base are read off the counts.  The chambers are listed on the first
+    read of `chambers` (or of `index`, which is built from them), off
+    coxeter_ra.shortlex_walk, already in order, each chamber's syllables its
+    parent's plus one.
     """
 
     def __init__(self, spec: BuildingSpec, radius: int, guard: int | None = None):
@@ -268,20 +280,27 @@ class ChamberBall:
             raise ValueError(f"ball radius must be >= 0, got {radius}")
         self.spec = spec
         self.radius = radius
-        walk = shortlex_walk(spec.system._comm, spec._q, radius, guard, "chamber ball enumeration")
+        self._sizes = shortlex_sphere_sizes(spec.system._comm, spec._q, radius, guard, "chamber ball enumeration")
+
+    @cached_property
+    def chambers(self) -> tuple[Chamber, ...]:
+        spec = self.spec
         trusted = Chamber._trusted
-        self.chambers: tuple[Chamber, ...] = tuple(trusted(spec, syllables) for syllables in walk)
-        self.index: dict[tuple[Syllable, ...], int] = {
-            C.syllables: i for i, C in enumerate(self.chambers)}
+        walk = shortlex_walk(spec.system._comm, spec._q, len(self._sizes) - 1)
+        return tuple(trusted(spec, syllables) for syllables in walk)
+
+    @cached_property
+    def index(self) -> dict[tuple[Syllable, ...], int]:
+        return {C.syllables: i for i, C in enumerate(self.chambers)}
 
     def __len__(self) -> int:
-        return len(self.chambers)
+        return sum(self._sizes)
 
     def __contains__(self, C: Chamber) -> bool:
         return C.syllables in self.index
 
     def base(self) -> Chamber:
-        return self.chambers[0]
+        return identity_chamber(self.spec)
 
     def is_interior(self, C: Chamber) -> bool:
         return len(C.syllables) < self.radius
@@ -293,10 +312,7 @@ class ChamberBall:
         return sorted(members, key=lambda D: D.syllables), len(members) == len(full)
 
     def sphere_sizes(self) -> list[int]:
-        sizes = [0] * (self.radius + 1)
-        for C in self.chambers:
-            sizes[len(C.syllables)] += 1
-        return sizes
+        return self._sizes + [0] * (self.radius + 1 - len(self._sizes))
 
 
 def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
@@ -304,26 +320,42 @@ def chamber_count_oracle(spec: BuildingSpec, radius: int) -> int:
 
     A factor Z/q_s has growth series 1 + x_s, x_s = (q_s - 1) t, and the graph
     product's satisfies 1/W(t) = sum over cliques T of prod_{s in T}
-    (1/(1 + x_s) - 1) (Chiswell), each factor the integer series
-    sum_{k >= 1} (-(q_s - 1) t)^k.  The sum is inverted as a power series up
-    to degree radius; the chambers at distance k are its k-th coefficient.
+    (1/(1 + x_s) - 1) (Chiswell).  Each factor is -x_s/(1 + x_s), so with
+    D = prod_s (1 + x_s) the polynomial
+
+        N = D/W = sum over cliques T of prod_{s in T} (-x_s) prod_{s not in T} (1 + x_s)
+
+    has degree at most the rank and constant term 1 (from T empty alone), and
+    W = D/N.  The chambers at distance k are W's k-th coefficient, read off
+    N W = D as W_k = D_k - sum_{j >= 1} N_j W_{k-j}: O(radius x rank) steps.
     """
+    rank = spec.system.rank
     comm = spec.system._comm
-    factors = [[0] + [(1 - q) ** k for k in range(1, radius + 1)] for q in spec._q]
-    inverse = [0] * (radius + 1)
-    stack = [([1] + [0] * radius, (1 << spec.system.rank) - 1, 0)]   # (clique term, extensions, next type)
+    xs = [q - 1 for q in spec._q]
+
+    def times(poly: list[int], a: int, b: int) -> list[int]:
+        """The coefficients of poly(t) (a + b t), from t^0 up."""
+        return [a * c + b * d for c, d in zip(poly + [0], [0] + poly)]
+
+    denominator = [1]
+    for x in xs:
+        denominator = times(denominator, 1, x)
+    numerator = [0] * (rank + 1)
+    stack = [(0, (1 << rank) - 1, 0)]   # (clique bitmask, extensions, next type)
     while stack:
-        term, extend, first = stack.pop()
+        clique, extend, first = stack.pop()
+        term = [1]
+        for s, x in enumerate(xs):
+            term = times(term, 0, -x) if clique >> s & 1 else times(term, 1, x)
         for k, a in enumerate(term):
-            inverse[k] += a
-        for s in range(first, spec.system.rank):
+            numerator[k] += a
+        for s in range(first, rank):
             if extend >> s & 1:
-                f = factors[s]
-                product = [sum(term[j] * f[k - j] for j in range(k + 1)) for k in range(radius + 1)]
-                stack.append((product, extend & comm[s], s + 1))
-    series = [1] + [0] * radius
-    for k in range(1, radius + 1):
-        series[k] = -sum(inverse[j] * series[k - j] for j in range(1, k + 1))
+                stack.append((clique | 1 << s, extend & comm[s], s + 1))
+    series: list[int] = []
+    for k in range(radius + 1):
+        series.append((denominator[k] if k <= rank else 0)
+                      - sum(numerator[j] * series[k - j] for j in range(1, min(k, rank) + 1)))
     return sum(series)
 
 

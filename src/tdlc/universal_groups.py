@@ -847,7 +847,9 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     Portrait._walk starts at the base image and appends letters that
     depend on A and the address alone, and from () they never cancel, so
     g(u) = w.(letters).  Its ball images are the walk's read through
-    trans_w, and its stripped table is the walk's, shared by every w.
+    trans_w (t_() is the identity, so its elements take the walk's images
+    as they are, with no pass over the addresses), and its stripped table is
+    the walk's, shared by every w.
     """
     if move_radius < 0 or support_radius < 0:
         raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
@@ -859,8 +861,8 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     ball, word_of, id_of = world.ball, world.word_of, world.id_of
     elements = []
     for w in reduced_words(world.degree, move_radius):
-        trans_w = [id_of.get(word_mul(w, u), -1) for u in word_of]
-        elements.extend(FiniteTreeAutomorphism(ball, tuple(map(trans_w.__getitem__, images)),
+        trans_w = [id_of.get(word_mul(w, u), -1) for u in word_of] if w else None   # t_() is the identity
+        elements.extend(FiniteTreeAutomorphism(ball, tuple(map(trans_w.__getitem__, images)) if w else images,
                                                Portrait._stripped(world, w, acts))
                         for images, acts in tables)
     return GroupBall(world, elements, closed=False, local_group=F)

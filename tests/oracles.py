@@ -162,6 +162,22 @@ def bfs_chamber_ball(spec, radius, guard):
     return tuple(sorted(chambers, key=lambda C: (len(C.syllables), C.syllables)))
 
 
+def count_first_refusal(lengths, radius, guard, what):
+    """The message of the refusal a guard checked on sphere counts makes, read off
+    the lengths of a listed ball's objects, or None: the running total is checked
+    after each nonempty sphere of length >= 1, exact at the radius and a lower
+    bound before it."""
+    total = 1
+    for k in range(1, radius + 1):
+        size = lengths.count(k)
+        if not size:
+            return None
+        total += size
+        if total > guard:
+            return f"{what}{'' if k == radius else ' (lower bound)'}: {total} objects exceeds guard {guard}"
+    return None
+
+
 def bfs_dist_chamber_to_root(C, r, ball):
     """BFS gallery distance within the ball from C to the root's apartment chambers:
     the oracle for the closed form in rab.dist_base_to_root."""
@@ -230,6 +246,30 @@ def composed_project(C, J, D):
             break
         prefix.append(x.pop(pos))
     return rab.chamber_product(C, rab.Chamber(spec, tuple(prefix)))
+
+
+def inverted_growth_series_count(spec, radius):
+    """|B(1, radius)| by inverting Chiswell's 1/W(t) = sum over cliques T of
+    prod_{s in T} (1/(1 + x_s) - 1) as a power series up to degree radius,
+    each factor the integer series sum_{k >= 1} (-(q_s - 1) t)^k: O(radius^2)
+    per clique, the growth series before it was read off N W = D."""
+    comm = spec.system._comm
+    factors = [[0] + [(1 - q) ** k for k in range(1, radius + 1)] for q in spec._q]
+    inverse = [0] * (radius + 1)
+    stack = [([1] + [0] * radius, (1 << spec.system.rank) - 1, 0)]   # (clique term, extensions, next type)
+    while stack:
+        term, extend, first = stack.pop()
+        for k, a in enumerate(term):
+            inverse[k] += a
+        for s in range(first, spec.system.rank):
+            if extend >> s & 1:
+                f = factors[s]
+                product = [sum(term[j] * f[k - j] for j in range(k + 1)) for k in range(radius + 1)]
+                stack.append((product, extend & comm[s], s + 1))
+    series = [1] + [0] * radius
+    for k in range(1, radius + 1):
+        series[k] = -sum(inverse[j] * series[k - j] for j in range(1, k + 1))
+    return sum(series)
 
 
 def per_word_chamber_count(spec, radius):

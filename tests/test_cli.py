@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tdlc import kak_building as kb
 from tdlc import padic_pgl2 as pp
+from tdlc import rab
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.cli import run
@@ -455,8 +456,26 @@ def test_coxeter_wall_needs_a_generator(tmp_path, capsys):
 
 
 def test_guard_refusal_message(tmp_path, capsys):
+    # The guard is checked on the ball's count, so the message gives its total.
     assert run(["building", "ball", "--spec", dinf_q3_spec(tmp_path), "--L", "3", "--guard", "14"]) == 2
-    assert capsys.readouterr().err.startswith("infeasible: chamber ball enumeration: 15 objects")
+    assert capsys.readouterr().err == "infeasible: chamber ball enumeration: 29 objects exceeds guard 14\n"
+
+
+def test_building_ball_builds_no_chamber(tmp_path, capsys, monkeypatch):
+    # The report reads counts alone, and the guard is checked on the count: no
+    # chamber is built at L = 17 (524,285 chambers) nor at L = 18 (1,048,573,
+    # over the default guard).
+    def built(*args):
+        raise AssertionError("a chamber was built")
+
+    monkeypatch.setattr(rab.Chamber, "_trusted", built)
+    spec = dinf_q3_spec(tmp_path)
+    assert run_json(["building", "ball", "--spec", spec, "--L", "17"], tmp_path) == {
+        "schema_version": "1", "L": 17, "chamber_count": 524285,
+        "sphere_sizes": [1] + [2 ** (k + 1) for k in range(1, 18)], "oracle_count": 524285}
+    assert run(["building", "ball", "--spec", spec, "--L", "18"]) == 2
+    assert capsys.readouterr().err == \
+        "infeasible: chamber ball enumeration: 1048573 objects exceeds guard 1000000\n"
 
 
 def test_ugroup_refusal_reports_the_exact_total(capsys):

@@ -424,22 +424,24 @@ def test_one_normal_form_kernel(monkeypatch):
 
 
 def test_enumerate_elements_guard_fires_before_layer_completes():
-    # free3 has 1, 4, 10, 22 elements up to lengths 0..3; a guard checked once
-    # per layer would fire only after all 22 were built.
-    with pytest.raises(GuardExceeded, match="13 objects exceeds guard 12"):
+    # free3 has 1, 4, 10, 22 elements up to lengths 0..3; the guard is checked on
+    # the automaton's count, so it refuses with the exact total before any is built.
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 22 objects exceeds guard 12$"):
         cox.enumerate_elements(free3(), 3, guard=12)
     assert len(cox.enumerate_elements(free3(), 3, guard=22)) == 22
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 22 objects exceeds guard 21$"):
         cox.enumerate_elements(free3(), 3, guard=21)
 
 
 def test_enumerate_elements_guard_edges():
-    # The identity is never guard-checked; the first element after it is the second object.
+    # The identity is never guard-checked: a radius-0 ball is never refused.
     assert cox.enumerate_elements(dinf(), 0, guard=0) == [cox.identity(dinf())]
-    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 2 objects exceeds guard 0$"):
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 3 objects exceeds guard 0$"):
         cox.enumerate_elements(dinf(), 1, guard=0)
-    # 3 * 2^39 elements of length 40: the listing is lazy, so the guard stops it at the 5,001st.
-    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 5001 objects exceeds guard 5000$"):
+    # 3 * 2^39 elements of length 40: the count stops at length 11, the first whose
+    # running total (6,142) passes the guard, and reports it as a lower bound.
+    with pytest.raises(GuardExceeded,
+                       match=r"^coxeter element enumeration \(lower bound\): 6142 objects exceeds guard 5000$"):
         cox.enumerate_elements(free3(), 40, guard=5000)
 
 
@@ -462,7 +464,7 @@ def test_shortlex_walk_matches_the_kernel_bfs(n, max_length):
     # the kernel BFS keeps, in the same order, with no sort on either side.
     for system in all_systems(n):
         want = [w.word for w in kernel_bfs_elements(system, max_length)]
-        walk = list(cox.shortlex_walk(system._comm, system._order, max_length, None, "walk"))
+        walk = list(cox.shortlex_walk(system._comm, system._order, max_length))
         assert [tuple(s for s, _ in syls) for syls in walk] == want, system
         assert all(c == 1 for syls in walk for _, c in syls)
         assert [w.word for w in cox.enumerate_elements(system, max_length)] == want

@@ -9,9 +9,9 @@ from tdlc import coxeter_ra as cox
 from tdlc import rab
 from tdlc.errors import CertificationError, GuardExceeded
 from oracles import (all_systems, bfs_chamber_ball, bfs_dist_chamber_to_root, composed_gallery_distance,
-                     composed_project, composed_weyl_distance, kernel_bfs_elements,
-                     nontrivial_wing_sigmas, pair_commutes, per_word_chamber_count,
-                     renormalising_base_panel_image)
+                     composed_project, composed_weyl_distance, count_first_refusal,
+                     inverted_growth_series_count, kernel_bfs_elements, nontrivial_wing_sigmas,
+                     pair_commutes, per_word_chamber_count, renormalising_base_panel_image)
 
 
 def dinf_spec(qs=3, qt=3):
@@ -568,26 +568,34 @@ def test_chamber_facts_match_distance_and_gate_oracles(spec):
 
 
 def test_chamber_ball_guard_fires_before_layer_completes():
-    # D_inf with q = 3 has 1, 5, 13, 29 chambers up to radius 0..3; a guard
-    # checked once per layer would fire only after all 29 were built.
+    # D_inf with q = 3 has 1, 5, 13, 29 chambers up to radius 0..3; the guard is
+    # checked on the automaton's count, so it refuses with the exact total of 29
+    # before any chamber is built.
     spec = dinf_spec()
-    with pytest.raises(GuardExceeded, match="15 objects exceeds guard 14"):
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 29 objects exceeds guard 14$"):
         rab.ChamberBall(spec, 3, guard=14)
     assert len(rab.ChamberBall(spec, 3, guard=29)) == 29
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 29 objects exceeds guard 28$"):
         rab.ChamberBall(spec, 3, guard=28)
-    # free3 with q = 3 has 6^40 > 10^31 elements up to length 40: the listing is
-    # lazy, so the guard stops it at the 5,001st chamber.
+    # free3 with q = 3 has 6^40 > 10^31 chambers up to length 40: the count stops at
+    # length 6, the first whose running total (8,191) passes the guard, and reports
+    # it as a lower bound.
     free3 = rab.BuildingSpec(cox.RACoxeterSystem.create(["a", "b", "c"]), {"a": 3, "b": 3, "c": 3})
-    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 5001 objects exceeds guard 5000$"):
+    with pytest.raises(GuardExceeded,
+                       match=r"^chamber ball enumeration \(lower bound\): 8191 objects exceeds guard 5000$"):
         rab.ChamberBall(free3, 40, guard=5000)
+    # D_inf with q = 2 has two chambers per sphere: at radius 10^9 the count stops
+    # at radius 50, 101 chambers.
+    with pytest.raises(GuardExceeded,
+                       match=r"^chamber ball enumeration \(lower bound\): 101 objects exceeds guard 100$"):
+        rab.ChamberBall(dinf_spec(2, 2), 10**9, guard=100)
 
 
 def test_chamber_ball_guard_edges():
-    # The identity is never guard-checked; the first chamber after it is the second object.
+    # The identity is never guard-checked: a radius-0 ball is never refused.
     spec = dinf_spec()
     assert rab.ChamberBall(spec, 0, guard=0).chambers == (rab.identity_chamber(spec),)
-    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 2 objects exceeds guard 0$"):
+    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 5 objects exceeds guard 0$"):
         rab.ChamberBall(spec, 1, guard=0)
 
 
@@ -616,9 +624,14 @@ def test_chamber_ball_matches_the_bfs_oracle():
                     assert ball.sphere_sizes() == sizes
                     assert len(ball) == rab.chamber_count_oracle(spec, radius)
                     for guard in (0, 1, 3, 7, 20):
+                        # The BFS refuses at the first chamber over the cap, the ball on its
+                        # count first: both refuse together, the ball with the count's message.
                         got = ball_or_refusal(lambda: rab.ChamberBall(spec, radius, guard=guard).chambers)
-                        assert got == ball_or_refusal(lambda: bfs_chamber_ball(spec, radius, guard)), \
-                            (system, qs, radius, guard)
+                        refused = count_first_refusal([len(C.syllables) for C in want], radius, guard,
+                                                      "chamber ball enumeration")
+                        assert got == (want if refused is None else refused), (system, qs, radius, guard)
+                        assert isinstance(ball_or_refusal(lambda: bfs_chamber_ball(spec, radius, guard)), str) \
+                            == isinstance(got, str), (system, qs, radius, guard)
                         refusals += isinstance(got, str)
                     cases += 1
     assert (cases, refusals) == (702, 1980)
@@ -653,6 +666,70 @@ def test_chamber_count_oracle_matches_the_listed_balls():
                 assert count == len(bfs_chamber_ball(spec, L, None)), (system, qs)
 
 
+def test_chamber_count_oracle_matches_the_inverted_series():
+    # W = D/N read off N W = D against the O(L^2) inversion of 1/W, on every labelled
+    # system with 4 generators and mixed panel sizes.
+    systems = list(all_systems(4))
+    assert len(systems) == 64
+    for system in systems:
+        for qs in ((3, 4, 2, 5), (2, 2, 3, 4)):
+            spec = rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+            for radius in (0, 1, 2, 5, 12, 40):
+                assert rab.chamber_count_oracle(spec, radius) == inverted_growth_series_count(spec, radius), \
+                    (system, qs, radius)
+
+
+THREE_AND_FOUR_GENERATOR_SYSTEMS = list(all_systems(3)) + list(all_systems(4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(THREE_AND_FOUR_GENERATOR_SYSTEMS), st.data())
+def test_sphere_sizes_match_the_walk_and_the_growth_series(system, data):
+    # The automaton's count against the listed walk (radius <= 6, at most 5,000
+    # chambers) and against both growth-series totals (radius <= 60).
+    qs = data.draw(st.lists(st.integers(2, 4), min_size=system.rank, max_size=system.rank))
+    spec = rab.BuildingSpec(system, dict(zip(system.generators, qs)))
+    radius = data.draw(st.integers(0, 60))
+    sizes = cox.shortlex_sphere_sizes(system._comm, spec._q, radius, 10**100, "count")
+    assert 1 <= len(sizes) <= radius + 1 and all(sizes)
+    assert sum(sizes) == rab.chamber_count_oracle(spec, radius) == inverted_growth_series_count(spec, radius)
+    sizes += [0] * (radius + 1 - len(sizes))
+    listed = max(r for r in range(min(radius, 6) + 1) if sum(sizes[:r + 1]) <= 5000)
+    walked = [0] * (listed + 1)
+    for syllables in cox.shortlex_walk(system._comm, spec._q, listed):
+        walked[len(syllables)] += 1
+    assert walked == sizes[:listed + 1]
+
+
+def test_refusals_build_no_chamber_and_no_element(monkeypatch):
+    # Every guard is checked on the count, before the first chamber or element.
+    def built(*args):
+        raise AssertionError("a chamber or an element was built before the refusal")
+
+    monkeypatch.setattr(rab.Chamber, "_trusted", built)
+    monkeypatch.setattr(cox.CoxElement, "_trusted", built)
+    free3 = cox.RACoxeterSystem.create(["a", "b", "c"])
+    free3_q3 = rab.BuildingSpec(free3, {"a": 3, "b": 3, "c": 3})
+    refusals = [
+        lambda: rab.ChamberBall(dinf_spec(), 1, guard=0),
+        lambda: rab.ChamberBall(dinf_spec(), 3, guard=14),
+        lambda: rab.ChamberBall(dinf_spec(), 18),
+        lambda: rab.ChamberBall(dinf_spec(2, 3), 4, guard=7),
+        lambda: rab.ChamberBall(dinf_spec(2, 2), 10**9, guard=100),
+        lambda: rab.ChamberBall(free3_q3, 40, guard=5000),
+        lambda: cox.enumerate_elements(dinf_spec().system, 1, guard=0),
+        lambda: cox.enumerate_elements(free3, 3, guard=12),
+        lambda: cox.enumerate_elements(free3, 40, guard=5000),
+        lambda: cox.profile_bounded_set(free3, 40, 3, guard=5000),
+    ]
+    for refuse in refusals:
+        with pytest.raises(GuardExceeded):
+            refuse()
+    # Counts are read without a listing too.
+    ball = rab.ChamberBall(dinf_spec(), 17)
+    assert (len(ball), ball.sphere_sizes()) == (524285, [1] + [2 ** (k + 1) for k in range(1, 18)])
+
+
 def test_chamber_ball_builds_and_refuses_without_the_chamber_kernel(monkeypatch):
     spec = dinf_spec(2, 3)
     want = bfs_chamber_ball(spec, 4, None)
@@ -666,10 +743,10 @@ def test_chamber_ball_builds_and_refuses_without_the_chamber_kernel(monkeypatch)
     monkeypatch.setattr(rab, "right_multiply", no_kernel)
     monkeypatch.setattr(cox, "right_multiply", no_kernel)
     assert rab.ChamberBall(spec, 4).chambers == want
-    with pytest.raises(GuardExceeded, match="^chamber ball enumeration: 8 objects exceeds guard 7$"):
+    with pytest.raises(GuardExceeded, match=r"^chamber ball enumeration \(lower bound\): 8 objects exceeds guard 7$"):
         rab.ChamberBall(spec, 4, guard=7)
     assert [w.word for w in cox.enumerate_elements(free3, 3)] == elements
-    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 13 objects exceeds guard 12$"):
+    with pytest.raises(GuardExceeded, match="^coxeter element enumeration: 22 objects exceeds guard 12$"):
         cox.enumerate_elements(free3, 3, guard=12)
 
 

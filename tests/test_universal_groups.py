@@ -552,6 +552,29 @@ def test_stabilizer_ball_counts_against_formula_and_brute_force():
     assert len(ug.enumerate_u1_stabilizer_ball(FLIP, world)) == 4
 
 
+def test_degree_2_stabilizer_ball_steps_linearly_in_the_vertices(monkeypatch):
+    # At degree 2 the ball of radius r has 2r + 1 vertices with addresses of up to r
+    # letters; the base-fixing elements are read through t_(), the identity, so no
+    # address is stepped through letter by letter (reading t_() through word_mul
+    # took r(r + 1) word_append calls: 40,200 at r = 200).
+    calls = 0
+    real = ug.word_append
+
+    def counted(word, color):
+        nonlocal calls
+        calls += 1
+        return real(word, color)
+
+    for radius in (200, 400):
+        world = ug.ColorBall(2, radius)
+        calls = 0
+        monkeypatch.setattr(ug, "word_append", counted)
+        gb = ug.enumerate_u1_stabilizer_ball(ug.LocalGroup.symmetric(2), world)
+        monkeypatch.setattr(ug, "word_append", real)
+        assert len(gb) == 2
+        assert calls <= 4 * len(world.word_of), (radius, calls)
+
+
 def test_stabilizer_ball_is_a_group():
     world = ug.ColorBall(3, 2)
     gb = ug.enumerate_u1_stabilizer_ball(S3, world)
