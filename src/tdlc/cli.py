@@ -145,12 +145,14 @@ def _cmd_ugroup(args) -> dict:
     ug.check_u1_guard(F, args.radius, args.guard)
     _check_tree_ball(args.degree, args.radius, args.guard)
     world = ug.ColorBall(args.degree, args.radius)
-    gb = ug.enumerate_u1_stabilizer_ball(F, world, guard=args.guard)
+    # the ball is listed only for the checks that read its elements
+    gb = ug.enumerate_u1_stabilizer_ball(F, world, guard=args.guard) \
+        if args.plus_k is not None or args.pk_k is not None else None
     report = {
         "degree": args.degree,
         "certified_radius": args.radius,
         "local_group": F.to_json(),
-        "stabilizer_ball_size": len(gb),
+        "stabilizer_ball_size": ug.stabilizer_ball_count(F, args.radius),
         "semiprimitive": ug.is_semiprimitive(F, guard=args.guard),
         "generated_by_point_stabilizers": ug.is_generated_by_point_stabilizers(F, guard=args.guard),
     }

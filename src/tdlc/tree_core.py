@@ -1,14 +1,21 @@
 """Finite truncations of infinite locally finite trees.
 
 A TreeBall is the radius-R ball around a base vertex of a regular or
-label-regular tree, built by BFS with a deterministic child order.  Vertex
-ids are BFS creation order, which is part of the serialised format: all
-downstream enumeration relies on it.
+label-regular tree.  Its ids are parent-first: the base is 0, every other
+vertex's parent has a smaller id, and each child tuple lists ids in
+increasing order.  That is the whole contract of the type and of its
+serialised format: TreeBall.from_json accepts any parent-first order, and
+layers, sphere, distance and half_tree_vertices read parent and children
+alone, so they step over ids in any such order.  The two builders give
+more: BFS order, level by level, with a deterministic child order.
+universal_groups.ColorBall relies on that, since it pairs the ids of
+build_regular_ball with the colour words in length-lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 
 @dataclass(frozen=True)
@@ -163,28 +170,31 @@ class HalfTreeRef:
 
 
 def build_regular_ball(degree: int, radius: int) -> TreeBall:
-    """Ball of the degree-d regular tree: base has d children, others d-1."""
+    """Ball of the degree-d regular tree: base has d children, others d-1.
+
+    Level k holds the ids start..start+size-1, in BFS order, and each of its
+    vertices has `fan` children, so vertex start+i has the children
+    next+i*fan .. next+i*fan+fan-1 (next = start+size): zip cuts the next
+    level's id range into tuples of `fan`, zips `fan` copies of this
+    level's range repeat each parent id `fan` times, and the leaves share
+    the empty tuple.
+    """
     if degree < 2:
         raise ValueError("degree must be >= 2 (trees without leaves)")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    parent = [-1]
-    depth = [0]
-    children: list[list[int]] = [[]]
-    frontier = [0]
-    for level in range(radius):
-        nxt = []
-        for v in frontier:
-            count = degree if level == 0 else degree - 1
-            for _ in range(count):
-                u = len(parent)
-                parent.append(v)
-                depth.append(level + 1)
-                children.append([])
-                children[v].append(u)
-                nxt.append(u)
-        frontier = nxt
-    return TreeBall(0, radius, tuple(parent), tuple(tuple(k) for k in children), tuple(depth))
+    parent: list[int] = [-1]
+    depth: list[int] = [0]
+    children: list[tuple[int, ...]] = []
+    start, size, fan = 0, 1, degree
+    for level in range(1, radius + 1):
+        nxt, width = start + size, size * fan
+        children.extend(zip(*[iter(range(nxt, nxt + width))] * fan))
+        parent.extend(chain.from_iterable(zip(*[range(start, nxt)] * fan)))
+        depth.extend(repeat(level, width))
+        start, size, fan = nxt, width, degree - 1
+    children.extend(repeat((), size))
+    return TreeBall(0, radius, tuple(parent), tuple(children), tuple(depth))
 
 
 def build_label_regular_ball(a: LabelVector, root_label: str, radius: int) -> TreeBall:
@@ -262,17 +272,26 @@ class SphereResult:
 
 
 def layers(ball: TreeBall, v: int, n: int) -> list[list[int]]:
-    """Spheres S(v,0), ..., S(v,n) inside the ball, walked outward from v by neighbors.
+    """Spheres S(v,0), ..., S(v,n) inside the ball, in one outward sweep from v.
 
-    The list ends early once a sphere lies wholly outside the ball.
+    With a_0 = v and a_{k+1} the parent of a_k, S(v,k+1) is a_{k+1}, then
+    the children of a_k other than a_{k-1}, then the children of the rest of
+    S(v,k) in order: the order of a walk that steps from each vertex of S(v,k)
+    to its parent and then its children, minus the vertex it came from.  The
+    list ends early once a sphere lies wholly outside the ball.
     """
+    parent, children = ball.parent, ball.children
     out = [[v]]
-    frontier = [(v, -1)]
+    prev, a, below = -1, v, []      # a_{k-1}, a_k (-1 above the base), S(v,k) minus a_k
     for _ in range(n):
-        frontier = [(y, x) for x, came_from in frontier for y in ball.neighbors(x) if y != came_from]
-        if not frontier:
+        below = list(chain.from_iterable(map(children.__getitem__, below)))
+        if a >= 0:
+            below[:0] = [c for c in children[a] if c != prev]
+            prev, a = a, parent[a]
+        shell = [a, *below] if a >= 0 else below
+        if not shell:
             break
-        out.append([y for y, _ in frontier])
+        out.append(shell)
     return out
 
 
@@ -286,17 +305,17 @@ def sphere(ball: TreeBall, v: int, n: int) -> SphereResult:
 
 
 def half_tree_vertices(ball: TreeBall, h: HalfTreeRef) -> frozenset[int]:
-    """Component of h.side after deleting the edge (all ball vertices whose path to side avoids the other endpoint)."""
+    """Component of h.side after deleting the edge: the subtree below the
+    edge's child end, swept level by level over `children`, or its complement
+    when h.side is the parent end."""
     a, b = h.edge
     if not ball.has_edge(a, b):
         raise ValueError(f"not an edge of the ball: {h.edge}")
-    blocked = h.other
-    seen = {h.side}
-    stack = [h.side]
-    while stack:
-        x = stack.pop()
-        for y in ball.neighbors(x):
-            if y != blocked and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(seen)
+    top = a if ball.parent[a] == b else b
+    frontier, below = [top], [top]
+    while frontier:
+        frontier = list(chain.from_iterable(map(ball.children.__getitem__, frontier)))
+        below += frontier
+    if h.side == top:
+        return frozenset(below)
+    return frozenset(ball.vertices()).difference(below)

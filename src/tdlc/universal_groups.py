@@ -123,13 +123,24 @@ class ColorBall:
     length-lexicographic order, which is build_regular_ball's BFS order:
     root children get colors 1..d in child order, and elsewhere the children
     get the colors other than the parent edge's in ascending order.
+
+    colour[v] is the last letter of v's address (0 at the base), the colour
+    of v's parent edge, and step[v][t] is the child of v across the colour-t
+    edge, or -1 when there is none in the ball (t = 0, t = colour[v], or v a
+    leaf): the vertex one step from v away from the base, read by id.
     """
 
     def __init__(self, degree: int, radius: int):
         self.degree = degree
-        self.ball = build_regular_ball(degree, radius)
+        self.ball = ball = build_regular_ball(degree, radius)
         self.word_of: tuple[Word, ...] = tuple(reduced_words(degree, radius))
         self.id_of: dict[Word, int] = {w: v for v, w in enumerate(self.word_of)}
+        self.colour: tuple[int, ...] = (0, *(w[-1] for w in self.word_of[1:]))
+        # the children come in ascending colour order, skipping the parent edge's
+        leaf = (-1,) * (degree + 1)
+        self.step: tuple[tuple[int, ...], ...] = ((-1, *ball.children[0]) if radius else leaf, *(
+            (-1, *kids[:c - 1], -1, *kids[c - 1:]) if kids else leaf
+            for kids, c in zip(ball.children[1:], self.colour[1:])))
 
     @property
     def radius(self) -> int:
@@ -148,6 +159,64 @@ class ColorBall:
 
 # ---------------------------------------------------------------------------
 # exact automorphisms
+
+def _ball_images(world: ColorBall, base_word: Word, acts: dict[Word, Perm]) -> list[int]:
+    """The ball images of Portrait(world, base_word, acts), a consistent and
+    stripped table, in one BFS pass over ball ids (-1 outside the ball), as
+    a list (map calls a list's __getitem__ faster than a tuple's): a child's
+    image is its parent's image stepped across the color the parent's local
+    action sends the child's edge to.
+
+    At an unstored vertex v that color is Portrait._walk's canonical rule,
+    inlined: the child's color c (never colour[v]) goes to colour[v] when c
+    is the color `sent` that v's parent edge went to, and to c otherwise (at
+    the base nothing is sent, so every c stays).  Stepping from an image y
+    across t goes to y's parent when t is y's last colour, and otherwise to
+    the child world.step[y][t].  An image outside the ball gets a virtual id
+    past the ball's, with its parent and last colour recorded, so a walk
+    that leaves the ball can step back into it; g(base) is reached that way
+    from the base, one letter of base_word at a time.  The images of the
+    ball are the ball around g(base), each reached once, from the neighbour
+    nearer g(base); a vertex on the geodesic from the base to g(base) is
+    reached from its child on that geodesic, through the recorded parent.
+    So each vertex of the infinite tree gets one id.
+    """
+    ball, colour, step, id_of = world.ball, world.colour, world.step, world.id_of
+    n = ball.vertex_count
+    par, col = list(ball.parent), list(colour)      # grown by the virtual ids
+    y = 0
+    for t in base_word:         # a reduced word: each letter steps away from the base
+        z = step[y][t] if y < n else -1
+        if z < 0:
+            z = len(par)
+            par.append(y)
+            col.append(t)
+        y = z
+    by_id = {id_of[w]: sigma for w, sigma in acts.items() if w in id_of}
+    images = [y] * n
+    sent = [0] * n
+    for v, kids in enumerate(ball.children):
+        if not kids:
+            continue
+        y, s, last = images[v], sent[v], colour[v]
+        back, up, row = col[y], par[y], step[y] if y < n else None
+        sigma = by_id.get(v)
+        for x in kids:
+            c = colour[x]
+            t = sent[x] = sigma[c - 1] if sigma is not None else (last if c == s else c)
+            if t == back:
+                images[x] = up
+            else:
+                z = row[t] if row is not None else -1
+                if z < 0:
+                    z = len(par)
+                    par.append(y)
+                    col.append(t)
+                images[x] = z
+    if len(par) > n:
+        images = list(map([*range(n), *repeat(-1, len(par) - n)].__getitem__, images))
+    return images
+
 
 def _prefixes(words) -> set[Word]:
     return {w[:i] for w in words for i in range(len(w) + 1)}
@@ -256,32 +325,9 @@ class Portrait:
 
     def restrict(self) -> FiniteTreeAutomorphism:
         """Ball portrait in one BFS pass over the world ball (images outside it
-        become -1): a child's image is its parent's image stepped across the
-        color the parent's local action sends the child's edge to.
-
-        At an unstored vertex w that color is _walk's canonical rule, inlined:
-        the child's color c (never w[-1]) goes to w[-1] when c is the color
-        `sent` that w's parent edge went to, and to c otherwise (at the base
-        nothing is sent, so every c stays).  The addresses become ball ids in
-        one pass at the end."""
-        world = self.world
-        word_of, id_of, children, acts = world.word_of, world.id_of, world.ball.children, self._acts
-        n = len(word_of)
-        images = [self.base_word] * n
-        sent = [0] * n
-        for v, kids in enumerate(children):
-            if not kids:
-                continue
-            w, img, s = word_of[v], images[v], sent[v]
-            back = img[-1] if img else 0      # stepping across `back` cancels
-            sigma = acts.get(w)
-            last = w[-1] if w else 0
-            for x in kids:
-                c = word_of[x][-1]
-                t = sigma[c - 1] if sigma is not None else (last if c == s else c)
-                sent[x] = t
-                images[x] = img[:-1] if t == back else img + (t,)
-        return FiniteTreeAutomorphism(world.ball, tuple(map(id_of.get, images, repeat(-1, n))), self)
+        become -1), carried by ball ids: _ball_images."""
+        images = _ball_images(self.world, self.base_word, self._acts)
+        return FiniteTreeAutomorphism(self.world.ball, tuple(images), self)
 
     def _pullback_path(self, target: Word = ()) -> list[Word]:
         """The geodesic from the base to g^-1(target): g's geodesic from g(base)
@@ -775,16 +821,10 @@ def _stabilizer_walk(F: LocalGroup, world: ColorBall,
     n = len(word_of)
     if radius == 0:
         return [(tuple(range(n)), {})]
-    d = world.degree
-    colour = [w[-1] if w else 0 for w in word_of]
+    d, colour, step = world.degree, world.colour, world.step
     inner = sum(1 for k in ball.depth if k < radius)
     outer = [(x, parent[x], colour[x], colour[parent[x]])
              for x in range(n) if ball.depth[x] > radius]
-    # step[v][t]: the child of v across the colour-t edge
-    step = [[-1] * (d + 1) for _ in range(n)]
-    for v, kids in enumerate(children):
-        for x in kids:
-            step[v][colour[x]] = x
     group = sorted(F.closure())
     # sending[c, t]: the actions that send colour c to colour t, in group
     # order, and the canonical action (c t) among them
@@ -847,9 +887,11 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
     Portrait._walk starts at the base image and appends letters that
     depend on A and the address alone, and from () they never cancel, so
     g(u) = w.(letters).  Its ball images are the walk's read through
-    trans_w (t_() is the identity, so its elements take the walk's images
-    as they are, with no pass over the addresses), and its stripped table is
-    the walk's, shared by every w.
+    trans_w, the ball images of t_w (restrict's pass over ids, with no
+    Portrait built; t_() is the identity, so its elements take the walk's
+    images as they are, with no pass over the addresses).  The walk's
+    images never leave the ball, so trans_w is read only at ball ids.  The
+    stripped table is the walk's, shared by every w.
     """
     if move_radius < 0 or support_radius < 0:
         raise ValueError(f"move and support radii must be nonnegative, got {move_radius} and {support_radius}")
@@ -858,10 +900,10 @@ def enumerate_u1_ball(F: LocalGroup, world: ColorBall, move_radius: int,
             f"world radius {world.radius} too small for movers {move_radius} with support {support_radius}")
     check_u1_guard(F, support_radius, guard, move_radius)
     tables = _stabilizer_walk(F, world, support_radius)
-    ball, word_of, id_of = world.ball, world.word_of, world.id_of
+    ball = world.ball
     elements = []
     for w in reduced_words(world.degree, move_radius):
-        trans_w = [id_of.get(word_mul(w, u), -1) for u in word_of] if w else None   # t_() is the identity
+        trans_w = _ball_images(world, w, {}) if w else None   # t_w's restrict pass; t_() is the identity
         elements.extend(FiniteTreeAutomorphism(ball, tuple(map(trans_w.__getitem__, images)) if w else images,
                                                Portrait._stripped(world, w, acts))
                         for images, acts in tables)

@@ -14,6 +14,7 @@ from tdlc import kak_tree as kt
 from tdlc import padic_pgl2 as pp
 from tdlc import rab
 from tdlc import tree_aut as ta
+from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, check_guard
 
@@ -580,3 +581,62 @@ def residual_greedy_subrepresentatives(dec, k_big, radius):
         if not duplicate:
             kept.append(rec)
     return kept
+
+
+def bfs_regular_ball(degree, radius):
+    """tree_core.build_regular_ball before it built its levels from id
+    ranges: one list per vertex, grown by a BFS and turned into tuples at
+    the end, kept as the oracle."""
+    if degree < 2:
+        raise ValueError("degree must be >= 2 (trees without leaves)")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    parent = [-1]
+    depth = [0]
+    children = [[]]
+    frontier = [0]
+    for level in range(radius):
+        nxt = []
+        for v in frontier:
+            count = degree if level == 0 else degree - 1
+            for _ in range(count):
+                u = len(parent)
+                parent.append(v)
+                depth.append(level + 1)
+                children.append([])
+                children[v].append(u)
+                nxt.append(u)
+        frontier = nxt
+    return tc.TreeBall(0, radius, tuple(parent), tuple(tuple(k) for k in children), tuple(depth))
+
+
+def neighbor_layers(ball, v, n):
+    """tree_core.layers before its outward sweep: each sphere walked from
+    the last by ball.neighbors, one (vertex, came_from) pair per vertex,
+    kept as the oracle."""
+    out = [[v]]
+    frontier = [(v, -1)]
+    for _ in range(n):
+        frontier = [(y, x) for x, came_from in frontier for y in ball.neighbors(x) if y != came_from]
+        if not frontier:
+            break
+        out.append([y for y, _ in frontier])
+    return out
+
+
+def neighbor_half_tree(ball, h):
+    """tree_core.half_tree_vertices before its subtree sweep: a depth-first
+    walk by ball.neighbors that never crosses the edge, kept as the oracle."""
+    a, b = h.edge
+    if not ball.has_edge(a, b):
+        raise ValueError(f"not an edge of the ball: {h.edge}")
+    blocked = h.other
+    seen = {h.side}
+    stack = [h.side]
+    while stack:
+        x = stack.pop()
+        for y in ball.neighbors(x):
+            if y != blocked and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return frozenset(seen)

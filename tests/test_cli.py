@@ -502,6 +502,26 @@ def test_ugroup_radius_10_trivial_local_group(tmp_path):
     assert rep["stabilizer_ball_size"] == 1
 
 
+def test_ugroup_lists_the_stabilizer_ball_only_for_plus_k_and_pk(tmp_path, monkeypatch):
+    # Without --plus-k or --pk-k the size is the closed-form count; the report
+    # bytes are those of the frozen golden file and of the listed ball's size.
+    argv = ["ugroup", "--degree", "4", "--radius", "2", "--generators", "[[2,1,3,4],[1,2,4,3]]"]
+    world = ug.ColorBall(3, 3)
+    listed = len(ug.enumerate_u1_stabilizer_ball(ug.LocalGroup.symmetric(3), world))
+
+    def listing(*args, **kwargs):
+        raise AssertionError("the stabilizer ball was listed")
+
+    monkeypatch.setattr(ug, "enumerate_u1_stabilizer_ball", listing)
+    out = tmp_path / "klein.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "ugroup_d4_r2_klein.json"
+    assert out.read_bytes() == golden.read_bytes()
+    assert run_json(["ugroup", "--radius", "3"], tmp_path)["stabilizer_ball_size"] == listed == 3072
+    with pytest.raises(AssertionError, match="was listed"):
+        run(["ugroup", "--radius", "2", "--plus-k", "1"])
+
+
 def test_ugroup_degree_12_refused_before_listing(capsys):
     start = time.perf_counter()
     assert run(["ugroup", "--degree", "12", "--radius", "1"]) == 2

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tdlc import tree_core as tc
+from oracles import bfs_regular_ball, neighbor_half_tree, neighbor_layers
+from test_tree_aut import tree_balls
 
 
 def test_regular_ball_counts():
@@ -25,13 +28,14 @@ def test_regular_ball_rejects_bad_input():
         tc.build_regular_ball(3, -1)
 
 
+def alternating_labels_of(deg_a, deg_b):
+    """Labels A and B, each vertex's neighbours all of the other label."""
+    rule = {("A", slot): "B" for slot in range(deg_a)} | {("B", slot): "A" for slot in range(deg_b)}
+    return tc.LabelVector(("A", "B"), {"A": deg_a, "B": deg_b}, rule)
+
+
 def alternating_labels():
-    return tc.LabelVector(
-        labels=("A", "B"),
-        degree_of={"A": 2, "B": 3},
-        adjacency_rule={("A", 0): "B", ("A", 1): "B",
-                        ("B", 0): "A", ("B", 1): "A", ("B", 2): "A"},
-    )
+    return alternating_labels_of(2, 3)
 
 
 def test_label_regular_single_label_matches_regular():
@@ -186,3 +190,36 @@ def test_layers_match_distance_spheres():
             assert sorted(shell) == [u for u in ball.vertices() if tc.distance(ball, v, u) == n]
         assert sum(map(len, spheres)) == ball.vertex_count
         assert len(tc.sphere(ball, v, 20)) == 0
+
+
+@st.composite
+def sweep_balls(draw):
+    """A regular ball (checked against the BFS builder), a label-regular one,
+    or a rooted tree read from JSON whose ids are not in BFS order."""
+    kind = draw(st.sampled_from(["regular", "labels", "json"]))
+    if kind == "regular":
+        degree, radius = draw(st.integers(2, 5)), draw(st.integers(0, 6))
+        ball = tc.build_regular_ball(degree, radius)
+        assert ball == bfs_regular_ball(degree, radius)
+        return ball
+    if kind == "labels":
+        lv = alternating_labels_of(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+        return tc.build_label_regular_ball(lv, draw(st.sampled_from(lv.labels)), draw(st.integers(0, 4)))
+    return tc.TreeBall.from_json(draw(tree_balls()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_balls(), st.data())
+def test_sweeps_match_the_neighbour_walks(ball, data):
+    """layers, list for list and in order, and half_tree_vertices, against the
+    walks by ball.neighbors they replaced, past the ball's edge too."""
+    verts = list(ball.vertices())
+    for v in data.draw(st.lists(st.sampled_from(verts), min_size=1, max_size=4)):
+        for n in {0, 1, ball.radius, 2 * ball.radius + 1, data.draw(st.integers(0, 2 * ball.radius + 2))}:
+            assert tc.layers(ball, v, n) == neighbor_layers(ball, v, n)
+    edges = ball.edges()
+    if edges:
+        for u, v in data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4)):
+            for side in (u, v):
+                h = tc.HalfTreeRef((u, v), side)
+                assert tc.half_tree_vertices(ball, h) == neighbor_half_tree(ball, h)

@@ -164,6 +164,16 @@ def test_portrait_restrict_matches_the_per_vertex_restrict(g):
     assert p.exact is g
 
 
+@settings(max_examples=200, deadline=None)
+@given(portraits(degrees=(2, 3, 4), base_lengths=(4, 6)))
+def test_restrict_follows_images_out_of_the_ball_and_back(g):
+    """Base words longer than the radius 3: the base's image lies outside the
+    ball, and the images walk back into it along the geodesic to the base."""
+    p = g.restrict()
+    assert p.images[0] == -1 and max(p.images) >= 0
+    assert p.key() == restrict_by_actions(g).key()
+
+
 @settings(max_examples=150, deadline=None)
 @given(portraits(degrees=(2, 3, 4, 5)))
 def test_preimage_word_pulls_the_path_back(g):
@@ -573,6 +583,30 @@ def test_degree_2_stabilizer_ball_steps_linearly_in_the_vertices(monkeypatch):
         monkeypatch.setattr(ug, "word_append", real)
         assert len(gb) == 2
         assert calls <= 4 * len(world.word_of), (radius, calls)
+
+
+def test_degree_2_movers_read_their_translations_by_id(monkeypatch):
+    # The movers' translations t_w are read off one restrict pass over ball
+    # ids, so no address is stepped through letter by letter (one word_mul per
+    # address took O(r^2) word_append calls per mover).
+    calls = 0
+    real = ug.word_append
+
+    def counted(word, color):
+        nonlocal calls
+        calls += 1
+        return real(word, color)
+
+    counts = []
+    for radius in (200, 400):
+        world = ug.ColorBall(2, radius)
+        calls = 0
+        monkeypatch.setattr(ug, "word_append", counted)
+        gb = ug.enumerate_u1_ball(ug.LocalGroup.symmetric(2), world, 1, radius - 1)
+        monkeypatch.setattr(ug, "word_append", real)
+        assert len(gb) == 6
+        counts.append(calls)
+    assert counts[0] == counts[1], counts
 
 
 def test_stabilizer_ball_is_a_group():
