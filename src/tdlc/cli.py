@@ -10,6 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import CertificationError, GuardExceeded, check_guard, check_power_guard
 
@@ -22,7 +25,93 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ENCODERS: dict[int, json.JSONEncoder] = {}
+
+
+class _Unsupported(Exception):
+    """A value `_dumps` leaves to `json.dumps`."""
+
+
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder whose item separator starts a new line indented to `depth`."""
+    enc = _ENCODERS.get(depth)
+    if enc is None:
+        enc = _ENCODERS[depth] = json.JSONEncoder(sort_keys=True,
+                                                  separators=(",\n" + "  " * depth, ": "))
+    return enc
+
+
+def _flat_rows(rows) -> bool:
+    """Whether rows, all dicts, are non-empty with str keys and scalar values (C-level passes)."""
+    return (all(rows) and set(map(type, chain.from_iterable(rows))) == {str}
+            and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _SCALARS)
+
+
+def _dumps(report) -> str:
+    """`json.dumps(report, sort_keys=True, indent=2, default=str)`, byte for byte.
+
+    The indented dump runs CPython's pure-Python encoder, so flat containers go
+    to the C encoder instead, whose item separator carries the newline and
+    indent.  A list of flat records goes in one call at the records' key depth:
+    the C encoder escapes every newline inside a string, so each `},\\n{` joint
+    it writes is between two records and one `str.replace` re-indents them all.
+    Anything else json.dumps does differently (a non-str key, a scalar subclass,
+    an object for `default=str`, nesting past the recursion limit) hands the
+    whole report to json.dumps, so the fallback, and any exception, is its own.
+    """
+    out: list[str] = []
+    try:
+        _write(report, 0, out)
+    except (_Unsupported, ValueError, RecursionError):
+        return json.dumps(report, sort_keys=True, indent=2, default=str)
+    return "".join(out)
+
+
+def _write(o, depth: int, out: list) -> None:
+    """Append the JSON of o, indented as the value of a line at `depth`, to out."""
+    kind = type(o)
+    if kind in _SCALARS:
+        out.append(_encoder(0).encode(o))
+        return
+    if kind is not dict and kind is not list and kind is not tuple:
+        raise _Unsupported
+    if not o:
+        out.append("{}" if kind is dict else "[]")
+        return
+    opening, closing = ("{", "}") if kind is dict else ("[", "]")
+    pad = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth + closing
+    if kind is dict:
+        if set(map(type, o)) != {str}:
+            raise _Unsupported
+        flat = set(map(type, o.values())) <= _SCALARS
+    else:
+        types = set(map(type, o))
+        flat = types <= _SCALARS
+        if not flat and types == {dict} and _flat_rows(o):
+            deep = "\n" + "  " * (depth + 2)
+            rows = _encoder(depth + 2).encode(o)[2:-2].replace(
+                "}," + deep + "{", pad + "}," + pad + "{" + deep)
+            out += "[", pad, "{", deep, rows, pad, "}", end
+            return
+    if flat:
+        out += opening, pad, _encoder(depth + 1).encode(o)[1:-1], end
+        return
+    if kind is dict:
+        items = ((encode_basestring_ascii(key) + ": ", o[key]) for key in sorted(o))
+    else:
+        items = (("", value) for value in o)
+    sep = opening + pad
+    for head, value in items:
+        out += sep, head
+        _write(value, depth + 1, out)
+        sep = "," + pad
+    out.append(end)
+
+
 def _render_text(data, indent=0):
+    """The text report as chunks to join with newlines; a chunk may hold several lines."""
     lines = []
     pad = "  " * indent
     if isinstance(data, dict):
@@ -34,6 +123,12 @@ def _render_text(data, indent=0):
             else:
                 lines.append(f"{pad}{key}: {value}")
     elif isinstance(data, list):
+        if _record_rows(data):
+            # one template for every record: its keys sorted once, values by str()
+            keys = sorted(data[0])
+            template = "\n".join(f"{pad}  {key}: ".replace("%", "%%") + "%s" for key in keys)
+            lines.extend(map(template.__mod__, map(itemgetter(*keys), data)))
+            return lines
         for value in data:
             if isinstance(value, (dict, list)):
                 lines.extend(_render_text(value, indent + 1))
@@ -44,10 +139,16 @@ def _render_text(data, indent=0):
     return lines
 
 
+def _record_rows(data: list) -> bool:
+    """Whether data is a non-empty list of flat records that share one key set."""
+    return (bool(data) and set(map(type, data)) == {dict} and _flat_rows(data)
+            and all(map(data[0].keys().__eq__, map(dict.keys, data))))
+
+
 def _emit(report: dict, args) -> None:
     report = {"schema_version": SCHEMA_VERSION, **report}
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
+        text = _dumps(report) + "\n"
     else:
         text = "\n".join(_render_text(report)) + "\n"
     if args.out:

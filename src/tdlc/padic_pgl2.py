@@ -66,13 +66,28 @@ def _valuation(x, p: int):
     num, den = x.numerator, x.denominator
     if num == 0:
         return INF
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    if p == 2:   # the lowest set bit
+        return (num & -num).bit_length() - (den & -den).bit_length()
+    return _multiplicity(num, p) - _multiplicity(den, p)
+
+
+def _multiplicity(n: int, p: int) -> int:
+    """The exponent of p in n != 0, in O(log v) big-integer divisions (as GMP's mpz_remove):
+    divide out p, p^2, p^4, ... while they divide, then the same powers back down."""
+    if n % p:
+        return 0
+    n, v, powers, pk = n // p, 1, [p], p * p
+    while True:
+        q, r = divmod(n, pk)
+        if r:
+            break
+        n, v = q, v + (1 << len(powers))
+        powers.append(pk)
+        pk *= pk
+    for k in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[k])
+        if not r:
+            n, v = q, v + (1 << k)
     return v
 
 

@@ -430,8 +430,9 @@ def scan_tree_contraction_depths(family, x, world, v):
 
 
 def fraction_valuation(x, p: int):
-    """The valuation by Fraction division, from before padic_pgl2 read
-    numerators directly, kept as the oracle."""
+    """The valuation by Fraction division, one factor of p at a time, from
+    before padic_pgl2 read numerators directly and divided out p^(2^k), kept
+    as the oracle."""
     x = Fraction(x)
     if x == 0:
         return pp.INF
@@ -640,3 +641,27 @@ def neighbor_half_tree(ball, h):
                 seen.add(y)
                 stack.append(y)
     return frozenset(seen)
+
+
+def recursive_render_text(data, indent=0):
+    """cli._render_text with one recursive call per record, from before lists
+    of flat records were rendered from one template, kept as the oracle."""
+    lines = []
+    pad = "  " * indent
+    if isinstance(data, dict):
+        for key in sorted(data):
+            value = data[key]
+            if isinstance(value, (dict, list)):
+                lines.append(f"{pad}{key}:")
+                lines.extend(recursive_render_text(value, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {value}")
+    elif isinstance(data, list):
+        for value in data:
+            if isinstance(value, (dict, list)):
+                lines.extend(recursive_render_text(value, indent + 1))
+            else:
+                lines.append(f"{pad}- {value}")
+    else:
+        lines.append(f"{pad}{data}")
+    return lines

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import enum
 import io
 import json
 import os
@@ -11,12 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tdlc import cli
 from tdlc import kak_building as kb
 from tdlc import padic_pgl2 as pp
 from tdlc import rab
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.cli import run
+from oracles import recursive_render_text
 
 
 def dinf_config(tmp_path):
@@ -869,3 +872,97 @@ def test_padic_primality_limits(capsys):
     assert run(["padic", "verify", "--p", "3317044064679887385961981", "--n-max", "2"]) == 2
     assert capsys.readouterr().err == ("infeasible: primality of 3317044064679887385961981 is "
                                        "certified only below 3317044064679887385961981\n")
+
+
+# ---------------------------------------------------------------------------
+# report emission: cli._dumps against json.dumps, the text renderer against
+# its recursive oracle
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+def json_oracle(report):
+    return json.dumps(report, sort_keys=True, indent=2, default=str)
+
+
+def outcome(render, report):
+    """What render gives on report: its output, or the type of what it raised."""
+    try:
+        return render(report)
+    except Exception as exc:
+        return type(exc)
+
+
+ODD_OBJECT = object()   # one object, so both dumps print the same default=str address
+STRINGS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["é∂", "日本", "😀", "\n", "a\nb", '"},\n"', "{", "},\n    {", "%s", ""]))
+SCALARS = st.one_of(
+    STRINGS, st.integers(), st.integers(-2**200, 2**200),
+    st.builds(pow, st.just(-10), st.sampled_from([4299, 4300])),   # 4300 and 4301 digits: the second raises
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.booleans(), st.sampled_from([0, 1, True, False]), st.none(),
+    st.just(Level.HIGH), st.just(ODD_OBJECT))
+ROW_KEYS = st.sampled_from(["id", "label", "parent", "z", "é", "%s", "a{b}"])
+ODD_KEYS = st.one_of(st.integers(-3, 3), st.booleans(), st.none(), ROW_KEYS)
+
+
+def rows(values):
+    """Lists of records: ones sharing a key set (in any insertion order), ones with
+    different key sets, and ones with empty records and lists mixed in."""
+    shared = st.lists(ROW_KEYS, unique=True, min_size=1, max_size=3).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys, values)), min_size=1, max_size=5))
+    record = st.dictionaries(ROW_KEYS, values, min_size=1, max_size=4)
+    return st.one_of(shared, st.lists(record, min_size=2, max_size=5),
+                     st.lists(st.one_of(record, st.just({})), min_size=1, max_size=5),
+                     st.lists(st.one_of(record, st.just({}), st.just([])), max_size=5))
+
+
+REPORTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(STRINGS, children, max_size=4),
+        st.dictionaries(ODD_KEYS, children, max_size=3),
+        rows(SCALARS), rows(children)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(report=REPORTS)
+def test_dumps_matches_json_dumps(report):
+    assert outcome(cli._dumps, report) == outcome(json_oracle, report)
+
+
+@settings(max_examples=400, deadline=None)
+@given(report=REPORTS)
+def test_text_renderer_matches_the_recursive_oracle(report):
+    assert outcome(lambda r: "\n".join(cli._render_text(r)), report) == \
+        outcome(lambda r: "\n".join(recursive_render_text(r)), report)
+
+
+@pytest.mark.parametrize("report, error", [
+    ({1: "a", "b": 2}, TypeError), ({True: [1], 2: {}, 0.5: None}, None), ({None: [1]}, None),
+    ({None: [1], True: {}}, TypeError), ({"x": [{2: 0, "2": 1}]}, TypeError),
+    ({"deep": [{"n": 10**5000}]}, ValueError), ({"rows": [{"id": 1}, {"id": ODD_OBJECT}]}, None),
+])
+def test_dumps_falls_back_to_json_dumps(report, error):
+    expect = outcome(json_oracle, report)
+    assert outcome(cli._dumps, report) == expect
+    assert (expect is error) if error else isinstance(expect, str)
+
+
+def test_dumps_of_nesting_past_the_recursion_limit_raises_as_json_dumps():
+    nested = []
+    for _ in range(sys.getrecursionlimit() + 10):
+        nested = [nested, {"a": 1}]
+    assert outcome(cli._dumps, nested) is outcome(json_oracle, nested) is RecursionError
+
+
+def test_tree_radius_8_report_without_the_fallback(monkeypatch):
+    args = cli._build_parser().parse_args(["tree", "--radius", "8"])
+    report = {"schema_version": cli.SCHEMA_VERSION, **cli._cmd_tree(args)}
+    expect, expect_text = json_oracle(report), "\n".join(recursive_render_text(report))
+    monkeypatch.setattr(json, "dumps", None)   # the emitter must not need it on this report
+    assert cli._dumps(report) == expect
+    assert "\n".join(cli._render_text(report)) == expect_text

@@ -2,7 +2,8 @@
 
 Each case runs one subcommand through tdlc.cli.run and compares the report
 with its golden file byte for byte, so a refactor that changes any report
-(ordering, a number, a trailing newline) fails here.  The building_*_L*
+(ordering, a number, a trailing newline) fails here; four cases also compare
+their text format with a golden `.txt` file.  The building_*_L*
 cases use the D_inf spec with q = 3 on both generators; at L = 10 the
 contraction check reaches every case of the base-panel permutations' left
 multiplication that D_inf has.  The
@@ -91,3 +92,14 @@ def report_bytes(argv, workdir: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report(name, tmp_path):
     assert report_bytes(CASES[name], tmp_path) == (GOLDEN / f"{name}.json").read_bytes()
+
+
+# Text goldens, frozen from the recursive text renderer that the record
+# template replaced (tests/oracles.py::recursive_render_text).
+TEXT_CASES = ("tree_r6", "kak_tree_r1_s2", "building_ball_L4", "padic_p3_n10")
+
+
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_golden_text_report(name, tmp_path):
+    got = report_bytes(CASES[name] + ["--format", "text"], tmp_path)
+    assert got == (GOLDEN / f"{name}.txt").read_bytes()

@@ -44,12 +44,22 @@ def test_valuation_ultrametric_laws():
             assert pp.valuation(x + y, p) == min(vx, vy)
 
 
-@settings(max_examples=500, deadline=None)
-@given(p=PRIMES, x=st.one_of(
-    st.just(0), st.just(Fraction(0)), st.integers(-10**12, 10**12), RATIONALS,
-    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
-    st.floats(allow_nan=False, allow_infinity=False), st.builds(str, RATIONALS)))
-def test_valuation_matches_the_fraction_copy(p, x):
+def p_power_rationals(p):
+    """±p^e u / (p^f w), e and f up to 300: every branch of the squaring walk, on either side."""
+    return st.builds(lambda e, f, u, w, sign: Fraction(sign * p**e * u, p**f * w),
+                     st.integers(0, 300), st.integers(0, 300), st.integers(1, 10**9),
+                     st.integers(1, 10**9), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=800, deadline=None)
+@given(p=PRIMES, data=st.data())
+def test_valuation_matches_the_fraction_copy(p, data):
+    x = data.draw(st.one_of(
+        st.just(0), st.just(Fraction(0)), st.integers(-10**12, 10**12), RATIONALS,
+        st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+        st.integers(-10**6, 10**6).filter(lambda n: n % p),   # p does not divide x
+        p_power_rationals(p),
+        st.floats(allow_nan=False, allow_infinity=False), st.builds(str, RATIONALS)))
     assert pp.valuation(x, p) == fraction_valuation(x, p)
 
 
