@@ -68,27 +68,17 @@ def _valuation(x, p: int):
         return INF
     if p == 2:   # the lowest set bit
         return (num & -num).bit_length() - (den & -den).bit_length()
-    return _multiplicity(num, p) - _multiplicity(den, p)
+    return _remove(num, p)[0] - _remove(den, p)[0]
 
 
-def _multiplicity(n: int, p: int) -> int:
-    """The exponent of p in n != 0, in O(log v) big-integer divisions (as GMP's mpz_remove):
-    divide out p, p^2, p^4, ... while they divide, then the same powers back down."""
+def _remove(n: int, p: int) -> tuple[int, int]:
+    """(v, n / p^v) for v the exponent of p in n != 0, in O(log v) big-integer divisions:
+    after one p, the exponent of p^2 in the rest, doubled, plus at most one more p."""
     if n % p:
-        return 0
-    n, v, powers, pk = n // p, 1, [p], p * p
-    while True:
-        q, r = divmod(n, pk)
-        if r:
-            break
-        n, v = q, v + (1 << len(powers))
-        powers.append(pk)
-        pk *= pk
-    for k in range(len(powers) - 1, -1, -1):
-        q, r = divmod(n, powers[k])
-        if not r:
-            n, v = q, v + (1 << k)
-    return v
+        return 0, n
+    v, n = _remove(n // p, p * p)
+    q, r = divmod(n, p)
+    return (2 * v + 1, n) if r else (2 * v + 2, q)
 
 
 @dataclass(frozen=True)

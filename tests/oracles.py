@@ -431,7 +431,7 @@ def scan_tree_contraction_depths(family, x, world, v):
 
 def fraction_valuation(x, p: int):
     """The valuation by Fraction division, one factor of p at a time, from
-    before padic_pgl2 read numerators directly and divided out p^(2^k), kept
+    before padic_pgl2 read numerators directly and split off p^2 recursively, kept
     as the oracle."""
     x = Fraction(x)
     if x == 0:

@@ -45,7 +45,7 @@ def test_valuation_ultrametric_laws():
 
 
 def p_power_rationals(p):
-    """±p^e u / (p^f w), e and f up to 300: every branch of the squaring walk, on either side."""
+    """±p^e u / (p^f w), e and f up to 300: every branch of the p^2 recursion, on either side."""
     return st.builds(lambda e, f, u, w, sign: Fraction(sign * p**e * u, p**f * w),
                      st.integers(0, 300), st.integers(0, 300), st.integers(1, 10**9),
                      st.integers(1, 10**9), st.sampled_from([1, -1]))
