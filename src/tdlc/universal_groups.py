@@ -622,57 +622,53 @@ class LocalGroup:
         return cls.create(data["degree"], data["generators"])
 
 
-def _normal_subgroups(group: frozenset[Perm], degree: int) -> list[frozenset[Perm]]:
-    """All normal subgroups, as joins of normal closures of single elements.
-
-    The normal closure of h is generated by its conjugacy class, so there is
-    one per class; a join of normal subgroups is already normal, so it is
-    generated by their union with no conjugation.
-    """
-    def generated(gens) -> frozenset[Perm]:
-        return LocalGroup(degree, tuple(sorted(gens))).closure()
-
-    unseen = set(group)
-    basic = set()
-    while unseen:
-        h = unseen.pop()
-        conj_class = {perm_mul(perm_mul(g, h), perm_inv(g)) for g in group}
-        unseen -= conj_class
-        basic.add(generated(conj_class))
-    found = set(basic)
-    pending = list(basic)
-    while pending:
-        n1 = pending.pop()
-        for n2 in list(found):
-            joined = generated(n1 | n2)
-            if joined not in found:
-                found.add(joined)
-                pending.append(joined)
-    return sorted(found, key=lambda n: (len(n), sorted(n)))
-
-
 def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
-    """Transitive, and every normal subgroup is transitive or free on points."""
+    """Transitive, and every normal subgroup is transitive or semiregular
+    (no non-identity element fixes a point); normal subgroups are not listed.
+
+    Lemma: F is semiprimitive exactly when it is transitive and, for every
+    non-identity h fixing a point, the normal closure <<h>>, generated by
+    h's conjugacy class, is transitive.  Proof: a normal N that is neither
+    transitive nor semiregular holds such an h, and <<h>> <= N is then
+    intransitive too.  Conversely <<h>> is normal, and not semiregular
+    because h fixes a point.  So one orbit per conjugacy class decides it;
+    a class is the orbit of h under conjugation by F's generators.
+    """
     check_guard(F.order(), guard, "local group closure")
-    group = F.closure()
-    if {g[0] for g in group} != set(range(1, F.degree + 1)):
+    d = F.degree
+    if len(_orbit_transversal(1, F.generators, d)) < d:
         return False
-    ident = perm_identity(F.degree)
-    for n in _normal_subgroups(group, F.degree):
-        transitive = {g[0] for g in n} == set(range(1, F.degree + 1))
-        semiregular = all(g == ident or all(g[i] != i + 1 for i in range(F.degree)) for g in n)
-        if not (transitive or semiregular):
+    gens = [(g, perm_inv(g)) for g in F.generators]
+    seen = {perm_identity(d)}
+    for h in F.closure():
+        if h in seen or all(h[i] != i + 1 for i in range(d)):
+            continue
+        seen.add(h)
+        conj_class = [h]
+        for x in conj_class:
+            for g, g_inv in gens:
+                y = perm_mul(perm_mul(g, x), g_inv)
+                if y not in seen:
+                    seen.add(y)
+                    conj_class.append(y)
+        if len(_orbit_transversal(1, conj_class, d)) < d:
             return False
     return True
 
 
 def is_generated_by_point_stabilizers(F: LocalGroup, guard: int | None = None) -> bool:
+    """Whether the stabilizers of the points 1..d generate <F>; <F> is not listed.
+
+    Below its first level, a chain of <F> with base point x is a chain of
+    the stabilizer of x, so its transversal elements generate that stabilizer.
+    """
     check_guard(F.order(), guard, "local group closure")
-    group = F.closure()
-    gens: set[Perm] = set()
-    for point in range(1, F.degree + 1):
-        gens |= {g for g in group if g[point - 1] == point}
-    return LocalGroup(F.degree, tuple(sorted(gens))).order() == F.order()
+    d = F.degree
+    gens = set()
+    for x in range(1, d + 1):
+        _, trans = _schreier_sims(d, F.generators, [x])
+        gens.update(u for level in trans[1:] for u, _ in level.values())
+    return LocalGroup(d, tuple(sorted(gens))).order() == F.order()
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,59 @@ def fraction_triviality_evidence(h, n_max):
     return pp.DivergenceReport(p, tuple(vals), tuple(dists), diverges)
 
 
+def conjugating_normal_subgroups(group, degree):
+    """Every normal subgroup of the listed group, each as a frozenset, by
+    conjugating: the normal closure of each element, then normal closures of
+    unions until the lattice closes, each closure listed anew.  The listing
+    universal_groups ran before it took one normal closure per conjugacy
+    class and joins without conjugation, kept as the oracle."""
+    elements = sorted(group)
+
+    def normal_closure(seed):
+        conjugates = {ug.perm_mul(ug.perm_mul(g, h), ug.perm_inv(g)) for h in seed for g in elements}
+        return ug.LocalGroup.create(degree, sorted(conjugates)).closure()
+
+    basic = {normal_closure({g}) for g in elements}
+    found = set(basic)
+    pending = list(basic)
+    while pending:
+        n1 = pending.pop()
+        for n2 in list(found):
+            joined = normal_closure(set(n1) | set(n2))
+            if joined not in found:
+                found.add(joined)
+                pending.append(joined)
+    return sorted(found, key=lambda n: (len(n), sorted(n)))
+
+
+def listing_is_semiprimitive(F: ug.LocalGroup, guard=None) -> bool:
+    """is_semiprimitive by the definition, over every normal subgroup, from
+    before it read one orbit per conjugacy class; kept as the oracle."""
+    check_guard(F.order(), guard, "local group closure")
+    group = F.closure()
+    if {g[0] for g in group} != set(range(1, F.degree + 1)):
+        return False
+    ident = ug.perm_identity(F.degree)
+    for n in conjugating_normal_subgroups(group, F.degree):
+        transitive = {g[0] for g in n} == set(range(1, F.degree + 1))
+        semiregular = all(g == ident or all(g[i] != i + 1 for i in range(F.degree)) for g in n)
+        if not (transitive or semiregular):
+            return False
+    return True
+
+
+def listing_is_generated_by_point_stabilizers(F: ug.LocalGroup, guard=None) -> bool:
+    """is_generated_by_point_stabilizers from before it read the stabilizers
+    off stabilizer chains: every point-fixing element of the listed group
+    taken as a generator; kept as the oracle."""
+    check_guard(F.order(), guard, "local group closure")
+    group = F.closure()
+    gens: set = set()
+    for point in range(1, F.degree + 1):
+        gens |= {g for g in group if g[point - 1] == point}
+    return ug.LocalGroup(F.degree, tuple(sorted(gens))).order() == F.order()
+
+
 def table_u1_ball(F, world, move_radius, support_radius, guard=None):
     """The U1 ball as enumerate_u1_ball listed it before its shared-prefix
     walk: the local-action tables by a depth-first search, then each

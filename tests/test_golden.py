@@ -58,6 +58,10 @@ CASES = {
     "ugroup_r3_plus3_pk2": ["ugroup", "--radius", "3", "--plus-k", "3", "--pk-k", "2"],
     "ugroup_d4_r2_c4_plus1": ["ugroup", "--degree", "4", "--radius", "2",
                               "--generators", "[[2,3,4,1]]", "--plus-k", "1"],
+    "ugroup_d4_r1_dihedral": ["ugroup", "--degree", "4", "--radius", "1",
+                              "--generators", "[[2,3,4,1],[3,2,1,4]]"],
+    "ugroup_d5_r1_alt5": ["ugroup", "--degree", "5", "--radius", "1",
+                          "--generators", "[[2,3,1,4,5],[1,2,4,5,3]]"],
     "padic_p3_n10": ["padic", "verify", "--p", "3", "--n-max", "10"],
     "coxeter_profile_free3_6": ["coxeter", "profile", "--config", "{free3}", "--max-length", "6"],
     "building_ball_L4": ["building", "ball", "--spec", "{spec}", "--L", "4"],

@@ -8,7 +8,8 @@ from tdlc import tree_aut as ta
 from tdlc import tree_core as tc
 from tdlc import universal_groups as ug
 from tdlc.errors import CertificationError, GuardExceeded, check_guard, check_power_guard
-from oracles import restrict_by_actions, table_u1_ball, valid_tree_portrait
+from oracles import (conjugating_normal_subgroups, listing_is_generated_by_point_stabilizers,
+                     listing_is_semiprimitive, restrict_by_actions, table_u1_ball, valid_tree_portrait)
 
 
 S3 = ug.LocalGroup.symmetric(3)
@@ -808,22 +809,30 @@ def test_property_pk_counterexample():
     assert res.offender is not None
 
 
+D4 = ug.LocalGroup.create(4, [(2, 3, 4, 1), (3, 2, 1, 4)])  # <(1 2 3 4), (1 3)>
+ALT5 = ug.LocalGroup.create(5, [(2, 3, 1, 4, 5), (1, 2, 4, 5, 3)])  # <(1 2 3), (3 4 5)>
+
+
 def test_is_semiprimitive():
     assert ug.is_semiprimitive(S3)
     assert not ug.is_semiprimitive(FLIP)  # not transitive
     c3 = ug.LocalGroup.create(3, [(2, 3, 1)])
     assert ug.is_semiprimitive(c3)
-    # D4 on 4 points: the Klein normal subgroup <(13)(24),(12)(34)> is fine,
-    # but <(13)> is not normal; the centre <(13)(24)> is semiregular... check
-    # a genuinely non-semiprimitive action instead: Sym(2) x trivial on 4.
-    blocks = ug.LocalGroup.create(4, [(2, 1, 3, 4)])
+    blocks = ug.LocalGroup.create(4, [(2, 1, 3, 4)])  # <(1 2)> on 4 points: not transitive
     assert not ug.is_semiprimitive(blocks)
+    # D4 is transitive, but its normal subgroup <(1 3), (2 4)> is neither
+    # transitive nor semiregular: (1 3) fixes 2.
+    assert not ug.is_semiprimitive(D4)
+    assert ug.is_semiprimitive(ALT5)
 
 
 def test_is_generated_by_point_stabilizers():
     assert ug.is_generated_by_point_stabilizers(S3)
     assert not ug.is_generated_by_point_stabilizers(ug.LocalGroup.create(3, [(2, 3, 1)]))
     assert not ug.is_generated_by_point_stabilizers(ug.LocalGroup.symmetric(2))
+    # the point stabilizers of D4 generate only <(1 3), (2 4)>
+    assert not ug.is_generated_by_point_stabilizers(D4)
+    assert ug.is_generated_by_point_stabilizers(ALT5)
 
 
 def test_uk_membership_interface():
@@ -940,39 +949,59 @@ def test_chain_is_not_part_of_equality():
     assert a.to_json() == {"degree": 3, "generators": [[1, 3, 2], [2, 3, 1]]}
 
 
-def conjugating_normal_subgroups(group, degree):
-    """Reference code: _normal_subgroups as it was before it took one normal
-    closure per conjugacy class and joins without conjugation."""
-    elements = sorted(group)
+def two_generated_local_groups(max_degree):
+    """Every subgroup of Sym(d) generated by at most two elements, d <= max_degree, once each."""
+    groups = {}
+    for d in range(1, max_degree + 1):
+        perms = list(itertools.permutations(range(1, d + 1)))
+        for gens in itertools.chain([()], ((a,) for a in perms), itertools.combinations(perms, 2)):
+            F = ug.LocalGroup(d, gens)
+            groups.setdefault((d, F.closure()), F)
+    return list(groups.values())
 
-    def normal_closure(seed):
-        conjugates = {ug.perm_mul(ug.perm_mul(g, h), ug.perm_inv(g)) for h in seed for g in elements}
-        return ug.LocalGroup.create(degree, sorted(conjugates)).closure()
 
-    basic = {normal_closure({g}) for g in elements}
-    found = set(basic)
-    pending = list(basic)
-    while pending:
-        n1 = pending.pop()
-        for n2 in list(found):
-            joined = normal_closure(set(n1) | set(n2))
-            if joined not in found:
-                found.add(joined)
-                pending.append(joined)
-    return sorted(found, key=lambda n: (len(n), sorted(n)))
+def assert_predicates_match_listing_oracles(F):
+    assert ug.is_semiprimitive(F) == listing_is_semiprimitive(F)
+    assert ug.is_generated_by_point_stabilizers(F) == listing_is_generated_by_point_stabilizers(F)
+
+
+def test_predicates_match_listing_oracles_on_two_generated_groups():
+    groups = two_generated_local_groups(4)
+    assert len(groups) == 1 + 2 + 6 + 30  # all subgroups of Sym(1..4)
+    for F in groups:
+        assert_predicates_match_listing_oracles(F)
 
 
 @settings(max_examples=60, deadline=None)
-@given(local_groups(st.integers(1, 5)))
-def test_normal_subgroups_match_conjugating_oracle(F):
-    group = F.closure()
-    assert ug._normal_subgroups(group, F.degree) == conjugating_normal_subgroups(group, F.degree)
+@given(local_groups(st.integers(5, 6)))
+def test_predicates_match_listing_oracles_on_degrees_5_and_6(F):
+    # The oracle lists a normal closure per element, so its cost grows as |F|^2.
+    assume(F.order() <= 72)
+    assert_predicates_match_listing_oracles(F)
+
+
+def test_predicates_list_the_local_group_at_most_once(monkeypatch):
+    listed = []
+    closure = ug.LocalGroup.closure
+
+    def counted(self):
+        out = closure(self)
+        listed.append(len(out))
+        return out
+
+    monkeypatch.setattr(ug.LocalGroup, "closure", counted)
+    F = ug.LocalGroup.symmetric(7)
+    assert ug.is_semiprimitive(F)
+    assert sum(listed) == 5040
+    listed.clear()
+    assert ug.is_generated_by_point_stabilizers(F)
+    assert listed == []
 
 
 def test_normal_subgroups_of_small_symmetric_groups():
     # Sym(4): 1, the Klein four-group, Alt(4), Sym(4); Sym(5): 1, Alt(5), Sym(5)
     for d, orders in ((4, [1, 4, 12, 24]), (5, [1, 60, 120])):
-        normal = ug._normal_subgroups(ug.LocalGroup.symmetric(d).closure(), d)
+        normal = conjugating_normal_subgroups(ug.LocalGroup.symmetric(d).closure(), d)
         assert [len(n) for n in normal] == orders
 
 
