@@ -48,14 +48,20 @@ def _flat_rows(rows) -> bool:
             and set(map(type, chain.from_iterable(map(dict.values, rows)))) <= _SCALARS)
 
 
+def _scalar_rows(rows) -> bool:
+    """Whether rows, all lists or tuples, are non-empty with scalar items (C-level passes)."""
+    return all(rows) and set(map(type, chain.from_iterable(rows))) <= _SCALARS
+
+
 def _dumps(report) -> str:
     """`json.dumps(report, sort_keys=True, indent=2, default=str)`, byte for byte.
 
     The indented dump runs CPython's pure-Python encoder, so flat containers go
     to the C encoder instead, whose item separator carries the newline and
-    indent.  A list of flat records goes in one call at the records' key depth:
-    the C encoder escapes every newline inside a string, so each `},\\n{` joint
-    it writes is between two records and one `str.replace` re-indents them all.
+    indent.  A list of flat records, or of non-empty scalar lists, goes in one
+    call at the rows' item depth: the C encoder escapes every newline inside a
+    string, so each `},\\n{` (or `],\\n[`) joint it writes is between two rows
+    and one `str.replace` re-indents them all.
     Anything else json.dumps does differently (a non-str key, a scalar subclass,
     an object for `default=str`, nesting past the recursion limit) hands the
     whole report to json.dumps, so the fallback, and any exception, is its own.
@@ -89,11 +95,12 @@ def _write(o, depth: int, out: list) -> None:
     else:
         types = set(map(type, o))
         flat = types <= _SCALARS
-        if not flat and types == {dict} and _flat_rows(o):
+        if not flat and (types == {dict} and _flat_rows(o) or types <= {list, tuple} and _scalar_rows(o)):
+            first, last = ("{", "}") if types == {dict} else ("[", "]")
             deep = "\n" + "  " * (depth + 2)
             rows = _encoder(depth + 2).encode(o)[2:-2].replace(
-                "}," + deep + "{", pad + "}," + pad + "{" + deep)
-            out += "[", pad, "{", deep, rows, pad, "}", end
+                last + "," + deep + first, pad + last + "," + pad + first + deep)
+            out += "[", pad, first, deep, rows, pad, last, end
             return
     if flat:
         out += opening, pad, _encoder(depth + 1).encode(o)[1:-1], end

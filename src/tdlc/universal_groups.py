@@ -92,8 +92,8 @@ def perm_identity(d: int) -> Perm:
 
 
 def perm_mul(a: Perm, b: Perm) -> Perm:
-    """a after b."""
-    return tuple(a[b[i] - 1] for i in range(len(a)))
+    """a after b, in one C-level pass: b's images index a shifted by one."""
+    return tuple(map((0, *a).__getitem__, b))
 
 
 def perm_inv(a: Perm) -> Perm:
@@ -446,20 +446,16 @@ def identity_aut(world: ColorBall) -> Portrait:
 # ---------------------------------------------------------------------------
 # local groups (finite permutation groups on colors)
 
-def _orbit_transversal(point: int, gens, degree: int) -> dict[int, tuple[Perm, Perm]]:
-    """Each point y of the orbit of `point`, mapped to a u in <gens> with
-    u(point) = y and to its inverse."""
-    ident = perm_identity(degree)
-    trans = {point: (ident, ident)}
-    queue = [point]
-    for x in queue:
+def _orbit(point: int, gens) -> list[int]:
+    """The orbit of `point` under <gens>, in the order a breadth-first search reaches it."""
+    orbit, seen = [point], {point}
+    for x in orbit:
         for g in gens:
             y = g[x - 1]
-            if y not in trans:
-                u = perm_mul(g, trans[x][0])
-                trans[y] = (u, perm_inv(u))
-                queue.append(y)
-    return trans
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 def _sift(p: Perm, base, trans, start: int = 0) -> tuple[Perm, int]:
@@ -478,12 +474,24 @@ def _schreier_sims(degree: int, generators, base=()) -> tuple[list[int], list[di
 
     Deterministic Schreier-Sims (C. Sims 1970; Seress, Permutation Group
     Algorithms, CUP 2003, sec. 4.2): level i holds strong generators fixing
-    base[:i] and the transversal of their orbit on base[i].  Each generator is
-    sifted into the chain and kept only when it does not sift to the identity.
-    Then, level by level from the deepest one it joined up to level 0, every
-    Schreier generator u(g x)^-1 g u(x) of a level must sift to the identity
-    through the levels below it; one that does not is kept the same way, and
-    the check resumes at the deepest level that one joined.  The chain's base
+    base[:i], the orbit of base[i] under them, and for each orbit point x a
+    transversal element u(x) sending base[i] to x, stored with its inverse.
+    A generator that does not sift to the identity is kept on every level
+    from the top one to the level whose transversal missed it, and each of
+    those transversals is extended in place: old points keep their
+    elements, new points get one from the point they were reached from.
+
+    So the Schreier generator u(g x)^-1 g u(x) of a pair (x, g) at level i
+    never changes, and each pair is sifted once, through the levels below i.
+    A pair that sifts to the identity is a product of lower transversal
+    elements, so it lies in <strong[i + 1]>, which only grows; one that does
+    not leaves a residue h in the stabilizer of base[:i + 1], and once h is
+    kept the pair is such a product again.  Each level checks its new pairs
+    from the deepest level a generator joined up to level 0, and after a
+    kept residue the check resumes at the deepest level that one joined.
+    When every pair is checked, each level's stabilizer of its base point is
+    generated by its Schreier generators (Schreier's lemma), all of which lie
+    in the next level's group, so the chain is complete.  The chain's base
     begins with the points of `base`, in that order (a level may be trivial);
     further points are the first point a kept generator moves.
     """
@@ -491,24 +499,42 @@ def _schreier_sims(degree: int, generators, base=()) -> tuple[list[int], list[di
     base = list(base)
     strong: list[list[Perm]] = [[] for _ in base]
     trans: list[dict[int, tuple[Perm, Perm]]] = [{b: (ident, ident)} for b in base]
+    paired: list[list[int]] = [[0] for _ in base]   # the j-th orbit point is paired with strong[i][:paired[i][j]]
 
     def keep(h: Perm, top: int, level: int) -> None:
         # h fixes base[:level], so it is a strong generator on levels top..level
         if level == len(base):
-            base.append(next(x for x in range(1, degree + 1) if h[x - 1] != x))
+            b = next(x for x in range(1, degree + 1) if h[x - 1] != x)
+            base.append(b)
             strong.append([])
-            trans.append({})
+            trans.append({b: (ident, ident)})
+            paired.append([0])
         for i in range(top, level + 1):
-            strong[i].append(h)
-            trans[i] = _orbit_transversal(base[i], strong[i], degree)
+            gens, t = strong[i], trans[i]
+            gens.append(h)
+            orbit = list(t)     # in the order the points joined
+            old = len(orbit)
+            for j, x in enumerate(orbit):   # h on the old points, every generator on the new ones
+                ux = t[x][0]
+                for g in (gens if j >= old else (h,)):
+                    y = g[x - 1]
+                    if y not in t:
+                        u = perm_mul(g, ux)
+                        t[y] = (u, perm_inv(u))
+                        orbit.append(y)
+            paired[i] += [0] * (len(orbit) - old)
 
-    def failing_schreier_generator(i: int) -> tuple[Perm, int] | None:
-        for x, (ux, _) in trans[i].items():
-            for g in strong[i]:
-                s = perm_mul(trans[i][g[x - 1]][1], perm_mul(g, ux))
-                h, level = _sift(s, base, trans, i + 1)
-                if h != ident:
-                    return h, level
+    def failing_pair(i: int) -> tuple[Perm, int] | None:
+        gens, t, pairs = strong[i], trans[i], paired[i]
+        for j, (x, (ux, _)) in enumerate(t.items()):
+            for k in range(pairs[j], len(gens)):
+                pairs[j] = k + 1
+                g = gens[k]
+                s = perm_mul(t[g[x - 1]][1], perm_mul(g, ux))
+                if s != ident:
+                    h, level = _sift(s, base, trans, i + 1)
+                    if h != ident:
+                        return h, level
         return None
 
     for g in generators:
@@ -518,7 +544,7 @@ def _schreier_sims(degree: int, generators, base=()) -> tuple[list[int], list[di
         keep(h, 0, level)
         i = level
         while i >= 0:
-            failed = failing_schreier_generator(i)
+            failed = failing_pair(i)
             if failed is None:
                 i -= 1
             else:
@@ -622,52 +648,87 @@ class LocalGroup:
         return cls.create(data["degree"], data["generators"])
 
 
+def _stabilizer_generators(F: LocalGroup, point: int) -> set[Perm]:
+    """Generators of the stabilizer of `point` in <F>: below its first level, a
+    chain of <F> with base point `point` is a chain of that stabilizer, so
+    its transversal elements generate it."""
+    _, trans = _schreier_sims(F.degree, F.generators, [point])
+    return {u for level in trans[1:] for u, _ in level.values()}
+
+
+def _block_system(points, gens, degree: int) -> tuple[int, ...]:
+    """The finest block system of <gens> with all of `points` in one block, as
+    each point's block number (1, 2, ... in order of first points).
+
+    Atkinson's algorithm (M. D. Atkinson 1975; Seress, sec. 5.5): a union-find
+    merges the points, and for each merge of two classes, recorded by their
+    representatives a and b, every generator's images of a and b are merged.
+    The recorded pairs span each class, so the classes end closed under
+    every generator, and nothing is merged that a block system must not.
+    """
+    parent = list(range(degree + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    merged = [(points[0], x) for x in points[1:]]
+    for a, b in merged:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            merged += ((g[a - 1], g[b - 1]) for g in gens)
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(find(x), len(number) + 1) for x in range(1, degree + 1))
+
+
 def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
     """Transitive, and every normal subgroup is transitive or semiregular
-    (no non-identity element fixes a point); normal subgroups are not listed.
+    (no non-identity element fixes a point); neither normal subgroups nor
+    <F> are listed.
 
-    Lemma: F is semiprimitive exactly when it is transitive and, for every
-    non-identity h fixing a point, the normal closure <<h>>, generated by
-    h's conjugacy class, is transitive.  Proof: a normal N that is neither
-    transitive nor semiregular holds such an h, and <<h>> <= N is then
-    intransitive too.  Conversely <<h>> is normal, and not semiregular
-    because h fixes a point.  So one orbit per conjugacy class decides it;
-    a class is the orbit of h under conjugation by F's generators.
+    Lemma: a transitive F is semiprimitive exactly when, for every block
+    system B with more than one block, the kernel K_B of F on B is
+    semiregular.  Proof: the orbits of a normal N form a block system, and N
+    fixes each of its orbits, so an intransitive N lies in some K_B with
+    more than one block, and a subgroup of a semiregular group is
+    semiregular.  Conversely each such K_B is normal and, fixing every
+    block, intransitive.
+
+    K_B is normal in a transitive group, so its point stabilizers are
+    conjugate, and it is semiregular exactly when its stabilizer of 1, the
+    kernel of F_1 on B, is trivial: when F_1 acts faithfully on the blocks,
+    |F_1^B| = |F_1| = |F|/d.  The blocks containing 1 are the joins of the
+    minimal blocks containing {1, x} (_block_system).
     """
     check_guard(F.order(), guard, "local group closure")
-    d = F.degree
-    if len(_orbit_transversal(1, F.generators, d)) < d:
+    d, gens = F.degree, F.generators
+    if len(_orbit(1, gens)) < d:
         return False
-    gens = [(g, perm_inv(g)) for g in F.generators]
-    seen = {perm_identity(d)}
-    for h in F.closure():
-        if h in seen or all(h[i] != i + 1 for i in range(d)):
-            continue
-        seen.add(h)
-        conj_class = [h]
-        for x in conj_class:
-            for g, g_inv in gens:
-                y = perm_mul(perm_mul(g, x), g_inv)
-                if y not in seen:
-                    seen.add(y)
-                    conj_class.append(y)
-        if len(_orbit_transversal(1, conj_class, d)) < d:
+    systems = {_block_system((1, x), gens, d) for x in range(2, d + 1)}
+    pending = list(systems)
+    for a in pending:       # close under joins: the finest system coarser than both
+        for b in list(systems):
+            joined = _block_system([x for x in range(1, d + 1) if a[x - 1] == a[0] or b[x - 1] == b[0]], gens, d)
+            if joined not in systems:
+                systems.add(joined)
+                pending.append(joined)
+    systems.discard((1,) * d)
+    stabilizer = _stabilizer_generators(F, 1)
+    for blocks in systems:
+        firsts = [blocks.index(k) + 1 for k in range(1, max(blocks) + 1)]
+        on_blocks = {tuple(blocks[h[x - 1] - 1] for x in firsts) for h in stabilizer}
+        if LocalGroup(len(firsts), tuple(sorted(on_blocks))).order() != F.order() // d:
             return False
     return True
 
 
 def is_generated_by_point_stabilizers(F: LocalGroup, guard: int | None = None) -> bool:
-    """Whether the stabilizers of the points 1..d generate <F>; <F> is not listed.
-
-    Below its first level, a chain of <F> with base point x is a chain of
-    the stabilizer of x, so its transversal elements generate that stabilizer.
-    """
+    """Whether the stabilizers of the points 1..d generate <F>; <F> is not listed."""
     check_guard(F.order(), guard, "local group closure")
     d = F.degree
-    gens = set()
-    for x in range(1, d + 1):
-        _, trans = _schreier_sims(d, F.generators, [x])
-        gens.update(u for level in trans[1:] for u, _ in level.values())
+    gens = set().union(*(_stabilizer_generators(F, x) for x in range(1, d + 1)))
     return LocalGroup(d, tuple(sorted(gens))).order() == F.order()
 
 
@@ -755,7 +816,7 @@ def _stabilizer_count_factors(F: LocalGroup, radius: int) -> tuple[int, int, int
     if radius < 1:
         return 1, 1, 0
     order, d = F.order(), F.degree
-    stabilizers = math.prod(order // len(_orbit_transversal(c, F.generators, d)) for c in range(1, d + 1))
+    stabilizers = math.prod(order // len(_orbit(c, F.generators)) for c in range(1, d + 1))
     return order, stabilizers, sum((d - 1) ** (n - 1) for n in range(1, radius))
 
 

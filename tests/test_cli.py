@@ -918,13 +918,22 @@ def rows(values):
                      st.lists(st.one_of(record, st.just({}), st.just([])), max_size=5))
 
 
+def scalar_rows(values):
+    """Lists of lists: non-empty ones, ones with tuples among them, and ones
+    with empty lists and records mixed in."""
+    row = st.lists(values, min_size=1, max_size=4)
+    return st.one_of(st.lists(row, min_size=1, max_size=5),
+                     st.lists(st.one_of(row, row.map(tuple)), min_size=1, max_size=5),
+                     st.lists(st.one_of(row, st.just([]), st.just({})), max_size=5))
+
+
 REPORTS = st.recursive(
     SCALARS,
     lambda children: st.one_of(
         st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
         st.dictionaries(STRINGS, children, max_size=4),
         st.dictionaries(ODD_KEYS, children, max_size=3),
-        rows(SCALARS), rows(children)),
+        rows(SCALARS), rows(children), scalar_rows(SCALARS), scalar_rows(children)),
     max_leaves=24)
 
 
@@ -957,6 +966,19 @@ def test_dumps_of_nesting_past_the_recursion_limit_raises_as_json_dumps():
     for _ in range(sys.getrecursionlimit() + 10):
         nested = [nested, {"a": 1}]
     assert outcome(cli._dumps, nested) is outcome(json_oracle, nested) is RecursionError
+
+
+def test_contract_tree_witness_rows_go_to_the_c_encoder_in_one_call(monkeypatch):
+    args = cli._build_parser().parse_args(["contract-tree", "--radius", "6"])
+    report = {"schema_version": cli.SCHEMA_VERSION, **cli._cmd_contract_tree(args)}
+    expect = json_oracle(report)
+    calls = []
+    encode = json.JSONEncoder.encode
+    monkeypatch.setattr(json.JSONEncoder, "encode", lambda self, o: calls.append(o) or encode(self, o))
+    monkeypatch.setattr(json, "dumps", None)   # the emitter must not need it on this report
+    assert cli._dumps(report) == expect
+    assert report["witness"]["perm"] in calls   # the list of pairs, encoded whole
+    assert len(calls) < 10
 
 
 def test_tree_radius_8_report_without_the_fallback(monkeypatch):

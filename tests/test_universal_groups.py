@@ -990,12 +990,119 @@ def test_predicates_list_the_local_group_at_most_once(monkeypatch):
         return out
 
     monkeypatch.setattr(ug.LocalGroup, "closure", counted)
-    F = ug.LocalGroup.symmetric(7)
-    assert ug.is_semiprimitive(F)
-    assert sum(listed) == 5040
-    listed.clear()
-    assert ug.is_generated_by_point_stabilizers(F)
+    for d in (7, 9):
+        F = ug.LocalGroup.symmetric(d)
+        assert ug.is_semiprimitive(F)
+        assert ug.is_generated_by_point_stabilizers(F)
     assert listed == []
+
+
+def assert_chain_matches_listing(F, listing, perms):
+    """Order, sift membership of perms, and least_fixing, against the listing."""
+    assert F.order() == len(listing)
+    for p in perms:
+        assert (p in F) == (p in listing)
+    ident = tuple(range(1, F.degree + 1))
+    first = sorted(listing)
+    for c in range(1, F.degree + 1):
+        assert F.least_fixing(c) == next((t for t in first if t != ident and t[c - 1] == c), None)
+
+
+def test_chain_matches_the_listing_on_subgroups_of_sym4():
+    groups = two_generated_local_groups(4)
+    assert len(groups) == 39
+    for F in groups:
+        assert_chain_matches_listing(F, bfs_closure(F), itertools.permutations(range(1, F.degree + 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_groups(st.integers(5, 8)), st.randoms(use_true_random=False))
+def test_chain_matches_the_listing_in_degrees_5_to_8(F, rng):
+    listing = bfs_closure(F)
+    perms = rng.sample(sorted(listing), min(20, len(listing)))
+    points = list(range(1, F.degree + 1))
+    for _ in range(20):
+        rng.shuffle(points)
+        perms.append(tuple(points))
+    assert_chain_matches_listing(F, listing, perms)
+
+
+def regular_action(elements, mul):
+    """The left regular action of the group listed as `elements`: element i + 1 is elements[i]."""
+    index = {e: i for i, e in enumerate(elements, 1)}
+    return ug.LocalGroup.create(len(elements), [[index[mul(g, e)] for e in elements] for g in elements])
+
+
+F3_VECTORS = [v for v in itertools.product(range(3), repeat=2) if any(v)]   # F_3^2 without 0
+
+
+def on_nonzero_vectors(*matrices):
+    """The group generated by 2x2 matrices over F_3, acting on F3_VECTORS."""
+    index = {v: i for i, v in enumerate(F3_VECTORS, 1)}
+    return ug.LocalGroup.create(8, [[index[((a * x + b * y) % 3, (c * x + d * y) % 3)] for x, y in F3_VECTORS]
+                                    for (a, b), (c, d) in matrices])
+
+
+SYM3_LIST = list(itertools.permutations((1, 2, 3)))
+NEG = [F3_VECTORS.index(v) + 1 for v in ((1, 0), (2, 0))]   # the block {v, -v}
+
+# (group, |F|, a block of it, semiprimitive): imprimitive groups whose answer
+# is known from theory.  A regular group is semiregular, and so is each of its
+# normal subgroups.  SL(2,3) on the nonzero vectors has the normal subgroups 1,
+# {+-1} and Q8, each semiregular (-1 fixes no nonzero vector, Q8 acts
+# regularly), and itself, transitive.  In the others the kernel on the given
+# blocks is normal, intransitive and moves only some points.
+SEMIPRIMITIVITY_CASES = [
+    pytest.param(ug.LocalGroup.create(4, [(2, 3, 4, 1)]), 4, {1, 3}, True, id="C4-regular"),
+    pytest.param(ug.LocalGroup.create(6, [(2, 3, 4, 5, 6, 1)]), 6, {1, 4}, True, id="C6-regular"),
+    pytest.param(regular_action(SYM3_LIST, lambda a, b: tuple(a[x - 1] for x in b)), 6,
+                 {SYM3_LIST.index(h) + 1 for h in ((1, 2, 3), (2, 1, 3))}, True, id="S3-regular"),
+    pytest.param(on_nonzero_vectors(((0, 2), (1, 0)), ((1, 1), (1, 2))), 8, set(NEG), True, id="Q8-regular"),
+    pytest.param(on_nonzero_vectors(((1, 1), (0, 1)), ((1, 0), (1, 1))), 24, set(NEG), True, id="SL(2,3)"),
+    pytest.param(D4, 8, {1, 3}, False, id="D4"),
+    pytest.param(ug.LocalGroup.create(6, [(2, 1, 3, 4, 5, 6), (3, 4, 1, 2, 5, 6), (3, 4, 5, 6, 1, 2)]),
+                 48, {1, 2}, False, id="S2wrS3"),
+    pytest.param(ug.LocalGroup.create(6, [(2, 1, 3, 4, 5, 6), (2, 3, 1, 4, 5, 6), (4, 5, 6, 1, 2, 3)]),
+                 72, {1, 2, 3}, False, id="S3wrS2"),
+    pytest.param(ug.LocalGroup.create(8, [(2, 1, 3, 4, 5, 6, 7, 8), (3, 4, 5, 6, 7, 8, 1, 2)]),
+                 64, {1, 2}, False, id="C2wrC4"),
+]
+
+
+@pytest.mark.parametrize("F, order, block, semiprimitive", SEMIPRIMITIVITY_CASES)
+def test_semiprimitivity_of_imprimitive_groups_known_from_theory(F, order, block, semiprimitive):
+    assert F.order() == order
+    # the translates of the block partition the points, so F is imprimitive
+    translates = [frozenset(block)]
+    for b in translates:
+        for g in F.generators:
+            image = frozenset(g[x - 1] for x in b)
+            if image not in translates:
+                translates.append(image)
+    assert 1 < len(block) < F.degree
+    assert sorted(x for b in translates for x in b) == list(range(1, F.degree + 1))
+    assert ug.is_semiprimitive(F) is semiprimitive
+    assert listing_is_semiprimitive(F) is semiprimitive
+
+
+def test_semiprimitivity_reads_blocks_that_are_only_joins_of_minimal_blocks():
+    # F (order 32) permutes the quarters {1..4}, ..., {13..16}, and its element t fixes 1 and
+    # every quarter, so the kernel on the quarters is normal, intransitive and not
+    # semiregular.  For x = 2, 3, 4 the minimal block of {1, x} has two points, so {1..4}
+    # is found only as a join.
+    F = ug.LocalGroup.create(16, [(14, 13, 15, 16, 9, 10, 11, 12, 4, 3, 2, 1, 7, 8, 6, 5),
+                                  (4, 3, 2, 1, 7, 8, 5, 6, 9, 10, 11, 12, 14, 13, 16, 15)])
+    t = (1, 2, 3, 4, 6, 5, 8, 7, 11, 12, 9, 10, 15, 16, 13, 14)
+    quarters = [set(range(k, k + 4)) for k in (1, 5, 9, 13)]
+    for g in F.generators:
+        assert all({g[x - 1] for x in q} in quarters for q in quarters)
+    assert all({t[x - 1] for x in q} == q for q in quarters)
+    assert t in bfs_closure(F)
+    for x in (2, 3, 4):
+        blocks = ug._block_system((1, x), F.generators, 16)
+        assert blocks.count(blocks[0]) == 2
+    assert not ug.is_semiprimitive(F)
+    assert not listing_is_semiprimitive(F)
 
 
 def test_normal_subgroups_of_small_symmetric_groups():
@@ -1009,7 +1116,7 @@ def walked_stabilizer_ball_count(F, world, radius):
     """Reference code: stabilizer_ball_count as it was before its closed form,
     a walk over the inner vertices of a built ball."""
     order = F.order()
-    stab = {c: order // len(ug._orbit_transversal(c, F.generators, F.degree))
+    stab = {c: order // len(ug._orbit(c, F.generators))
             for c in range(1, world.degree + 1)}
     count = 1
     for v in world.ball.vertices():
