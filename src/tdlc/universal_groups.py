@@ -632,11 +632,8 @@ class LocalGroup:
         return None
 
     def closure(self) -> frozenset[Perm]:
-        """Every element, once: the products u_0 u_1 ... of one transversal element per level."""
-        out = [perm_identity(self.degree)]
-        for trans in reversed(self._transversals):
-            out = [perm_mul(u, p) for u, _ in trans.values() for p in out]
-        return frozenset(out)
+        """Every element, once (_chain_elements)."""
+        return frozenset(_chain_elements(self._transversals, self.degree))
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "generators": [list(g) for g in self.generators]}
@@ -648,17 +645,32 @@ class LocalGroup:
         return cls.create(data["degree"], data["generators"])
 
 
+def _stabilizer_chain(F: LocalGroup, point: int) -> list[dict[int, tuple[Perm, Perm]]]:
+    """The transversals of a chain of the stabilizer of `point` in <F>: below its
+    first level, a chain of <F> with base point `point` is a chain of that
+    stabilizer.  F's own chain is read when its base begins at `point`."""
+    if F._base[:1] == (point,):
+        return list(F._transversals[1:])
+    return _schreier_sims(F.degree, F.generators, [point])[1][1:]
+
+
+def _chain_elements(transversals, degree: int) -> list[Perm]:
+    """Every element of a chain's group, once: the products u_0 u_1 ... of one transversal element per level."""
+    out = [perm_identity(degree)]
+    for trans in reversed(transversals):
+        out = [perm_mul(u, p) for u, _ in trans.values() for p in out]
+    return out
+
+
 def _stabilizer_generators(F: LocalGroup, point: int) -> set[Perm]:
-    """Generators of the stabilizer of `point` in <F>: below its first level, a
-    chain of <F> with base point `point` is a chain of that stabilizer, so
-    its transversal elements generate it."""
-    _, trans = _schreier_sims(F.degree, F.generators, [point])
-    return {u for level in trans[1:] for u, _ in level.values()}
+    """Generators of the stabilizer of `point` in <F>: its chain's transversal elements."""
+    return {u for level in _stabilizer_chain(F, point) for u, _ in level.values()}
 
 
-def _block_system(points, gens, degree: int) -> tuple[int, ...]:
-    """The finest block system of <gens> with all of `points` in one block, as
-    each point's block number (1, 2, ... in order of first points).
+def _block_system(pairs, gens, degree: int) -> tuple[int, ...]:
+    """The finest block system of <gens> in which the two points of each pair
+    share a block, as each point's block number (1, 2, ... in order of first
+    points).
 
     Atkinson's algorithm (M. D. Atkinson 1975; Seress, sec. 5.5): a union-find
     merges the points, and for each merge of two classes, recorded by their
@@ -673,7 +685,7 @@ def _block_system(points, gens, degree: int) -> tuple[int, ...]:
             parent[x] = x = parent[parent[x]]
         return x
 
-    merged = [(points[0], x) for x in points[1:]]
+    merged = list(pairs)
     for a, b in merged:
         a, b = find(a), find(b)
         if a != b:
@@ -681,6 +693,43 @@ def _block_system(points, gens, degree: int) -> tuple[int, ...]:
             merged += ((g[a - 1], g[b - 1]) for g in gens)
     number: dict[int, int] = {}
     return tuple(number.setdefault(find(x), len(number) + 1) for x in range(1, degree + 1))
+
+
+def _maximal_block_systems(gens, degree: int, calls: int) -> list[tuple[int, ...]] | None:
+    """The block systems of a transitive <gens> with more than one block and
+    no coarser one of that kind, or None when finding them takes more than
+    `calls` calls of _block_system.
+
+    Every block containing 1 is the join of the minimal blocks of {1, x} inside
+    it, so a walk from the minimal blocks, joining one more at a time, meets
+    every proper one; it is maximal when each such join is the whole set.
+    A proper block always leaves some minimal block out, so each block the
+    walk reads costs at least one call.
+    """
+    if calls < degree - 1:
+        return None
+    joins = calls - (degree - 1)
+    whole = (1,) * degree
+    minimal = {_block_system([(1, x)], gens, degree) for x in range(2, degree + 1)} - {whole}
+    seen, pending, out = set(minimal), list(minimal), []
+    for blocks in pending:
+        maximal = True
+        for m in minimal:
+            if all(b == 1 for b, c in zip(blocks, m) if c == 1):
+                continue
+            joins -= 1
+            if joins < 0:
+                return None
+            joined = _block_system([(1, x) for x, (b, c) in enumerate(zip(blocks, m), 1) if b == 1 or c == 1],
+                                   gens, degree)
+            if joined != whole:
+                maximal = False
+                if joined not in seen:
+                    seen.add(joined)
+                    pending.append(joined)
+        if maximal:
+            out.append(blocks)
+    return out
 
 
 def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
@@ -694,32 +743,41 @@ def is_semiprimitive(F: LocalGroup, guard: int | None = None) -> bool:
     fixes each of its orbits, so an intransitive N lies in some K_B with
     more than one block, and a subgroup of a semiregular group is
     semiregular.  Conversely each such K_B is normal and, fixing every
-    block, intransitive.
+    block, intransitive.  K_B only grows as B coarsens, so the maximal such
+    B decide it.
 
     K_B is normal in a transitive group, so its point stabilizers are
     conjugate, and it is semiregular exactly when its stabilizer of 1, the
     kernel of F_1 on B, is trivial: when F_1 acts faithfully on the blocks,
-    |F_1^B| = |F_1| = |F|/d.  The blocks containing 1 are the joins of the
-    minimal blocks containing {1, x} (_block_system).
+    |F_1^B| = |F_1| = |F|/d.  A regular F (F_1 trivial) is semiprimitive.
+
+    A group can have far more block systems than |F_1| has elements (a
+    regular elementary abelian group has one per proper subspace), so the
+    walk for the maximal ones gets |F_1| calls of _block_system.  Past
+    that, or when the minimal blocks alone would cost more, F_1 is listed
+    instead, under the guard on |F|: F is semiprimitive exactly when the
+    normal closure of each non-identity h in F_1 is transitive, and the
+    orbits of that closure are the finest block system with x and h(x) in
+    one block for every x (every point-fixing element is conjugate into
+    F_1, and a normal subgroup holding h holds that closure).
     """
     check_guard(F.order(), guard, "local group closure")
-    d, gens = F.degree, F.generators
+    d, gens, order = F.degree, F.generators, F.order()
     if len(_orbit(1, gens)) < d:
         return False
-    systems = {_block_system((1, x), gens, d) for x in range(2, d + 1)}
-    pending = list(systems)
-    for a in pending:       # close under joins: the finest system coarser than both
-        for b in list(systems):
-            joined = _block_system([x for x in range(1, d + 1) if a[x - 1] == a[0] or b[x - 1] == b[0]], gens, d)
-            if joined not in systems:
-                systems.add(joined)
-                pending.append(joined)
-    systems.discard((1,) * d)
-    stabilizer = _stabilizer_generators(F, 1)
+    if order == d:
+        return True
+    stabilizer = _stabilizer_chain(F, 1)
+    systems = _maximal_block_systems(gens, d, order // d)
+    if systems is None:
+        ident = perm_identity(d)
+        return all(h == ident or _block_system(zip(range(1, d + 1), h), gens, d) == (1,) * d
+                   for h in _chain_elements(stabilizer, d))
+    stabilizer_gens = {u for level in stabilizer for u, _ in level.values()}
     for blocks in systems:
         firsts = [blocks.index(k) + 1 for k in range(1, max(blocks) + 1)]
-        on_blocks = {tuple(blocks[h[x - 1] - 1] for x in firsts) for h in stabilizer}
-        if LocalGroup(len(firsts), tuple(sorted(on_blocks))).order() != F.order() // d:
+        on_blocks = {tuple(blocks[h[x - 1] - 1] for x in firsts) for h in stabilizer_gens}
+        if LocalGroup(len(firsts), tuple(sorted(on_blocks))).order() != order // d:
             return False
     return True
 

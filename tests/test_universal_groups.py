@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -1085,13 +1086,18 @@ def test_semiprimitivity_of_imprimitive_groups_known_from_theory(F, order, block
     assert listing_is_semiprimitive(F) is semiprimitive
 
 
+# An order-32 group on 16 points whose non-semiregular kernel sits on blocks
+# that are only joins of minimal blocks.
+QUARTERS = ug.LocalGroup.create(16, [(14, 13, 15, 16, 9, 10, 11, 12, 4, 3, 2, 1, 7, 8, 6, 5),
+                                     (4, 3, 2, 1, 7, 8, 5, 6, 9, 10, 11, 12, 14, 13, 16, 15)])
+
+
 def test_semiprimitivity_reads_blocks_that_are_only_joins_of_minimal_blocks():
     # F (order 32) permutes the quarters {1..4}, ..., {13..16}, and its element t fixes 1 and
     # every quarter, so the kernel on the quarters is normal, intransitive and not
     # semiregular.  For x = 2, 3, 4 the minimal block of {1, x} has two points, so {1..4}
     # is found only as a join.
-    F = ug.LocalGroup.create(16, [(14, 13, 15, 16, 9, 10, 11, 12, 4, 3, 2, 1, 7, 8, 6, 5),
-                                  (4, 3, 2, 1, 7, 8, 5, 6, 9, 10, 11, 12, 14, 13, 16, 15)])
+    F = QUARTERS
     t = (1, 2, 3, 4, 6, 5, 8, 7, 11, 12, 9, 10, 15, 16, 13, 14)
     quarters = [set(range(k, k + 4)) for k in (1, 5, 9, 13)]
     for g in F.generators:
@@ -1099,10 +1105,102 @@ def test_semiprimitivity_reads_blocks_that_are_only_joins_of_minimal_blocks():
     assert all({t[x - 1] for x in q} == q for q in quarters)
     assert t in bfs_closure(F)
     for x in (2, 3, 4):
-        blocks = ug._block_system((1, x), F.generators, 16)
+        blocks = ug._block_system([(1, x)], F.generators, 16)
         assert blocks.count(blocks[0]) == 2
     assert not ug.is_semiprimitive(F)
     assert not listing_is_semiprimitive(F)
+
+
+@pytest.mark.parametrize("path", ["walk", "listing"])
+def test_both_semiprimitivity_paths_match_the_oracle(monkeypatch, path):
+    # Small groups mostly take the F_1 listing; an unbounded walk and a refused
+    # one make each group take each path.
+    walk = ug._maximal_block_systems
+    monkeypatch.setattr(ug, "_maximal_block_systems",
+                        (lambda gens, d, calls: walk(gens, d, 10 ** 9)) if path == "walk" else (lambda *_: None))
+    for F in two_generated_local_groups(4):
+        assert ug.is_semiprimitive(F) == listing_is_semiprimitive(F)
+    for case in SEMIPRIMITIVITY_CASES:
+        F, _, _, semiprimitive = case.values
+        assert ug.is_semiprimitive(F) is semiprimitive
+    assert not ug.is_semiprimitive(QUARTERS)
+
+
+def elementary_abelian_regular(k):
+    """C2^k acting regularly on 2^k points, by xor on the point's bits."""
+    return ug.LocalGroup.create(2 ** k, [[(x ^ (1 << i)) + 1 for x in range(2 ** k)] for i in range(k)])
+
+
+def product_action(A, B):
+    """A x B on the pairs (a, b), the point (a, b) numbered (a - 1) * deg B + b."""
+    m, n = A.degree, B.degree
+    return ug.LocalGroup.create(m * n, [[(g[a] - 1) * n + b + 1 for a in range(m) for b in range(n)]
+                                        for g in A.generators]
+                                + [[a * n + g[b] for a in range(m) for b in range(n)] for g in B.generators])
+
+
+def on_ordered_pairs(n):
+    """Sym(n) on the ordered pairs of distinct points."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    index = {p: i for i, p in enumerate(pairs, 1)}
+    return ug.LocalGroup.create(len(pairs), [[index[(g[a - 1], g[b - 1])] for a, b in pairs]
+                                             for g in ug.LocalGroup.symmetric(n).generators])
+
+
+def frobenius_on_f4_cubed():
+    """F_4^3 : F_4^* on the 64 vectors of F_4^3 (F_4 = 0, 1, w, w^2 as 0..3, sum as xor).
+    Multiplying by w fixes only 0, so this is a Frobenius group."""
+    times_w = (0, 2, 3, 1)
+    vectors = list(itertools.product(range(4), repeat=3))
+    index = {v: i for i, v in enumerate(vectors, 1)}
+    shifts = [[index[tuple(c ^ (e if j == i else 0) for j, c in enumerate(v))] for v in vectors]
+              for i in range(3) for e in (1, 2)]
+    return ug.LocalGroup.create(64, shifts + [[index[tuple(times_w[c] for c in v)] for v in vectors]])
+
+
+S2_WR_S6 = ug.LocalGroup.create(12, [(2, 1) + tuple(range(3, 13)), (3, 4, 1, 2) + tuple(range(5, 13)),
+                                     tuple(range(3, 13)) + (1, 2)])
+
+# (group, |F|, semiprimitive), each with many block systems or many elements,
+# answers known from theory.  A regular group is semiregular with each of its
+# subgroups, and a Frobenius group's normal subgroups lie in its regular kernel
+# or contain it.  Sym(n) (n >= 5) has the normal subgroups 1, Alt(n), Sym(n),
+# and Alt(n) is transitive on ordered pairs; Sym(9) on 9 points is primitive,
+# so each normal subgroup other than 1 is transitive.  C2^5 x Sym(3) has the normal
+# subgroup 1 x Sym(3), intransitive, with a transposition fixing points; in
+# S2 wr S6 the base group C2^6 is normal, intransitive and not semiregular.
+LARGE_SEMIPRIMITIVITY_CASES = [
+    pytest.param(elementary_abelian_regular(6), 64, True, id="C2^6-regular"),
+    pytest.param(elementary_abelian_regular(7), 128, True, id="C2^7-regular"),
+    pytest.param(frobenius_on_f4_cubed(), 192, True, id="F4^3:C3"),
+    pytest.param(on_ordered_pairs(7), 5040, True, id="S7-on-ordered-pairs"),
+    pytest.param(ug.LocalGroup.symmetric(9), 362880, True, id="Sym9"),
+    pytest.param(product_action(elementary_abelian_regular(5), S3), 192, False, id="C2^5xS3"),
+    pytest.param(S2_WR_S6, 46080, False, id="S2wrS6"),
+]
+
+
+@pytest.mark.parametrize("F, order, semiprimitive", LARGE_SEMIPRIMITIVITY_CASES)
+def test_semiprimitivity_of_groups_with_many_blocks_or_elements(F, order, semiprimitive):
+    # Each takes milliseconds; a walk over every block system of C2^7 (29,212
+    # of them) or a listing of Sym(9) takes seconds to hours.
+    assert F.order() == order
+    start = time.perf_counter()
+    assert ug.is_semiprimitive(F) is semiprimitive
+    assert time.perf_counter() - start < 2.0
+
+
+def test_the_block_walk_stops_after_as_many_calls_as_f1_has_elements(monkeypatch):
+    # C2^4 x Sym(6) on 96 points: |F_1| = 120, and the walk over its block systems
+    # would take 3,431 calls of _block_system.  It stops at 120, and the listing of
+    # F_1 decides (1 x Sym(6) is normal, intransitive and not semiregular).
+    F = product_action(elementary_abelian_regular(4), ug.LocalGroup.symmetric(6))
+    assert F.order() // F.degree == 120
+    calls = []
+    block_system = ug._block_system
+    monkeypatch.setattr(ug, "_block_system", lambda *args: calls.append(args) or block_system(*args))
+    assert not ug.is_semiprimitive(F)
+    assert len(calls) <= 2 * 120
 
 
 def test_normal_subgroups_of_small_symmetric_groups():
